@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import importlib.metadata
 import json
 import sys
 import time
@@ -23,17 +24,18 @@ import click
 import numpy as np
 import yaml
 
+from . import __version__
 from .evolve import (EvolveError, WindowPolicy, build_approx_front, evolve,
                      extend_run)
-from .fields import FieldState, Grid, smoothed_step
+from .fields import Grid, smoothed_step
 from .fronts import (FrontError, check_steepness_bound, fit_exponential_tail,
                      interface_width, steepness, steepness_bound_constant)
 from .kernels import KernelError, build_kernel, positive_decay_rate
 from .reactions import (ReactionError, make_ignition, max_slice, min_slice,
                         validate_hypotheses)
 from .stability import (InadmissibleAlpha, StabilityError, comparison_test,
-                        run_asymptotic_experiment, run_stability_experiment,
-                        select_alpha)
+                        measured_c_min, run_asymptotic_experiment,
+                        run_stability_experiment, select_alpha)
 from .waves import WaveError, solve_traveling_wave
 
 EXIT_OK = 0
@@ -178,6 +180,9 @@ class Artifacts:
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
+                "scipy": importlib.metadata.version("scipy"),
+                "click": importlib.metadata.version("click"),
+                "frontlab": __version__,
             },
         }
         (self.dir / "manifest.json").write_text(
@@ -188,11 +193,13 @@ class Artifacts:
 # experiments
 
 
+def _wave_grid(kern):
+    return Grid(-60.0, 60.0, int(120.0 / kern.spacing) + 1)
+
+
 def _front_run(cfg, kern, f, grid, with_derivative=True):
     tc = cfg["time"]
-    wave = solve_traveling_wave(kern, min_slice(f),
-                                Grid(-60.0, 60.0, int(120.0 / kern.spacing)
-                                     + 1))
+    wave = solve_traveling_wave(kern, min_slice(f), _wave_grid(kern))
     run = build_approx_front(kern, f, s=float(tc["s"]), grid=grid,
                              dt=float(tc["dt"]),
                              profile_fn=wave.profile_fn(),
@@ -215,7 +222,7 @@ def exp_validate(cfg, art: Artifacts) -> dict:
                    all_pass=int(report.all_pass))
     if not report.all_pass:
         raise CheckFailure("hypothesis violations: "
-                           + "; ".join(report.violations))
+                           + "; ".join(report.violation_lines()))
     return summary
 
 
@@ -244,9 +251,7 @@ def exp_wave(cfg, art: Artifacts) -> dict:
 def exp_front(cfg, art: Artifacts) -> dict:
     kern, f, grid = build_problem(cfg)
     wave_lo, run = _front_run(cfg, kern, f, grid, with_derivative=False)
-    wave_hi = solve_traveling_wave(kern, max_slice(f),
-                                   Grid(-60.0, 60.0,
-                                        int(120.0 / kern.spacing) + 1))
+    wave_hi = solve_traveling_wave(kern, max_slice(f), _wave_grid(kern))
     ts, xs = run.interface_track()
     _, speeds = run.interface_speeds()
     widths = np.array([interface_width(s, 0.05) for s in run.snapshots])
@@ -319,10 +324,7 @@ def exp_tails(cfg, art: Artifacts) -> dict:
                                  values=snap.w)
     left = fit_exponential_tail(snap, "left", x_to=x_ref - 8.0,
                                 values=snap.w)
-    ts, _ = run.interface_track()
-    _, speeds = run.interface_speeds()
-    sel = np.asarray(ts) >= float(cfg["time"]["s"]) + 20.0
-    c_min_meas = 0.98 * float(np.min(speeds[sel]))
+    c_min_meas = measured_c_min(run, t_from=float(cfg["time"]["s"]) + 20.0)
     target = positive_decay_rate(kern, c_min_meas)
     art.write_csv("tails.csv", ["x", "u", "w"], [snap.x, snap.u, snap.w])
     art.plot("tails.png", snap.x, {"|w|": np.abs(snap.w) + 1e-30},
@@ -392,15 +394,13 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
     ref0 = ref.trajectory.at_time(t0)
     shape = ec.get("initial", "mollified_step")
     x_ref = ref.interface_at(t0)
+    base = smoothed_step(Grid(ref0.x[0], ref0.x[-1], ref0.x.size),
+                         center=x_ref, width=2.0)
     if shape == "mollified_step":
-        u0 = smoothed_step(Grid(ref0.x[0], ref0.x[-1], ref0.x.size),
-                           center=x_ref, width=2.0)
-        u0 = u0.with_(t=t0)
+        u0 = base.with_(t=t0)
         evolve_ff = False
     elif shape == "liminf_above_theta":
         level = float(ec.get("plateau", 0.6))
-        base = smoothed_step(Grid(ref0.x[0], ref0.x[-1], ref0.x.size),
-                             center=x_ref, width=2.0)
         u0 = base.with_(t=t0, u=level * base.u, u_left=level, u_right=0.0,
                         w=None)
         evolve_ff = True

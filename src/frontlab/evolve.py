@@ -1,20 +1,20 @@
 """Time integration of u_t = J*u - u + f(t,u) on a truncated moving window.
 
-The stepper is classical 4-stage Runge-Kutta on the semi-discrete system;
-the window relocates by whole grid steps when the tracked interface leaves
-its middle band, with far-field fill.  The spatial derivative co-evolves
-through the differentiated equation w_t = J'*u - w + f_u(t,u) w.
+The stepper is classical 4-stage Runge-Kutta on the semi-discrete system,
+one path over the state (u, w, u_left, u_right); the window relocates by
+whole grid steps when the tracked interface leaves its middle band, with
+far-field fill.  The spatial derivative co-evolves through the
+differentiated equation w_t = J'*u - w + f_u(t,u) w.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import FieldState, Grid
-from .kernels import Kernel, _convolve_samples
+from .kernels import Kernel, _check_compatible, _convolve_samples
 from .fronts import locate_level
 
 
@@ -79,10 +79,12 @@ def _shift_window(state: FieldState, m: int) -> FieldState:
 class Stepper:
     """RK4 stepper bound to one kernel and one nonlinearity.
 
-    With evolve_far_fields=True the far-field constants follow the spatially
-    homogeneous reaction ODE v' = f(t, v) (the nonlocal term vanishes on
-    constants), so e.g. a left state above the ignition threshold lifts
-    toward 1 consistently with the interior dynamics.
+    One RK4 advances the state (u, w, u_left, u_right); the co-state w is
+    optional.  With evolve_far_fields=True the far-field constants follow
+    the spatially homogeneous reaction ODE v' = f(t, v) (the nonlocal term
+    vanishes on constants), so e.g. a left state above the ignition
+    threshold lifts toward 1 consistently with the interior dynamics;
+    otherwise they are frozen (zero rate).
     """
 
     def __init__(self, kernel: Kernel, f, evolve_far_fields: bool = False):
@@ -91,75 +93,44 @@ class Stepper:
         self.evolve_far_fields = evolve_far_fields
         self._wj = kernel.weights * kernel.samples
         self._wdj = kernel.weights * kernel.derivative_samples
+        self.dt_max = f.dt_max()
 
-    def dt_max(self) -> float:
-        return self.f.dt_max()
-
-    def _rhs_u(self, t, u, u_left, u_right):
-        conv = _convolve_samples(self._wj, u, u_left, u_right)
-        return conv - u + self.f.eval(t, np.clip(u, -1.0, 3.0))
-
-    def _rhs_w(self, t, u, w, u_left, u_right):
-        conv = _convolve_samples(self._wdj, u, u_left, u_right)
-        return conv - w + self.f.eval_du(t, np.clip(u, -1.0, 3.0)) * w
+    def _rhs(self, t, y):
+        u, w, ul, ur = y
+        uc = np.clip(u, -1.0, 3.0)
+        ku = _convolve_samples(self._wj, u, ul, ur) - u + self.f.eval(t, uc)
+        kw = None
+        if w is not None:
+            kw = (_convolve_samples(self._wdj, u, ul, ur) - w
+                  + self.f.eval_du(t, uc) * w)
+        gl = gr = 0.0
+        if self.evolve_far_fields:
+            gl, gr = float(self.f.eval(t, ul)), float(self.f.eval(t, ur))
+        return ku, kw, gl, gr
 
     def step(self, state: FieldState, dt: float) -> FieldState:
-        if dt > self.dt_max() * (1.0 + 1e-12):
-            raise EvolveError(f"dt={dt} exceeds dt_max={self.dt_max()}")
-        t, u = state.t, state.u
-        ul, ur = state.u_left, state.u_right
-        if self.evolve_far_fields:
-            def fscal(ts, v):
-                return float(self.f.eval(ts, v))
-            gl1, gr1 = fscal(t, ul), fscal(t, ur)
-            gl2 = fscal(t + 0.5 * dt, ul + 0.5 * dt * gl1)
-            gr2 = fscal(t + 0.5 * dt, ur + 0.5 * dt * gr1)
-            gl3 = fscal(t + 0.5 * dt, ul + 0.5 * dt * gl2)
-            gr3 = fscal(t + 0.5 * dt, ur + 0.5 * dt * gr2)
-            gl4 = fscal(t + dt, ul + dt * gl3)
-            gr4 = fscal(t + dt, ur + dt * gr3)
-            stage_l = (ul, ul + 0.5 * dt * gl1, ul + 0.5 * dt * gl2,
-                       ul + dt * gl3)
-            stage_r = (ur, ur + 0.5 * dt * gr1, ur + 0.5 * dt * gr2,
-                       ur + dt * gr3)
-            ul_new = ul + dt / 6.0 * (gl1 + 2 * gl2 + 2 * gl3 + gl4)
-            ur_new = ur + dt / 6.0 * (gr1 + 2 * gr2 + 2 * gr3 + gr4)
-        else:
-            stage_l = (ul, ul, ul, ul)
-            stage_r = (ur, ur, ur, ur)
-            ul_new, ur_new = ul, ur
-        if state.w is None:
-            k1 = self._rhs_u(t, u, stage_l[0], stage_r[0])
-            k2 = self._rhs_u(t + 0.5 * dt, u + 0.5 * dt * k1,
-                             stage_l[1], stage_r[1])
-            k3 = self._rhs_u(t + 0.5 * dt, u + 0.5 * dt * k2,
-                             stage_l[2], stage_r[2])
-            k4 = self._rhs_u(t + dt, u + dt * k3, stage_l[3], stage_r[3])
-            u_new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            w_new = None
-        else:
-            w = state.w
-            k1 = self._rhs_u(t, u, ul, ur)
-            l1 = self._rhs_w(t, u, w, ul, ur)
-            k2 = self._rhs_u(t + 0.5 * dt, u + 0.5 * dt * k1, ul, ur)
-            l2 = self._rhs_w(t + 0.5 * dt, u + 0.5 * dt * k1,
-                             w + 0.5 * dt * l1, ul, ur)
-            k3 = self._rhs_u(t + 0.5 * dt, u + 0.5 * dt * k2, ul, ur)
-            l3 = self._rhs_w(t + 0.5 * dt, u + 0.5 * dt * k2,
-                             w + 0.5 * dt * l2, ul, ur)
-            k4 = self._rhs_u(t + dt, u + dt * k3, ul, ur)
-            l4 = self._rhs_w(t + dt, u + dt * k3, w + dt * l3, ul, ur)
-            u_new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            w_new = w + dt / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
+        if dt > self.dt_max * (1.0 + 1e-12):
+            raise EvolveError(f"dt={dt} exceeds dt_max={self.dt_max}")
+        _check_compatible(self.kernel, state)
+        t = state.t
+        y = (state.u, state.w, state.u_left, state.u_right)
+
+        def combine(ks, weight):
+            # y + weight * ks component-wise; an absent co-state stays None
+            return tuple(None if yi is None else yi + weight * ki
+                         for yi, ki in zip(y, ks))
+
+        k1 = self._rhs(t, y)
+        k2 = self._rhs(t + 0.5 * dt, combine(k1, 0.5 * dt))
+        k3 = self._rhs(t + 0.5 * dt, combine(k2, 0.5 * dt))
+        k4 = self._rhs(t + dt, combine(k3, dt))
+        incr = tuple(None if a is None else a + 2 * b + 2 * c + d
+                     for a, b, c, d in zip(k1, k2, k3, k4))
+        u_new, w_new, ul_new, ur_new = combine(incr, dt / 6.0)
         if not np.all(np.isfinite(u_new)):
             raise EvolveError(f"non-finite state at t={t + dt}")
         return state.with_(t=t + dt, u=u_new, w=w_new,
                            u_left=ul_new, u_right=ur_new)
-
-
-def step(state: FieldState, kernel: Kernel, f, dt: float) -> FieldState:
-    """Advance one RK4 step of the semi-discrete equation."""
-    return Stepper(kernel, f).step(state, dt)
 
 
 def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
@@ -170,8 +141,6 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
     stepper = Stepper(kernel, f, evolve_far_fields=evolve_far_fields)
     n_steps = max(1, int(round((t_end - state.t) / dt)))
     dt_eff = (t_end - state.t) / n_steps
-    if dt_eff > stepper.dt_max() * (1.0 + 1e-12):
-        raise EvolveError(f"dt={dt_eff} exceeds dt_max={stepper.dt_max()}")
     if snapshot_every is None:
         snap_stride = n_steps
     else:
@@ -262,18 +231,17 @@ def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
     if s >= 0:
         raise EvolveError("seed time must be negative")
 
-    def terminal_value(y: float) -> float:
+    def terminal_state(y: float) -> FieldState:
         state = seed_from_profile(grid, profile_fn, derivative_fn, y, s,
                                   with_w=False)
-        traj = evolve(state, kernel, f, 0.0, dt)
-        end = traj.snapshots[-1]
+        return evolve(state, kernel, f, 0.0, dt).snapshots[-1]
+
+    def terminal_value(y: float) -> float:
+        end = terminal_state(y)
         return float(np.interp(0.0, end.x, end.u))
 
     # center the bracket using a trial run and translation invariance
-    state0 = seed_from_profile(grid, profile_fn, derivative_fn, 0.0, s,
-                               with_w=False)
-    end0 = evolve(state0, kernel, f, 0.0, dt).snapshots[-1]
-    y0 = -locate_level(end0, theta)
+    y0 = -locate_level(terminal_state(0.0), theta)
 
     width = 1.0
     lo, hi = y0 - width, y0 + width

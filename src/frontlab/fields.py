@@ -1,10 +1,12 @@
-"""Spatial grids and field snapshots on a truncated moving window."""
+"""Spatial grids, field snapshots on a truncated moving window, and the
+monotone profile interpolant with constant far fields."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,6 @@ class FieldState:
     def h(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    @property
-    def n(self) -> int:
-        return self.u.size
-
     def with_(self, **kw) -> "FieldState":
         return replace(self, **kw)
 
@@ -80,3 +78,24 @@ def smoothed_step(grid: Grid, center: float = 0.0, width: float = 2.0,
     """Front-like initial datum decaying from 1 to 0 around `center`."""
     u = 0.5 * (1.0 - np.tanh((grid.x - center) / width))
     return FieldState(t=t, x=grid.x, u=u, u_left=1.0, u_right=0.0)
+
+
+def pchip_far_fields(x: np.ndarray, y: np.ndarray, left: float,
+                     right: float):
+    """Monotone (PCHIP) interpolant of samples y(x), equal to the constant
+    `left` below x[0] and `right` above x[-1]."""
+    interp = PchipInterpolator(x, y)
+    x0, x1 = x[0], x[-1]
+
+    def fn(xq):
+        xq = np.asarray(xq, dtype=float)
+        out = np.empty_like(xq)
+        below = xq < x0
+        above = xq > x1
+        mid = ~(below | above)
+        out[below] = left
+        out[above] = right
+        out[mid] = interp(xq[mid])
+        return out
+
+    return fn

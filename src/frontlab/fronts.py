@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldState
-from .kernels import Kernel, convolve, iterated_kernel
+from .kernels import Kernel, convolve, iterated_kernels
 
 
 class FrontError(ValueError):
@@ -106,6 +106,18 @@ class TailFit:
 MAGNITUDE_BAND = (1e-12, 1e-2)
 
 
+def fit_line(x, y) -> tuple:
+    """(slope, intercept, R^2) of the least-squares line through (x, y)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, r2
+
+
 def fit_exponential_tail(field: FieldState, side: str,
                          x_from: float | None = None,
                          x_to: float | None = None,
@@ -132,12 +144,8 @@ def fit_exponential_tail(field: FieldState, side: str,
     sgn = np.sign(v[mask])
     if np.any(sgn != sgn[0]):
         raise FrontError("sign changes inside the tail window")
-    xs, ys = x[mask], np.log(mag[mask])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    xs = x[mask]
+    slope, intercept, r2 = fit_line(xs, np.log(mag[mask]))
     rate = -slope if side == "right" else slope
     return TailFit(side=side, rate=float(rate),
                    amplitude=float(math.exp(intercept)),
@@ -195,15 +203,14 @@ def steepness_bound_constant(kernel: Kernel, c_fu: float, dt: float,
     if dt <= 0 or half_width <= 0:
         raise FrontError("dt and half_width must be positive")
     lo, hi = offset - half_width, offset + half_width
-    for order in range(1, order_cap + 1):
-        ik = iterated_kernel(kernel, order)
+    for ik in iterated_kernels(kernel, order_cap):
         xs = ik.offsets
         if lo < xs[0] or hi > xs[-1]:
             continue
         inside = (xs >= lo - ik.spacing) & (xs <= hi + ik.spacing)
         inf_val = float(np.min(ik.samples[inside]))
         if inf_val > 0.0:
-            return SteepnessBoundConstant(K=c_fu, N=order, offset=offset,
+            return SteepnessBoundConstant(K=c_fu, N=ik.order, offset=offset,
                                           half_width=half_width,
                                           c_tilde=inf_val, dt=dt)
     raise FrontError("no iteration order achieves positivity on the interval")

@@ -9,7 +9,7 @@ constant exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal, special
@@ -28,6 +28,13 @@ ITERATION_CAP = 32
 
 class KernelError(ValueError):
     pass
+
+
+def _trapezoid_weights(size: int, spacing: float) -> np.ndarray:
+    w = np.full(size, spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 @dataclass(frozen=True)
@@ -54,10 +61,7 @@ class Kernel:
 
     @property
     def weights(self) -> np.ndarray:
-        w = np.full(self.samples.size, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid_weights(self.samples.size, self.spacing)
 
     def quadrature_mass(self) -> float:
         return float(np.sum(self.weights * self.samples))
@@ -65,9 +69,6 @@ class Kernel:
     def derivative_abs_integral(self) -> float:
         """Quadrature of |J'|; (H1) diagnostic only, no threshold asserted."""
         return float(np.sum(self.weights * np.abs(self.derivative_samples)))
-
-    def dump(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.offsets, self.samples]))
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,6 @@ class IteratedKernel:
     def offsets(self) -> np.ndarray:
         k = (self.samples.size - 1) // 2
         return np.arange(-k, k + 1) * self.spacing
-
-    def quadrature_mass(self) -> float:
-        w = np.full(self.samples.size, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return float(np.sum(w * self.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +120,10 @@ def _bump_density(a):
 
     def derivative(x):
         s = np.asarray(x, dtype=float) / a
-        out = np.zeros_like(s)
+        out = density(x)
         inside = np.abs(s) < 1.0
         si = s[inside]
-        out[inside] = (c * np.exp(-1.0 / (1.0 - si**2))
-                       * (-2.0 * si / (a * (1.0 - si**2) ** 2)))
+        out[inside] *= -2.0 * si / (a * (1.0 - si**2) ** 2)
         return out
 
     def tail_mass(r):
@@ -179,11 +173,12 @@ def build_kernel(family: str, spacing: float, tail_tolerance: float,
     samples = 0.5 * (samples + samples[::-1])
     deriv = 0.5 * (deriv - deriv[::-1])
 
-    weights = np.full(samples.size, spacing)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    mass = float(np.sum(weights * samples))
-    if not (1.0 - tail_tolerance - 1e-8 <= mass <= 1.0 + 1e-8):
+    mass = float(np.sum(_trapezoid_weights(samples.size, spacing) * samples))
+    # the trapezoid rule undershoots the stencil integral by its
+    # Euler-Maclaurin endpoint term, about h^2/6 |J'(R)|
+    endpoint_error = spacing**2 / 6.0 * abs(deriv[-1])
+    if not (1.0 - tail_tolerance - endpoint_error - 1e-8 <= mass
+            <= 1.0 + 1e-8):
         raise KernelError(f"quadrature mass {mass} inconsistent with tail bound")
     samples = samples / mass
     deriv = deriv / mass
@@ -288,28 +283,20 @@ def positive_decay_rate(kernel: Kernel, c_min: float) -> float:
     return 0.5 * root
 
 
+def iterated_kernels(kernel: Kernel, max_order: int):
+    """Yield J^1, ..., J^max_order, each by one convolution with J."""
+    if max_order > ITERATION_CAP:
+        raise KernelError(f"iteration order exceeds cap {ITERATION_CAP}")
+    samples = kernel.samples.copy()
+    h = kernel.spacing
+    for order in range(1, max_order + 1):
+        if order > 1:
+            samples = np.convolve(samples, kernel.samples) * h
+        yield IteratedKernel(order=order, spacing=h, samples=samples)
+
+
 def iterated_kernel(kernel: Kernel, order: int) -> IteratedKernel:
     """N-fold self-convolution J^N on a stencil of radius N*R."""
     if order < 1:
         raise KernelError("iteration order must be >= 1")
-    if order > ITERATION_CAP:
-        raise KernelError(f"iteration order exceeds cap {ITERATION_CAP}")
-    samples = kernel.samples.copy()
-    h = kernel.spacing
-    for _ in range(order - 1):
-        samples = np.convolve(samples, kernel.samples) * h
-    return IteratedKernel(order=order, spacing=h, samples=samples)
-
-
-def iterate_iterated(ik: IteratedKernel, order: int) -> IteratedKernel:
-    """Self-convolve an already-iterated kernel (associativity checks)."""
-    samples = ik.samples.copy()
-    for _ in range(order - 1):
-        samples = np.convolve(samples, ik.samples) * ik.spacing
-    return IteratedKernel(order=ik.order * order, spacing=ik.spacing,
-                          samples=samples)
-
-
-def with_samples(kernel: Kernel, samples: np.ndarray) -> Kernel:
-    """Kernel with replaced samples (crafting invalid kernels in tests)."""
-    return replace(kernel, samples=samples)
+    return list(iterated_kernels(kernel, order))[-1]

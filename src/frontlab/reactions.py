@@ -201,6 +201,10 @@ class HypothesisReport:
     def all_pass(self) -> bool:
         return all(self.verdicts.values())
 
+    def violation_lines(self) -> list[str]:
+        return [f"{name} at {where}: {what}"
+                for name, where, what in self.violations]
+
     def to_text(self) -> str:
         lines = []
         for name, ok in sorted(self.verdicts.items()):
@@ -212,8 +216,7 @@ class HypothesisReport:
         lines.append(f"int_abs_J_prime: {self.deriv_abs_integral:.12g}")
         if self.violations:
             lines.append("violations:")
-            for v in self.violations:
-                lines.append(f"  {v[0]} at {v[1]}: {v[2]}")
+            lines.extend("  " + v for v in self.violation_lines())
         return "\n".join(lines)
 
 

@@ -10,16 +10,14 @@ argument requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .fields import FieldState, Grid
+from .fields import FieldState, pchip_far_fields
 from .kernels import Kernel, convolve, exponential_moment
-from .evolve import (ApproxFrontRun, Stepper, Trajectory, WindowPolicy,
-                     evolve)
-from .fronts import locate_level
+from .evolve import ApproxFrontRun, WindowPolicy, evolve
+from .fronts import fit_line, locate_level
 
 
 class StabilityError(RuntimeError):
@@ -42,35 +40,27 @@ class GammaFunction:
     alpha: float
     M1: float
 
-    def _exponent(self, x):
+    def _branches(self, x):
+        """(x, right-branch mask, blend mask); the rest is the left branch."""
         x = np.asarray(x, dtype=float)
-        psi = np.zeros_like(x)
-        blend = (x > self.M1 - 1.0) & (x < self.M1 + 1.0)
         right = x >= self.M1 + 1.0
-        psi[blend] = 0.25 * self.alpha * (x[blend] - self.M1 + 1.0) ** 2
-        psi[right] = self.alpha * (x[right] - self.M1)
-        return psi
+        return x, right, (x > self.M1 - 1.0) & ~right
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
         # exact outer branches, blend in between
+        x, right, blend = self._branches(x)
         out = np.ones_like(x)
-        right = x >= self.M1 + 1.0
-        blend = (x > self.M1 - 1.0) & ~right
         out[right] = np.exp(-self.alpha * (x[right] - self.M1))
         out[blend] = np.exp(-0.25 * self.alpha
                             * (x[blend] - self.M1 + 1.0) ** 2)
         return out
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
+        x, right, blend = self._branches(x)
+        g = self(x)
         out = np.zeros_like(x)
-        right = x >= self.M1 + 1.0
-        blend = (x > self.M1 - 1.0) & ~right
-        out[right] = -self.alpha * np.exp(-self.alpha * (x[right] - self.M1))
-        out[blend] = (-0.5 * self.alpha * (x[blend] - self.M1 + 1.0)
-                      * np.exp(-0.25 * self.alpha
-                               * (x[blend] - self.M1 + 1.0) ** 2))
+        out[right] = -self.alpha * g[right]
+        out[blend] = -0.5 * self.alpha * (x[blend] - self.M1 + 1.0) * g[blend]
         return out
 
 
@@ -244,36 +234,27 @@ class PerturbationEnvelope:
     zeta0_minus: float = 0.0
     zeta0_plus: float = 0.0
 
-    def _check(self, t):
+    def _decay(self, t):
+        """e^{-omega (t - t0)}, defined only from t0 on."""
         if np.any(np.asarray(t) < self.t0 - 1e-12):
             raise StabilityError("envelope evaluated before t0")
+        return np.exp(-self.omega * (np.asarray(t, dtype=float) - self.t0))
 
     def q(self, t):
-        self._check(t)
-        return self.eps * np.exp(-self.omega * (np.asarray(t, dtype=float)
-                                                - self.t0))
+        return self.eps * self._decay(t)
+
+    def _drift(self, t):
+        return self.A * self.eps / self.omega * (1.0 - self._decay(t))
 
     def zeta_minus(self, t):
-        self._check(t)
-        drift = (self.A * self.eps / self.omega
-                 * (1.0 - np.exp(-self.omega * (np.asarray(t, dtype=float)
-                                                - self.t0))))
-        return self.zeta0_minus - drift
+        return self.zeta0_minus - self._drift(t)
 
     def zeta_plus(self, t):
-        self._check(t)
-        drift = (self.A * self.eps / self.omega
-                 * (1.0 - np.exp(-self.omega * (np.asarray(t, dtype=float)
-                                                - self.t0))))
-        return self.zeta0_plus + drift
+        return self.zeta0_plus + self._drift(t)
 
     def eval(self, t):
         return (float(self.zeta_minus(t)), float(self.zeta_plus(t)),
                 float(self.q(t)))
-
-
-def perturbation_envelope_eval(env: PerturbationEnvelope, t: float):
-    return env.eval(t)
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +263,7 @@ def perturbation_envelope_eval(env: PerturbationEnvelope, t: float):
 
 def profile_interp(snap: FieldState):
     """Monotone interpolant of a snapshot with far-field extension."""
-    interp = PchipInterpolator(snap.x, snap.u)
-    x0, x1 = snap.x[0], snap.x[-1]
-    ul, ur = snap.u_left, snap.u_right
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        left = x < x0
-        right = x > x1
-        mid = ~(left | right)
-        out[left] = ul
-        out[right] = ur
-        out[mid] = interp(x[mid])
-        return out
-
-    return fn
+    return pchip_far_fields(snap.x, snap.u, snap.u_left, snap.u_right)
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +513,7 @@ def fit_log_decay(times: np.ndarray, dists: np.ndarray,
     sel = (d >= max(band[0], floor)) & (d <= band[1])
     if np.count_nonzero(sel) < 5:
         raise StabilityError("too few points inside the decay band")
-    ts, ys = t[sel], np.log(d[sel])
-    slope, intercept = np.polyfit(ts, ys, 1)
-    pred = slope * ts + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = fit_line(t[sel], np.log(d[sel]))
     return float(-slope), float(math.exp(intercept)), float(r2)
 
 

@@ -10,18 +10,16 @@ the stationary co-moving system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import PchipInterpolator
 from scipy.sparse.linalg import spsolve
 
-from .fields import FieldState, Grid, smoothed_step
+from .fields import FieldState, Grid, pchip_far_fields, smoothed_step
 from .kernels import Kernel, convolve
-from .evolve import Stepper
-from .fronts import locate_level
+from .evolve import Stepper, _shift_window
+from .fronts import fit_line, locate_level
 
 
 class WaveError(RuntimeError):
@@ -38,37 +36,10 @@ class TravelingWave:
     theta: float
 
     def profile_fn(self):
-        interp = PchipInterpolator(self.x, self.phi)
-        x0, x1 = self.x[0], self.x[-1]
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty_like(x)
-            left = x < x0
-            right = x > x1
-            mid = ~(left | right)
-            out[left] = 1.0
-            out[right] = 0.0
-            out[mid] = interp(x[mid])
-            return out
-
-        return fn
+        return pchip_far_fields(self.x, self.phi, 1.0, 0.0)
 
     def derivative_fn(self):
-        interp = PchipInterpolator(self.x, self.dphi)
-        x0, x1 = self.x[0], self.x[-1]
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            mid = (x >= x0) & (x <= x1)
-            out[mid] = interp(x[mid])
-            return out
-
-        return fn
-
-    def dump(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.x, self.phi, self.dphi]))
+        return pchip_far_fields(self.x, self.dphi, 0.0, 0.0)
 
 
 def _ghost_gradient(u: np.ndarray, h: float, u_left: float,
@@ -87,12 +58,7 @@ def _stationary_residual(kernel: Kernel, f_hom, x, u, c) -> np.ndarray:
 
 def _fractional_recenter(x, u, pos):
     """Shift the profile so the crossing sits at 0 (monotone interpolation)."""
-    interp = PchipInterpolator(x, u)
-    xq = np.clip(x + pos, x[0], x[-1])
-    out = interp(xq)
-    out[x + pos < x[0]] = u[0]
-    out[x + pos > x[-1]] = u[-1]
-    return out
+    return pchip_far_fields(x, u, u[0], u[-1])(x + pos)
 
 
 def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
@@ -108,7 +74,7 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
     theta = f_hom.theta
     stepper = Stepper(kernel, f_hom)
     if dt is None:
-        dt = 0.8 * stepper.dt_max()
+        dt = 0.8 * stepper.dt_max
 
     state = smoothed_step(grid, center=0.0, width=2.0)
     h = grid.h
@@ -118,7 +84,6 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
 
     prev_aligned = None
     t = 0.0
-    converged = False
     while t < t_cap:
         for _ in range(n_block):
             state = stepper.step(state, dt_eff)
@@ -127,31 +92,21 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
             raise WaveError("quenching detected: profile collapsed below "
                             "the ignition threshold")
         pos = locate_level(state, theta)
-        # integer re-centering keeps the crossing near 0 without interpolation
-        m = int(round(pos / h))
-        if m != 0:
-            u = np.empty_like(state.u)
-            if m > 0:
-                u[:-m] = state.u[m:]
-                u[-m:] = 0.0
-            else:
-                u[-m:] = state.u[:m]
-                u[:-m] = 1.0
-            state = state.with_(u=u)
+        # integer re-centering keeps the crossing near 0 without
+        # interpolation: shift the profile by whole nodes, keep the grid
+        state = _shift_window(state, int(round(pos / h))).with_(x=state.x)
         aligned = _fractional_recenter(state.x, state.u,
                                        locate_level(state, theta))
         if prev_aligned is not None and t >= t_settle:
             drift = float(np.max(np.abs(aligned - prev_aligned))) / block
             if drift < settle_tol:
-                converged = True
                 break
         prev_aligned = aligned
-    if not converged:
+    else:
         raise WaveError("evolve-and-align did not settle within the time cap")
 
-    # speed from the crossing drift: re-run bookkeeping on the recorded
-    # lab-frame track (shifts were re-centered, so rebuild cumulatively)
-    c0 = _speed_from_blocks(kernel, f_hom, state, dt_eff, block, theta)
+    # speed from the crossing drift over further blocks of the settled run
+    c0 = _speed_from_blocks(stepper, state, dt_eff, block, theta)
     phi = _fractional_recenter(state.x, state.u,
                                locate_level(state, theta))
     phi, c = _newton_polish(kernel, f_hom, grid, phi, c0, theta, tol,
@@ -169,10 +124,9 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
                          dphi=dphi, residual_norm=residual_norm, theta=theta)
 
 
-def _speed_from_blocks(kernel, f_hom, state, dt, horizon_block, theta,
+def _speed_from_blocks(stepper, state, dt, horizon_block, theta,
                        n_blocks: int = 25) -> float:
     """Least-squares slope of the theta-crossing over a settled stretch."""
-    stepper = Stepper(kernel, f_hom)
     n_in_block = max(1, int(round(horizon_block / dt)))
     ts, xs = [], []
     s = state
@@ -182,7 +136,7 @@ def _speed_from_blocks(kernel, f_hom, state, dt, horizon_block, theta,
         ts.append(s.t)
         xs.append(locate_level(s, theta))
     half = len(ts) // 2
-    slope = np.polyfit(ts[half:], xs[half:], 1)[0]
+    slope, _, _ = fit_line(ts[half:], xs[half:])
     return float(slope)
 
 
@@ -228,12 +182,3 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c0, theta, tol,
         raise WaveError("Newton polish did not converge within the cap")
     return phi, c
 
-
-def wave_profile_derivative(tw: TravelingWave, kernel: Kernel,
-                            f_hom) -> np.ndarray:
-    """phi' from the rearranged stationary equation (smoother than FD)."""
-    if tw.speed < 1e-12:
-        raise WaveError("degenerate wave speed")
-    field = FieldState(t=0.0, x=tw.x, u=tw.phi, u_left=1.0, u_right=0.0)
-    return -(convolve(kernel, field) - tw.phi
-             + f_hom.eval(0.0, tw.phi)) / tw.speed

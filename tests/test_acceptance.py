@@ -19,7 +19,7 @@ from frontlab.fronts import (check_steepness_bound, fit_exponential_tail,
                              locate_level, steepness,
                              steepness_bound_constant, track_levels)
 from frontlab.kernels import (build_kernel, convolve, exponential_moment,
-                              positive_decay_rate, with_samples)
+                              positive_decay_rate)
 from frontlab.reactions import make_ignition, max_slice, min_slice, \
     validate_hypotheses
 from frontlab.stability import (PerturbationEnvelope, _interface_function,
@@ -27,6 +27,7 @@ from frontlab.stability import (PerturbationEnvelope, _interface_function,
                                 run_asymptotic_experiment,
                                 run_stability_experiment,
                                 subsupersolution_residual)
+from kernel_helpers import with_samples
 
 DT = 0.05
 S_SEED = -30.0

@@ -6,6 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import frontlab
 from frontlab.cli import load_config, main
 
 
@@ -73,6 +74,24 @@ class TestExitCodes:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
+    def test_failed_hypothesis_is_check_failure(self, runner, tmp_path):
+        cfg = _write_cfg(tmp_path, {"reaction": {"theta_tilde": 0.5}})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["validate", "--config", cfg,
+                                      "--out", str(out), "--quiet"])
+        assert result.exit_code == 1, result.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] == 0
+        assert "H4_decay_slope at t=" in summary["failure"]
+
+    def test_grid_spacing_mismatch_is_config_error(self, runner, tmp_path):
+        # n = 1001 on [-50, 50] gives h = 0.1 against kernel spacing 0.05
+        cfg = _write_cfg(tmp_path, {"grid": {"n": 1001}})
+        result = runner.invoke(main, ["front", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "spacing" in result.output
+
     def test_small_comparison_ok(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {
             "experiment": {"pairs": 3, "t_end": 1.0},
@@ -131,6 +150,9 @@ class TestManifest:
             assert hashlib.sha256(blob).hexdigest() == digest
         assert "summary.json" in manifest["files"]
         assert manifest["versions"]["python"]
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy",
+                                             "click", "frontlab"}
+        assert manifest["versions"]["frontlab"] == frontlab.__version__
 
 
 class TestSweep:

@@ -6,9 +6,81 @@ from frontlab.evolve import (EvolveError, Stepper, WindowPolicy,
                              evolve, extend_run)
 from frontlab.fields import FieldState, Grid, constant_field, smoothed_step
 from frontlab.fronts import locate_level
-from frontlab.reactions import min_slice
+from frontlab.kernels import KernelError, _convolve_samples
 
 DT = 0.05
+
+
+def three_branch_step(kernel, f, state, dt, evolve_far_fields=False):
+    """Reference RK4 step written as three branches (far fields, u only,
+    u with co-state); the co-state branch keeps the far fields frozen in
+    its stages."""
+    wj = kernel.weights * kernel.samples
+    wdj = kernel.weights * kernel.derivative_samples
+
+    def rhs_u(t, u, u_left, u_right):
+        conv = _convolve_samples(wj, u, u_left, u_right)
+        return conv - u + f.eval(t, np.clip(u, -1.0, 3.0))
+
+    def rhs_w(t, u, w, u_left, u_right):
+        conv = _convolve_samples(wdj, u, u_left, u_right)
+        return conv - w + f.eval_du(t, np.clip(u, -1.0, 3.0)) * w
+
+    t, u = state.t, state.u
+    ul, ur = state.u_left, state.u_right
+    if evolve_far_fields:
+        def fscal(ts, v):
+            return float(f.eval(ts, v))
+        gl1, gr1 = fscal(t, ul), fscal(t, ur)
+        gl2 = fscal(t + 0.5 * dt, ul + 0.5 * dt * gl1)
+        gr2 = fscal(t + 0.5 * dt, ur + 0.5 * dt * gr1)
+        gl3 = fscal(t + 0.5 * dt, ul + 0.5 * dt * gl2)
+        gr3 = fscal(t + 0.5 * dt, ur + 0.5 * dt * gr2)
+        gl4 = fscal(t + dt, ul + dt * gl3)
+        gr4 = fscal(t + dt, ur + dt * gr3)
+        stage_l = (ul, ul + 0.5 * dt * gl1, ul + 0.5 * dt * gl2,
+                   ul + dt * gl3)
+        stage_r = (ur, ur + 0.5 * dt * gr1, ur + 0.5 * dt * gr2,
+                   ur + dt * gr3)
+        ul_new = ul + dt / 6.0 * (gl1 + 2 * gl2 + 2 * gl3 + gl4)
+        ur_new = ur + dt / 6.0 * (gr1 + 2 * gr2 + 2 * gr3 + gr4)
+    else:
+        stage_l = (ul, ul, ul, ul)
+        stage_r = (ur, ur, ur, ur)
+        ul_new, ur_new = ul, ur
+    if state.w is None:
+        k1 = rhs_u(t, u, stage_l[0], stage_r[0])
+        k2 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k1, stage_l[1], stage_r[1])
+        k3 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k2, stage_l[2], stage_r[2])
+        k4 = rhs_u(t + dt, u + dt * k3, stage_l[3], stage_r[3])
+        u_new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        w_new = None
+    else:
+        w = state.w
+        k1 = rhs_u(t, u, ul, ur)
+        l1 = rhs_w(t, u, w, ul, ur)
+        k2 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k1, ul, ur)
+        l2 = rhs_w(t + 0.5 * dt, u + 0.5 * dt * k1, w + 0.5 * dt * l1,
+                   ul, ur)
+        k3 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k2, ul, ur)
+        l3 = rhs_w(t + 0.5 * dt, u + 0.5 * dt * k2, w + 0.5 * dt * l2,
+                   ul, ur)
+        k4 = rhs_u(t + dt, u + dt * k3, ul, ur)
+        l4 = rhs_w(t + dt, u + dt * k3, w + dt * l3, ul, ur)
+        u_new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        w_new = w + dt / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
+    return state.with_(t=t + dt, u=u_new, w=w_new,
+                       u_left=ul_new, u_right=ur_new)
+
+
+def _reference_states():
+    grid = Grid(-20.0, 20.0, 801)
+    base = smoothed_step(grid)
+    return {
+        "u_only": (base, False),
+        "u_and_w": (base.with_(w=np.gradient(base.u, base.x)), False),
+        "far_fields": (base.with_(u=0.6 * base.u, u_left=0.6), True),
+    }
 
 
 class TestStepper:
@@ -55,6 +127,39 @@ class TestStepper:
         assert end.u_right == 0.0
         assert np.interp(-20.0, end.x, end.u) == pytest.approx(end.u_left,
                                                                abs=1e-3)
+
+
+class TestSingleRK4Path:
+    @pytest.mark.parametrize("case", ["u_only", "u_and_w", "far_fields"])
+    def test_matches_three_branch_reference(self, kernel, f, case):
+        state, far = _reference_states()[case]
+        stepper = Stepper(kernel, f, evolve_far_fields=far)
+        ref = state
+        for _ in range(20):
+            state = stepper.step(state, DT)
+            ref = three_branch_step(kernel, f, ref, DT, far)
+            assert np.array_equal(state.u, ref.u)
+            assert (state.w is None) == (ref.w is None)
+            if ref.w is not None:
+                assert np.array_equal(state.w, ref.w)
+            assert (state.u_left, state.u_right) == (ref.u_left,
+                                                     ref.u_right)
+
+    def test_far_fields_drive_u_with_or_without_costate(self, kernel, f):
+        # the co-state must not change how u and the far fields evolve
+        state, _ = _reference_states()["far_fields"]
+        plain = evolve(state, kernel, f, 5.0, DT, evolve_far_fields=True)
+        with_w = evolve(state.with_(w=np.gradient(state.u, state.x)),
+                        kernel, f, 5.0, DT, evolve_far_fields=True)
+        a, b = plain.snapshots[-1], with_w.snapshots[-1]
+        assert a.u_left > 0.6
+        assert np.array_equal(a.u, b.u)
+        assert (a.u_left, a.u_right) == (b.u_left, b.u_right)
+
+    def test_grid_spacing_must_match_kernel(self, kernel, f):
+        coarse = smoothed_step(Grid(-20.0, 20.0, 401))   # h = 0.1
+        with pytest.raises(KernelError):
+            evolve(coarse, kernel, f, 1.0, DT)
 
 
 class TestMonotoneAndRange:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontlab.fields import FieldState, Grid
 from frontlab.kernels import (Kernel, KernelError, build_kernel, convolve,
                               convolve_derivative, exponential_moment,
-                              iterate_iterated, iterated_kernel,
-                              positive_decay_rate, with_samples)
+                              iterated_kernel, positive_decay_rate)
+from kernel_helpers import iterate_iterated, with_samples
 
 
 def make_field(u, grid, left=1.0, right=0.0):
@@ -164,6 +164,8 @@ class TestIteratedKernel:
 
 @settings(max_examples=25, deadline=None)
 @given(sigma=st.floats(min_value=0.3, max_value=2.0))
+# the trapezoid endpoint error alone takes this mass below 1 - tolerance
+@example(sigma=0.5928007937718327)
 def test_any_sigma_builds_valid_kernel(sigma):
     k = build_kernel("gaussian", spacing=0.05, tail_tolerance=1e-6,
                      sigma=sigma)

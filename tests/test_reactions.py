@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontlab.kernels import with_samples
 from frontlab.reactions import (IgnitionNonlinearity, ReactionError,
                                 make_default_ignition, make_ignition,
                                 max_slice, min_slice, validate_hypotheses)
+from kernel_helpers import with_samples
 
 THETA = 0.3
 
