@@ -6,7 +6,7 @@ Usage::
 
 Experiments: validate, wave, front, steepness, tails, stability,
 asymptotic, comparison, sweep.  Exit codes: 0 success, 1 theorem-check
-failure, 2 usage/config error.
+failure, 2 usage/config error, 3 solver failure (a numerical breakdown).
 """
 
 from __future__ import annotations
@@ -28,23 +28,22 @@ from . import __version__
 from .evolve import (EvolveError, WindowPolicy, build_approx_front, evolve,
                      extend_run)
 from .fields import Grid, smoothed_step
-from .fronts import (FrontError, check_steepness_bound, fit_exponential_tail,
+from .fronts import (check_steepness_bound, fit_exponential_tail,
                      interface_width, steepness, steepness_bound_constant)
-from .kernels import KernelError, build_kernel, positive_decay_rate
-from .reactions import (ReactionError, make_ignition, max_slice, min_slice,
-                        validate_hypotheses)
-from .stability import (InadmissibleAlpha, StabilityError, comparison_test,
-                        measured_c_min, run_asymptotic_experiment,
-                        run_stability_experiment, select_alpha)
+from .kernels import build_kernel, positive_decay_rate
+from .reactions import make_ignition, max_slice, min_slice, validate_hypotheses
+from .stability import (StabilityError, comparison_test, measured_c_min,
+                        run_asymptotic_experiment, run_stability_experiment,
+                        select_alpha)
 from .waves import WaveError, solve_traveling_wave
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+EXIT_SOLVER = 3
 
-CONFIG_ERRORS = (KernelError, ReactionError, WaveError, EvolveError,
-                 FrontError, StabilityError, InadmissibleAlpha,
-                 KeyError, TypeError, ValueError)
+#: numerical breakdowns (the package rejects bad input with ValueErrors)
+SOLVER_ERRORS = (WaveError, EvolveError, StabilityError)
 
 
 class CheckFailure(Exception):
@@ -96,7 +95,10 @@ def build_problem(cfg: dict):
     tail_tol = kc.pop("tail_tolerance")
     kern = build_kernel(family, spacing=spacing, tail_tolerance=tail_tol,
                         **kc)
-    f = make_ignition(**cfg["reaction"])
+    try:
+        f = make_ignition(**cfg["reaction"])
+    except TypeError as err:  # an unknown or mistyped reaction key
+        raise ValueError(f"reaction: {err}") from err
     gc = cfg["grid"]
     grid = Grid(float(gc["x_min"]), float(gc["x_max"]), int(gc["n"]))
     dt = float(cfg["time"]["dt"])
@@ -528,9 +530,12 @@ def _run_experiment(experiment: str, cfg: dict, out_dir: Path,
         art.finish()
         art.say(f"CHECK FAILED: {err}")
         return EXIT_CHECK_FAILED
-    except CONFIG_ERRORS as err:
+    except ValueError as err:
         art.say(f"configuration error: {err}")
         return EXIT_CONFIG
+    except SOLVER_ERRORS as err:
+        art.say(f"solver failure: {err}")
+        return EXIT_SOLVER
     summary["passed"] = 1
     art.write_summary(summary)
     art.finish()

@@ -15,11 +15,21 @@ import numpy as np
 
 from .fields import FieldState, Grid
 from .kernels import Kernel, _check_compatible, _convolve_samples
-from .fronts import locate_level
+from .fronts import FrontError, locate_level
 
 
 class EvolveError(RuntimeError):
     pass
+
+
+class EvolveInputError(EvolveError, ValueError):
+    """An argument outside the integrator's domain."""
+
+
+#: |u(0,0;s) - theta| accepted for the seed shift of an approximating front
+SEED_HIT_TOL = 2.5e-7
+#: trial runs allowed for the seed shift (three suffice at the defaults)
+SEED_MAX_RUNS = 6
 
 
 @dataclass(frozen=True)
@@ -110,7 +120,7 @@ class Stepper:
 
     def step(self, state: FieldState, dt: float) -> FieldState:
         if dt > self.dt_max * (1.0 + 1e-12):
-            raise EvolveError(f"dt={dt} exceeds dt_max={self.dt_max}")
+            raise EvolveInputError(f"dt={dt} exceeds dt_max={self.dt_max}")
         _check_compatible(self.kernel, state)
         t = state.t
         y = (state.u, state.w, state.u_left, state.u_right)
@@ -219,57 +229,34 @@ def seed_from_profile(grid: Grid, profile_fn, derivative_fn, shift: float,
 def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
                        profile_fn, derivative_fn, theta: float,
                        t_end: float = 0.0, snapshot_every: float = 1.0,
-                       window_policy: WindowPolicy | None = None,
-                       hit_tol: float = 1e-6,
-                       max_bracket: float = 64.0,
                        with_derivative: bool = True) -> ApproxFrontRun:
     """Seed at time s < 0 so that the front satisfies u(0,0;s) = theta.
 
-    The seed shift y_s is found by bisection on the terminal value
-    u(0,0;s), which is monotone increasing in the shift.
+    The equation is translation invariant in x: shifting the seed by dy
+    moves the terminal theta-crossing X(0; y) by dy.  The seed shift y_s is
+    therefore the fixed point of y <- y - X(0; y), iterated from y = 0
+    until |u(0,0;s) - theta| <= SEED_HIT_TOL.
     """
     if s >= 0:
-        raise EvolveError("seed time must be negative")
-
-    def terminal_state(y: float) -> FieldState:
-        state = seed_from_profile(grid, profile_fn, derivative_fn, y, s,
+        raise EvolveInputError("seed time must be negative")
+    y_s = 0.0
+    for _ in range(SEED_MAX_RUNS):
+        state = seed_from_profile(grid, profile_fn, derivative_fn, y_s, s,
                                   with_w=False)
-        return evolve(state, kernel, f, 0.0, dt).snapshots[-1]
-
-    def terminal_value(y: float) -> float:
-        end = terminal_state(y)
-        return float(np.interp(0.0, end.x, end.u))
-
-    # center the bracket using a trial run and translation invariance
-    y0 = -locate_level(terminal_state(0.0), theta)
-
-    width = 1.0
-    lo, hi = y0 - width, y0 + width
-    v_lo, v_hi = terminal_value(lo), terminal_value(hi)
-    while not (v_lo <= theta <= v_hi):
-        width *= 2.0
-        if width > max_bracket:
-            raise EvolveError("bisection bracket for y_s not found; "
-                              "seed time too negative for this window")
-        lo, hi = y0 - width, y0 + width
-        v_lo, v_hi = terminal_value(lo), terminal_value(hi)
-
-    y_s, v_mid = y0, None
-    for _ in range(80):
-        y_s = 0.5 * (lo + hi)
-        v_mid = terminal_value(y_s)
-        if abs(v_mid - theta) <= 0.25 * hit_tol:
+        end = evolve(state, kernel, f, 0.0, dt).snapshots[-1]
+        if abs(float(np.interp(0.0, end.x, end.u)) - theta) <= SEED_HIT_TOL:
             break
-        if v_mid < theta:
-            lo = y_s
-        else:
-            hi = y_s
+        try:
+            y_s -= locate_level(end, theta)
+        except FrontError as err:
+            raise EvolveError(f"seed shift lost the front ({err}); seed "
+                              "time too negative for this window") from err
+    else:
+        raise EvolveError(f"seed shift missed theta in {SEED_MAX_RUNS} runs")
 
     seed = seed_from_profile(grid, profile_fn, derivative_fn, y_s, s,
                              with_w=with_derivative)
-    traj = evolve(seed, kernel, f, t_end, dt,
-                  window_policy=window_policy,
-                  snapshot_every=snapshot_every)
+    traj = evolve(seed, kernel, f, t_end, dt, snapshot_every=snapshot_every)
     return ApproxFrontRun(s=s, y_s=y_s, level=theta, trajectory=traj)
 
 

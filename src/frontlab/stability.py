@@ -24,7 +24,11 @@ class StabilityError(RuntimeError):
     pass
 
 
-class InadmissibleAlpha(StabilityError):
+class StabilityInputError(StabilityError, ValueError):
+    """An argument outside the domain of a stability computation."""
+
+
+class InadmissibleAlpha(StabilityInputError):
     pass
 
 
@@ -288,16 +292,16 @@ def subsupersolution_residual(snaps: list, x_track, params: StabilityParameters,
     sign=-1 builds the sub-solution candidate, sign=+1 the super-solution.
     """
     if env.eps > params.eps0 + 1e-15:
-        raise StabilityError("eps exceeds eps0")
+        raise StabilityInputError("eps exceeds eps0")
     if sign not in (-1, +1):
-        raise StabilityError("sign must be -1 or +1")
+        raise StabilityInputError("sign must be -1 or +1")
     times = np.array([s.t for s in snaps])
     if times.size < 3:
-        raise StabilityError("need at least 3 snapshots")
+        raise StabilityInputError("need at least 3 snapshots")
     cadence = float(np.max(np.diff(times)))
     if params.omega > 0 and cadence > 0.1 / params.omega + 1e-9:
-        raise StabilityError("snapshot cadence too sparse for the time "
-                             "difference")
+        raise StabilityInputError("snapshot cadence too sparse for the "
+                                  "time difference")
     gamma = params.gamma
 
     def zeta(t):
@@ -382,7 +386,7 @@ def make_perturbed_initial(ref_snap: FieldState, gamma: GammaFunction,
                            x_ref: float, eps: float, rho_fn) -> FieldState:
     rho = rho_fn(ref_snap.x)
     if np.max(np.abs(rho)) > 1.0 + 1e-12:
-        raise StabilityError("shape function must satisfy |rho| <= 1")
+        raise StabilityInputError("shape function must satisfy |rho| <= 1")
     u0 = np.clip(ref_snap.u + eps * gamma(ref_snap.x - x_ref) * rho, 0.0, 1.0)
     return ref_snap.with_(u=u0, w=None)
 
@@ -398,11 +402,12 @@ def sandwich_margins(pert: FieldState, ref: FieldState, gamma: GammaFunction,
     """
     x = pert.x
     ref_fn = profile_interp(ref)
-    upper = ref_fn(x - z_plus) + q * gamma(x - z_plus - x_ref_t)
-    lower = ref_fn(x - z_minus) - q * gamma(x - z_minus - x_ref_t)
+    ref_hi, ref_lo = ref_fn(x - z_plus), ref_fn(x - z_minus)
+    upper = ref_hi + q * gamma(x - z_plus - x_ref_t)
+    lower = ref_lo - q * gamma(x - z_minus - x_ref_t)
     viol = max(float(np.max(pert.u - upper)), float(np.max(lower - pert.u)))
-    band_hi = float(np.max(pert.u - ref_fn(x - z_plus)))
-    band_lo = float(np.max(ref_fn(x - z_minus) - pert.u))
+    band_hi = float(np.max(pert.u - ref_hi))
+    band_lo = float(np.max(ref_lo - pert.u))
     return viol, max(band_hi, band_lo, 0.0)
 
 
@@ -413,7 +418,7 @@ def run_stability_experiment(ref_run: ApproxFrontRun, kernel: Kernel, f,
                              viol_tol: float = 0.0) -> StabilityReport:
     """Evolve a perturbed front and check the two-sided sandwich."""
     if eps > params.eps0 + 1e-15:
-        raise StabilityError("eps exceeds eps0")
+        raise StabilityInputError("eps exceeds eps0")
     # a whole number of steps keeps snapshot times aligned with the
     # reference trajectory
     horizon = round(horizon / dt) * dt
@@ -588,7 +593,7 @@ def comparison_test(u0: FieldState, v0: FieldState, kernel: Kernel, f,
     """Evolve an ordered pair with identical steppers; report min(v - u)."""
     if (np.any(u0.u > v0.u) or u0.u_left > v0.u_left
             or u0.u_right > v0.u_right):
-        raise StabilityError("initial data not ordered")
+        raise StabilityInputError("initial data not ordered")
     tu = evolve(u0, kernel, f, t_end, dt, snapshot_every=cadence)
     tv = evolve(v0, kernel, f, t_end, dt, snapshot_every=cadence)
     worst, worst_t = np.inf, u0.t

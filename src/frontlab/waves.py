@@ -3,9 +3,10 @@
 Finds (c*, phi) with J*phi - phi + c* phi' + f(phi) = 0, phi(0) = theta,
 phi decreasing from 1 to 0.  Strategy: evolve the time-dependent problem
 from a smoothed step until the re-centered profile stops changing (the
-ignition wave is attracting for front-like data), read the speed from the
-crossing drift, then polish (c*, phi) with a sparse Newton iteration on
-the stationary co-moving system.
+ignition wave is attracting for front-like data), take the speed guess
+from the crossing's advance over the last settle block, then polish
+(c*, phi) with a sparse Newton iteration on the stationary co-moving
+system.
 """
 
 from __future__ import annotations
@@ -19,11 +20,24 @@ from scipy.sparse.linalg import spsolve
 from .fields import FieldState, Grid, pchip_far_fields, smoothed_step
 from .kernels import Kernel, convolve
 from .evolve import Stepper, _shift_window
-from .fronts import fit_line, locate_level
+from .fronts import locate_level
 
 
 class WaveError(RuntimeError):
     pass
+
+
+class WaveInputError(WaveError, ValueError):
+    """An argument outside the wave solver's domain."""
+
+
+#: evolve-and-align: re-centering block, earliest settle test, time cap and
+#: drift-rate tolerance of the aligned profile; Newton polish iteration cap
+BLOCK = 2.0
+T_SETTLE = 60.0
+T_CAP = 1200.0
+SETTLE_TOL = 1e-5
+NEWTON_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -62,55 +76,43 @@ def _fractional_recenter(x, u, pos):
 
 
 def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
-                         tol: float = 1e-8, dt: float | None = None,
-                         t_settle: float = 60.0, t_cap: float = 1200.0,
-                         settle_tol: float = 1e-5,
-                         newton_cap: int = 40) -> TravelingWave:
+                         tol: float = 1e-8) -> TravelingWave:
     """Evolve-and-align followed by Newton polish on the co-moving system."""
     if not (1e-10 <= tol <= 1e-4):
-        raise WaveError("tol must lie in [1e-10, 1e-4]")
+        raise WaveInputError("tol must lie in [1e-10, 1e-4]")
     if grid.x_max - grid.x_min < 80.0 - 1e-9:
-        raise WaveError("wave window must span at least 80 length units")
+        raise WaveInputError("wave window must span at least 80 length units")
     theta = f_hom.theta
     stepper = Stepper(kernel, f_hom)
-    if dt is None:
-        dt = 0.8 * stepper.dt_max
+    n_block = max(1, int(round(BLOCK / (0.8 * stepper.dt_max))))
+    dt_eff = BLOCK / n_block
 
     state = smoothed_step(grid, center=0.0, width=2.0)
-    h = grid.h
-    block = 2.0
-    n_block = max(1, int(round(block / dt)))
-    dt_eff = block / n_block
-
+    # crossing position left by the previous re-centering
+    offset = locate_level(state, theta)
     prev_aligned = None
-    t = 0.0
-    while t < t_cap:
+    while state.t < T_CAP:
         for _ in range(n_block):
             state = stepper.step(state, dt_eff)
-        t = state.t
         if float(np.max(state.u)) < theta:
             raise WaveError("quenching detected: profile collapsed below "
                             "the ignition threshold")
         pos = locate_level(state, theta)
+        c0 = (pos - offset) / BLOCK
         # integer re-centering keeps the crossing near 0 without
         # interpolation: shift the profile by whole nodes, keep the grid
-        state = _shift_window(state, int(round(pos / h))).with_(x=state.x)
-        aligned = _fractional_recenter(state.x, state.u,
-                                       locate_level(state, theta))
-        if prev_aligned is not None and t >= t_settle:
-            drift = float(np.max(np.abs(aligned - prev_aligned))) / block
-            if drift < settle_tol:
+        state = _shift_window(state, int(round(pos / grid.h))).with_(x=state.x)
+        offset = locate_level(state, theta)
+        aligned = _fractional_recenter(state.x, state.u, offset)
+        if prev_aligned is not None and state.t >= T_SETTLE:
+            drift = float(np.max(np.abs(aligned - prev_aligned))) / BLOCK
+            if drift < SETTLE_TOL:
                 break
         prev_aligned = aligned
     else:
         raise WaveError("evolve-and-align did not settle within the time cap")
 
-    # speed from the crossing drift over further blocks of the settled run
-    c0 = _speed_from_blocks(stepper, state, dt_eff, block, theta)
-    phi = _fractional_recenter(state.x, state.u,
-                               locate_level(state, theta))
-    phi, c = _newton_polish(kernel, f_hom, grid, phi, c0, theta, tol,
-                            newton_cap)
+    phi, c = _newton_polish(kernel, f_hom, grid, aligned, c0, theta, tol)
 
     res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
     residual_norm = float(np.max(np.abs(res)))
@@ -124,24 +126,7 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
                          dphi=dphi, residual_norm=residual_norm, theta=theta)
 
 
-def _speed_from_blocks(stepper, state, dt, horizon_block, theta,
-                       n_blocks: int = 25) -> float:
-    """Least-squares slope of the theta-crossing over a settled stretch."""
-    n_in_block = max(1, int(round(horizon_block / dt)))
-    ts, xs = [], []
-    s = state
-    for b in range(n_blocks):
-        for _ in range(n_in_block):
-            s = stepper.step(s, dt)
-        ts.append(s.t)
-        xs.append(locate_level(s, theta))
-    half = len(ts) // 2
-    slope, _, _ = fit_line(ts[half:], xs[half:])
-    return float(slope)
-
-
-def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c0, theta, tol,
-                   newton_cap):
+def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c0, theta, tol):
     """Newton on the stationary system with the phase row phi(0) = theta."""
     n = grid.n
     h = grid.h
@@ -157,7 +142,7 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c0, theta, tol,
 
     phi = phi.copy()
     c = float(c0)
-    for _ in range(newton_cap):
+    for _ in range(NEWTON_CAP):
         res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
         phase = phi[i0] - theta
         norm = max(float(np.max(np.abs(res))), abs(phase))

@@ -7,7 +7,9 @@ import yaml
 from click.testing import CliRunner
 
 import frontlab
+from frontlab import cli
 from frontlab.cli import load_config, main
+from frontlab.waves import WaveError
 
 
 @pytest.fixture()
@@ -73,6 +75,31 @@ class TestExitCodes:
         result = runner.invoke(main, ["comparison", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
+
+    def test_unknown_reaction_key_is_config_error(self, runner, tmp_path):
+        cfg = _write_cfg(tmp_path, {"reaction": {"bogus": 1}})
+        result = runner.invoke(main, ["validate", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "bogus" in result.output
+
+    def test_bad_wave_tolerance_is_config_error(self, runner, tmp_path):
+        cfg = _write_cfg(tmp_path, {"experiment": {"tol": 1e-2}})
+        result = runner.invoke(main, ["wave", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "configuration error" in result.output
+
+    def test_solver_breakdown_is_solver_failure(self, runner, tmp_path,
+                                                monkeypatch):
+        def breakdown(*args, **kwargs):
+            raise WaveError("Newton polish did not converge within the cap")
+
+        monkeypatch.setattr(cli, "solve_traveling_wave", breakdown)
+        result = runner.invoke(main, ["wave",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "solver failure: Newton polish" in result.output
 
     def test_failed_hypothesis_is_check_failure(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {"reaction": {"theta_tilde": 0.5}})

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,39 @@ class TestApproxFront:
         near = np.abs(a.x) <= 20.0
         diff = np.max(np.abs(a.u[near] - np.interp(a.x[near], b.x, b.u)))
         assert diff < 1e-2
+
+    def test_seed_shift_by_translation(self, kernel, f, tw_min,
+                                       monkeypatch):
+        """Shifting the seed by the terminal crossing hits theta within
+        2.5e-7 in at most three trial runs plus the final run."""
+        module = importlib.import_module("frontlab.evolve")
+        real_evolve = module.evolve
+        calls = []
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(1)
+            return real_evolve(*args, **kwargs)
+
+        monkeypatch.setattr(module, "evolve", counting_evolve)
+        run = build_approx_front(kernel, f, s=-5.0,
+                                 grid=Grid(-12.5, 12.5, 501), dt=DT,
+                                 profile_fn=tw_min.profile_fn(),
+                                 derivative_fn=tw_min.derivative_fn(),
+                                 theta=f.theta)
+        end = run.trajectory.at_time(0.0)
+        assert abs(float(np.interp(0.0, end.x, end.u)) - f.theta) <= 2.5e-7
+        assert len(calls) <= 4
+
+    def test_seed_time_too_deep_for_window(self, kernel, f, tw_min):
+        # the window is barely wider than the front: a seed shifted toward
+        # its edge loses its tails, shifting no longer just translates the
+        # crossing, and the shift iteration stalls
+        with pytest.raises(EvolveError, match="seed shift"):
+            build_approx_front(kernel, f, s=-30.0,
+                               grid=Grid(-7.5, 7.5, 301), dt=DT,
+                               profile_fn=tw_min.profile_fn(),
+                               derivative_fn=tw_min.derivative_fn(),
+                               theta=f.theta)
 
     def test_extend_run_appends(self, front_run, kernel, f):
         ext = extend_run(front_run, kernel, f, t_end=62.0, dt=DT,
