@@ -71,6 +71,8 @@ def _deep_update(base: dict, extra: dict) -> dict:
     for key, val in (extra or {}).items():
         if isinstance(val, dict) and isinstance(out.get(key), dict):
             out[key] = _deep_update(out[key], val)
+        elif val is None:
+            raise ValueError(f"config value {key!r} is null")
         else:
             out[key] = val
     return out
@@ -212,6 +214,16 @@ def _front_run(cfg, kern, f, grid, with_derivative=True):
     return wave, run
 
 
+def _check_t0(t0: float, run, cadence: float, dt: float) -> None:
+    """t0 must be a snapshot time of the reference run: one of the front
+    run's, or its last plus whole cadences of whole time steps."""
+    ts = run.trajectory.times
+    k, m = (t0 - ts[-1]) / cadence, cadence / dt
+    on_extension = k > 0 and max(abs(k - round(k)), abs(m - round(m))) < 1e-9
+    if np.min(np.abs(ts - t0)) > 1e-9 and not on_extension:
+        raise ValueError(f"experiment.t0={t0} is not a snapshot time")
+
+
 def exp_validate(cfg, art: Artifacts) -> dict:
     kern, f, _ = build_problem(cfg)
     report = validate_hypotheses(kern, f)
@@ -347,9 +359,10 @@ def exp_stability(cfg, art: Artifacts) -> dict:
     ec = cfg["experiment"]
     s = float(cfg["time"]["s"])
     t0 = float(ec.get("t0", cfg["time"]["t_end"]))
-    params = select_alpha(run, kern, f, t_from=s + 20.0)
-    dt = float(cfg["time"]["dt"])
     cadence = float(ec.get("cadence", 2.0))
+    dt = float(cfg["time"]["dt"])
+    _check_t0(t0, run, cadence, dt)
+    params = select_alpha(run, kern, f, t_from=s + 20.0)
     horizon = round(float(ec.get("horizon_omega", 5.0)) / params.omega
                     / dt) * dt
     ref = extend_run(run, kern, f, t_end=t0 + horizon + 2 * cadence, dt=dt,
@@ -387,9 +400,11 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
     _, run = _front_run(cfg, kern, f, grid, with_derivative=False)
     ec = cfg["experiment"]
     t0 = float(ec.get("t0", cfg["time"]["t_end"]))
-    horizon = float(ec.get("horizon", 400.0))
     dt = float(cfg["time"]["dt"])
+    # whole steps keep the snapshot times on the cadence grid
+    horizon = round(float(ec.get("horizon", 400.0)) / dt) * dt
     cadence = float(ec.get("cadence", 2.0))
+    _check_t0(t0, run, cadence, dt)
     ref = extend_run(run, kern, f, t_end=t0 + horizon + 2 * cadence, dt=dt,
                      snapshot_every=cadence, with_derivative=False,
                      window_policy=WindowPolicy(level=run.level))

@@ -28,8 +28,10 @@ class EvolveInputError(EvolveError, ValueError):
 
 #: |u(0,0;s) - theta| accepted for the seed shift of an approximating front
 SEED_HIT_TOL = 2.5e-7
-#: trial runs allowed for the seed shift (three suffice at the defaults)
-SEED_MAX_RUNS = 6
+#: trial runs allowed for the seed shift, and the least dX(0;y)/dy at which
+#: the seed, not the window, still places the front
+SEED_MAX_RUNS = 10
+SEED_MIN_SLOPE = 0.1
 
 
 @dataclass(frozen=True)
@@ -234,12 +236,13 @@ def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
 
     The equation is translation invariant in x: shifting the seed by dy
     moves the terminal theta-crossing X(0; y) by dy.  The seed shift y_s is
-    therefore the fixed point of y <- y - X(0; y), iterated from y = 0
-    until |u(0,0;s) - theta| <= SEED_HIT_TOL.
+    the root of X(0; y): one step of slope 1 from y = 0, then secant steps
+    (the slope leaves 1 once the window cuts the seed's tails), until
+    |u(0,0;s) - theta| <= SEED_HIT_TOL.
     """
     if s >= 0:
         raise EvolveInputError("seed time must be negative")
-    y_s = 0.0
+    y_s, prev, slope = 0.0, None, 1.0
     for _ in range(SEED_MAX_RUNS):
         state = seed_from_profile(grid, profile_fn, derivative_fn, y_s, s,
                                   with_w=False)
@@ -247,10 +250,16 @@ def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
         if abs(float(np.interp(0.0, end.x, end.u)) - theta) <= SEED_HIT_TOL:
             break
         try:
-            y_s -= locate_level(end, theta)
+            pos = locate_level(end, theta)
         except FrontError as err:
             raise EvolveError(f"seed shift lost the front ({err}); seed "
                               "time too negative for this window") from err
+        if prev is not None:
+            slope = (pos - prev[1]) / (y_s - prev[0])
+        if slope < SEED_MIN_SLOPE:
+            raise EvolveError("seed shift no longer moves the front; seed "
+                              "time too negative for this window")
+        prev, y_s = (y_s, pos), y_s - pos / slope
     else:
         raise EvolveError(f"seed shift missed theta in {SEED_MAX_RUNS} runs")
 

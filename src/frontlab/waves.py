@@ -88,8 +88,6 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
     dt_eff = BLOCK / n_block
 
     state = smoothed_step(grid, center=0.0, width=2.0)
-    # crossing position left by the previous re-centering
-    offset = locate_level(state, theta)
     prev_aligned = None
     while state.t < T_CAP:
         for _ in range(n_block):
@@ -98,17 +96,17 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
             raise WaveError("quenching detected: profile collapsed below "
                             "the ignition threshold")
         pos = locate_level(state, theta)
-        c0 = (pos - offset) / BLOCK
         # integer re-centering keeps the crossing near 0 without
         # interpolation: shift the profile by whole nodes, keep the grid
         state = _shift_window(state, int(round(pos / grid.h))).with_(x=state.x)
-        offset = locate_level(state, theta)
-        aligned = _fractional_recenter(state.x, state.u, offset)
+        frac = locate_level(state, theta)
+        aligned = _fractional_recenter(state.x, state.u, frac)
         if prev_aligned is not None and state.t >= T_SETTLE:
             drift = float(np.max(np.abs(aligned - prev_aligned))) / BLOCK
             if drift < SETTLE_TOL:
+                c0 = (pos - offset) / BLOCK
                 break
-        prev_aligned = aligned
+        prev_aligned, offset = aligned, frac
     else:
         raise WaveError("evolve-and-align did not settle within the time cap")
 

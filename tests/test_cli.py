@@ -90,6 +90,26 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "configuration error" in result.output
 
+    def test_null_value_is_config_error(self, runner, tmp_path):
+        cfg = _write_cfg(tmp_path, {"grid": {"n": None}})
+        result = runner.invoke(main, ["front", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "null" in result.output
+
+    @pytest.mark.parametrize("experiment", ["asymptotic", "stability"])
+    def test_off_cadence_t0_is_config_error(self, runner, tmp_path,
+                                            experiment):
+        # snapshots at t = 20 and every 2 time units after it
+        cfg = _write_cfg(tmp_path, {
+            "experiment": {"t0": 20.5},
+            "time": {"s": -10.0, "t_end": 20.0},
+            "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
+        result = runner.invoke(main, [experiment, "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "t0=20.5 is not a snapshot time" in result.output
+
     def test_solver_breakdown_is_solver_failure(self, runner, tmp_path,
                                                 monkeypatch):
         def breakdown(*args, **kwargs):

@@ -267,13 +267,25 @@ class TestApproxFront:
         assert abs(float(np.interp(0.0, end.x, end.u)) - f.theta) <= 2.5e-7
         assert len(calls) <= 4
 
+    def test_seed_shift_in_tight_window(self, kernel, f, tw_min):
+        """The window cuts the seed's tails, so a seed shift of dy moves
+        the crossing by about 0.6 dy; the secant steps still hit theta.
+        A bisection on the terminal value gives y_s = -4.7958607."""
+        run = build_approx_front(kernel, f, s=-30.0,
+                                 grid=Grid(-7.5, 7.5, 301), dt=DT,
+                                 profile_fn=tw_min.profile_fn(),
+                                 derivative_fn=tw_min.derivative_fn(),
+                                 theta=f.theta)
+        end = run.trajectory.at_time(0.0)
+        assert abs(float(np.interp(0.0, end.x, end.u)) - f.theta) <= 2.5e-7
+        assert run.y_s == pytest.approx(-4.7958607, abs=1e-6)
+
     def test_seed_time_too_deep_for_window(self, kernel, f, tw_min):
-        # the window is barely wider than the front: a seed shifted toward
-        # its edge loses its tails, shifting no longer just translates the
-        # crossing, and the shift iteration stalls
-        with pytest.raises(EvolveError, match="seed shift"):
+        # the window is barely wider than the front: by t = 0 the window,
+        # not the seed, places the front, and no seed shift reaches theta
+        with pytest.raises(EvolveError):
             build_approx_front(kernel, f, s=-30.0,
-                               grid=Grid(-7.5, 7.5, 301), dt=DT,
+                               grid=Grid(-5.0, 5.0, 201), dt=DT,
                                profile_fn=tw_min.profile_fn(),
                                derivative_fn=tw_min.derivative_fn(),
                                theta=f.theta)
