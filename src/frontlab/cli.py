@@ -25,14 +25,14 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .evolve import (EvolveError, WindowPolicy, build_approx_front, evolve,
-                     extend_run)
+from .evolve import EvolveError, build_approx_front
 from .fields import Grid, smoothed_step
 from .fronts import (check_steepness_bound, fit_exponential_tail,
                      interface_width, steepness, steepness_bound_constant)
 from .kernels import build_kernel, positive_decay_rate
 from .reactions import make_ignition, max_slice, min_slice, validate_hypotheses
-from .stability import (StabilityError, comparison_test, measured_c_min,
+from .stability import (BURN_IN, PLATEAU, StabilityError, asymptotic_initial,
+                        comparison_test, extend_reference, measured_c_min,
                         run_asymptotic_experiment, run_stability_experiment,
                         select_alpha)
 from .waves import WaveError, solve_traveling_wave
@@ -89,21 +89,28 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _num(section: dict, key: str, default=None, kind=float):
+    """section[key], or the default, as a number of the given kind."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"config value {key!r} is not a number: "
+                         f"{value!r}") from None
+
+
 def build_problem(cfg: dict):
     """(kernel, nonlinearity, grid) from the shared config sections."""
     kc = dict(cfg["kernel"])
     family = kc.pop("family")
-    spacing = kc.pop("spacing")
-    tail_tol = kc.pop("tail_tolerance")
-    kern = build_kernel(family, spacing=spacing, tail_tolerance=tail_tol,
-                        **kc)
+    kern = build_kernel(family, **{key: _num(kc, key) for key in kc})
     try:
         f = make_ignition(**cfg["reaction"])
     except TypeError as err:  # an unknown or mistyped reaction key
         raise ValueError(f"reaction: {err}") from err
     gc = cfg["grid"]
-    grid = Grid(float(gc["x_min"]), float(gc["x_max"]), int(gc["n"]))
-    dt = float(cfg["time"]["dt"])
+    grid = Grid(_num(gc, "x_min"), _num(gc, "x_max"), _num(gc, "n", kind=int))
+    dt = _num(cfg["time"], "dt")
     if dt > f.dt_max() + 1e-12:
         raise ValueError(f"dt={dt} exceeds the stability cap {f.dt_max():.4f}")
     return kern, f, grid
@@ -204,24 +211,14 @@ def _wave_grid(kern):
 def _front_run(cfg, kern, f, grid, with_derivative=True):
     tc = cfg["time"]
     wave = solve_traveling_wave(kern, min_slice(f), _wave_grid(kern))
-    run = build_approx_front(kern, f, s=float(tc["s"]), grid=grid,
-                             dt=float(tc["dt"]),
+    run = build_approx_front(kern, f, s=_num(tc, "s"), grid=grid,
+                             dt=_num(tc, "dt"),
                              profile_fn=wave.profile_fn(),
                              derivative_fn=wave.derivative_fn(),
-                             theta=f.theta, t_end=float(tc["t_end"]),
-                             snapshot_every=float(tc["cadence"]),
+                             theta=f.theta, t_end=_num(tc, "t_end"),
+                             snapshot_every=_num(tc, "cadence"),
                              with_derivative=with_derivative)
     return wave, run
-
-
-def _check_t0(t0: float, run, cadence: float, dt: float) -> None:
-    """t0 must be a snapshot time of the reference run: one of the front
-    run's, or its last plus whole cadences of whole time steps."""
-    ts = run.trajectory.times
-    k, m = (t0 - ts[-1]) / cadence, cadence / dt
-    on_extension = k > 0 and max(abs(k - round(k)), abs(m - round(m))) < 1e-9
-    if np.min(np.abs(ts - t0)) > 1e-9 and not on_extension:
-        raise ValueError(f"experiment.t0={t0} is not a snapshot time")
 
 
 def exp_validate(cfg, art: Artifacts) -> dict:
@@ -242,7 +239,7 @@ def exp_validate(cfg, art: Artifacts) -> dict:
 
 def exp_wave(cfg, art: Artifacts) -> dict:
     kern, f, grid = build_problem(cfg)
-    tol = float(cfg["experiment"].get("tol", 1e-8))
+    tol = _num(cfg["experiment"], "tol", 1e-8)
     tw_lo = solve_traveling_wave(kern, min_slice(f), grid, tol=tol)
     tw_hi = solve_traveling_wave(kern, max_slice(f), grid, tol=tol)
     art.write_csv("wave_profiles.csv", ["x", "phi_min", "dphi_min",
@@ -273,8 +270,7 @@ def exp_front(cfg, art: Artifacts) -> dict:
                   [ts, xs, speeds, widths])
     art.plot("front_track.png", ts, {"x_theta": xs}, "t", "interface")
     art.plot("front_width.png", ts, {"width": widths}, "t", "width")
-    s = float(cfg["time"]["s"])
-    sel = np.asarray(ts) >= s + 20.0
+    sel = np.asarray(ts) >= _num(cfg["time"], "s") + 20.0
     lo, hi = 0.98 * wave_lo.speed, 1.02 * wave_hi.speed
     summary = {"y_s": run.y_s, "speed_min": float(np.min(speeds[sel])),
                "speed_max": float(np.max(speeds[sel])),
@@ -292,8 +288,8 @@ def exp_front(cfg, art: Artifacts) -> dict:
 def exp_steepness(cfg, art: Artifacts) -> dict:
     kern, f, grid = build_problem(cfg)
     _, run = _front_run(cfg, kern, f, grid)
-    half_width = float(cfg["experiment"].get("half_width", 5.0))
-    s = float(cfg["time"]["s"])
+    half_width = _num(cfg["experiment"], "half_width", 5.0)
+    s = _num(cfg["time"], "s")
     ts, xs = run.interface_track()
     vals = []
     for snap, x_ref in zip(run.snapshots, xs):
@@ -305,9 +301,9 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     art.write_csv("steepness.csv", ["t", "sup_w"], [tt, ss])
     art.plot("steepness.png", tt, {"sup_w": ss}, "t", "sup w near front")
     alpha_m = -float(np.max(ss))
-    cadence = float(cfg["time"]["cadence"])
     const = steepness_bound_constant(kern, f.lipschitz_bound(0.0, 2.0),
-                                     dt=cadence, offset=0.0, half_width=1.0)
+                                     dt=_num(cfg["time"], "cadence"),
+                                     offset=0.0, half_width=1.0)
     margins = []
     for j in range(len(run.snapshots) - 1):
         snap = run.snapshots[j]
@@ -338,7 +334,7 @@ def exp_tails(cfg, art: Artifacts) -> dict:
                                  values=snap.w)
     left = fit_exponential_tail(snap, "left", x_to=x_ref - 8.0,
                                 values=snap.w)
-    c_min_meas = measured_c_min(run, t_from=float(cfg["time"]["s"]) + 20.0)
+    c_min_meas = measured_c_min(run, t_from=_num(cfg["time"], "s") + 20.0)
     target = positive_decay_rate(kern, c_min_meas)
     art.write_csv("tails.csv", ["x", "u", "w"], [snap.x, snap.u, snap.w])
     art.plot("tails.png", snap.x, {"|w|": np.abs(snap.w) + 1e-30},
@@ -356,19 +352,14 @@ def exp_tails(cfg, art: Artifacts) -> dict:
 def exp_stability(cfg, art: Artifacts) -> dict:
     kern, f, grid = build_problem(cfg)
     _, run = _front_run(cfg, kern, f, grid)
-    ec = cfg["experiment"]
-    s = float(cfg["time"]["s"])
-    t0 = float(ec.get("t0", cfg["time"]["t_end"]))
-    cadence = float(ec.get("cadence", 2.0))
-    dt = float(cfg["time"]["dt"])
-    _check_t0(t0, run, cadence, dt)
-    params = select_alpha(run, kern, f, t_from=s + 20.0)
-    horizon = round(float(ec.get("horizon_omega", 5.0)) / params.omega
-                    / dt) * dt
-    ref = extend_run(run, kern, f, t_end=t0 + horizon + 2 * cadence, dt=dt,
-                     snapshot_every=cadence, with_derivative=False,
-                     window_policy=WindowPolicy(level=run.level))
-    eps = float(ec.get("eps", params.eps0))
+    ec, tc = cfg["experiment"], cfg["time"]
+    t0 = _num(ec, "t0", tc["t_end"])
+    cadence = _num(ec, "cadence", 2.0)
+    dt = _num(tc, "dt")
+    params = select_alpha(run, kern, f, t_from=_num(tc, "s") + 20.0)
+    horizon = round(_num(ec, "horizon_omega", 5.0) / params.omega / dt) * dt
+    ref = extend_reference(run, kern, f, t0, horizon, dt, cadence)
+    eps = _num(ec, "eps", params.eps0)
     report = run_stability_experiment(
         ref, kern, f, params, eps=eps, rho_fn=lambda x: np.ones_like(x),
         t0=t0, horizon=horizon, dt=dt, cadence=cadence)
@@ -385,7 +376,7 @@ def exp_stability(cfg, art: Artifacts) -> dict:
                    worst_violation=report.worst_violation,
                    violation_count=report.violation_count,
                    distance_at_3_over_omega=report.envelope_distance[i3])
-    budget = float(ec.get("violation_budget", 1e-6)) + report.edge_defect
+    budget = _num(ec, "violation_budget", 1e-6) + report.edge_defect
     summary["edge_defect"] = report.edge_defect
     if report.worst_violation > budget:
         raise CheckFailure("sandwich violated beyond the discretization "
@@ -399,51 +390,23 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
     kern, f, grid = build_problem(cfg)
     _, run = _front_run(cfg, kern, f, grid, with_derivative=False)
     ec = cfg["experiment"]
-    t0 = float(ec.get("t0", cfg["time"]["t_end"]))
-    dt = float(cfg["time"]["dt"])
-    # whole steps keep the snapshot times on the cadence grid
-    horizon = round(float(ec.get("horizon", 400.0)) / dt) * dt
-    cadence = float(ec.get("cadence", 2.0))
-    _check_t0(t0, run, cadence, dt)
-    ref = extend_run(run, kern, f, t_end=t0 + horizon + 2 * cadence, dt=dt,
-                     snapshot_every=cadence, with_derivative=False,
-                     window_policy=WindowPolicy(level=run.level))
-    ref0 = ref.trajectory.at_time(t0)
+    t0 = _num(ec, "t0", cfg["time"]["t_end"])
+    dt = _num(cfg["time"], "dt")
+    horizon = _num(ec, "horizon", 400.0)
+    cadence = _num(ec, "cadence", 2.0)
+    ref = extend_reference(run, kern, f, t0, horizon, dt, cadence)
     shape = ec.get("initial", "mollified_step")
-    x_ref = ref.interface_at(t0)
-    base = smoothed_step(Grid(ref0.x[0], ref0.x[-1], ref0.x.size),
-                         center=x_ref, width=2.0)
-    if shape == "mollified_step":
-        u0 = base.with_(t=t0)
-        evolve_ff = False
-    elif shape == "liminf_above_theta":
-        level = float(ec.get("plateau", 0.6))
-        u0 = base.with_(t=t0, u=level * base.u, u_left=level, u_right=0.0,
-                        w=None)
-        evolve_ff = True
-    else:
-        raise ValueError(f"unknown initial shape {shape!r}")
-    if evolve_ff:
-        # let the subcritical left plateau burn up to 1 before tracking
-        burn = float(ec.get("burn_in", 60.0))
-        t_burn = t0
-        for _ in range(4):
-            t_burn += burn
-            traj = evolve(u0, kern, f, t_burn, dt, snapshot_every=burn,
-                          window_policy=WindowPolicy(level=ref.level),
-                          evolve_far_fields=True)
-            u0 = traj.snapshots[-1]
-            if abs(u0.u_left - 1.0) <= 1e-8:
-                break
-        u0 = u0.with_(u_left=1.0)
-        if u0.t >= t0 + horizon - 50.0:
-            raise ValueError("horizon too short for the burn-in phase")
+    u0 = asymptotic_initial(ref, kern, f, t0, dt, shape,
+                            plateau=_num(ec, "plateau", PLATEAU),
+                            burn=_num(ec, "burn_in", BURN_IN))
+    if u0.t > t0 and u0.t >= t0 + horizon - 50.0:
+        raise ValueError("horizon too short for the burn-in phase")
     report = run_asymptotic_experiment(ref, kern, f, u0, t0=u0.t,
                                        horizon=t0 + horizon - u0.t, dt=dt,
                                        cadence=cadence)
     art.write_csv("asymptotic.csv", ["t", "best_shift_distance"],
-                  [report.distance_times, report.sup_distances])
-    art.plot("asymptotic.png", report.distance_times,
+                  [report.times, report.sup_distances])
+    art.plot("asymptotic.png", report.times,
              {"d(t)": report.sup_distances + 1e-30}, "t", "d(t)", logy=True)
     summary = {"initial": shape, "zeta_star": report.zeta_star,
                "rate": report.fitted_rate, "r_squared": report.r_squared,
@@ -458,10 +421,10 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
 def exp_comparison(cfg, art: Artifacts) -> dict:
     kern, f, grid = build_problem(cfg)
     ec = cfg["experiment"]
-    n_pairs = int(ec.get("pairs", 100))
-    t_end = float(ec.get("t_end", 3.0))
-    dt = float(cfg["time"]["dt"])
-    rng = np.random.default_rng(int(cfg["seed"]))
+    n_pairs = _num(ec, "pairs", 100, kind=int)
+    t_end = _num(ec, "t_end", 3.0)
+    dt = _num(cfg["time"], "dt")
+    rng = np.random.default_rng(_num(cfg, "seed", kind=int))
     if ec.get("force_unordered", False):
         base = smoothed_step(grid, center=0.0, width=2.0)
         hi = base.with_(u=np.clip(base.u - 0.2, 0.0, 1.0))
@@ -498,7 +461,7 @@ def exp_sweep(cfg, art: Artifacts) -> dict:
     cases = ec.get("cases")
     if not cases:
         raise ValueError("sweep requires experiment.cases")
-    workers = int(ec.get("workers", 2))
+    workers = _num(ec, "workers", 2, kind=int)
     jobs = []
     for i, case in enumerate(cases):
         sub_cfg = _deep_update(cfg, case)

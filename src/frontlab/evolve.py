@@ -36,10 +36,9 @@ SEED_MIN_SLOPE = 0.1
 
 @dataclass(frozen=True)
 class WindowPolicy:
-    """Shift the window when the tracked level leaves the middle band."""
+    """Shift the window when the tracked level leaves the middle third."""
 
     level: float = 0.3
-    fraction: float = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def _apply_window_policy(state: FieldState, policy: WindowPolicy):
     pos = locate_level(state, lam, strict=False)
     center = 0.5 * (state.x[0] + state.x[-1])
     half = 0.5 * (state.x[-1] - state.x[0])
-    if abs(pos - center) <= policy.fraction * half:
+    if abs(pos - center) <= half / 3.0:
         return state, 0
     m = int(round((pos - center) / state.h))
     return _shift_window(state, m), m

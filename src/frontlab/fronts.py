@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldState
-from .kernels import Kernel, convolve, iterated_kernels
+from .kernels import ITERATION_CAP, Kernel, convolve, iterated_kernels
 
 
 class FrontError(ValueError):
@@ -91,12 +91,10 @@ def interface_speed(field: FieldState, lam: float, kernel: Kernel, f,
 
 @dataclass
 class TailFit:
-    side: str
     rate: float
     amplitude: float
     window: tuple
     r_squared: float
-    n_points: int
 
     @property
     def accepted(self) -> bool:
@@ -147,10 +145,10 @@ def fit_exponential_tail(field: FieldState, side: str,
     xs = x[mask]
     slope, intercept, r2 = fit_line(xs, np.log(mag[mask]))
     rate = -slope if side == "right" else slope
-    return TailFit(side=side, rate=float(rate),
+    return TailFit(rate=float(rate),
                    amplitude=float(math.exp(intercept)),
                    window=(float(xs[0]), float(xs[-1])),
-                   r_squared=float(r2), n_points=int(xs.size))
+                   r_squared=float(r2))
 
 
 def steepness(field: FieldState, center: float, half_width: float,
@@ -197,13 +195,13 @@ class SteepnessBoundConstant:
 
 
 def steepness_bound_constant(kernel: Kernel, c_fu: float, dt: float,
-                             offset: float, half_width: float,
-                             order_cap: int = 32) -> SteepnessBoundConstant:
+                             offset: float,
+                             half_width: float) -> SteepnessBoundConstant:
     """C = inf(J^N) * exp(-(1+K) dt) * (dt/N)^N on the offset interval."""
     if dt <= 0 or half_width <= 0:
         raise FrontError("dt and half_width must be positive")
     lo, hi = offset - half_width, offset + half_width
-    for ik in iterated_kernels(kernel, order_cap):
+    for ik in iterated_kernels(kernel, ITERATION_CAP):
         xs = ik.offsets
         if lo < xs[0] or hi > xs[-1]:
             continue

@@ -12,12 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
 from .fields import FieldState
-
-#: stencil size above which convolutions switch to the FFT path
-FFT_THRESHOLD = 512
 
 #: hard cap on the stencil radius search (length units)
 RADIUS_CAP = 200.0
@@ -47,7 +44,6 @@ class Kernel:
     stencil_radius: float
     samples: np.ndarray
     derivative_samples: np.ndarray
-    tail_mass_bound: float
     r_max: float
 
     @property
@@ -185,8 +181,7 @@ def build_kernel(family: str, spacing: float, tail_tolerance: float,
 
     return Kernel(family=family, params=dict(params), spacing=spacing,
                   stencil_radius=radius, samples=samples,
-                  derivative_samples=deriv, tail_mass_bound=tail_tolerance,
-                  r_max=r_max)
+                  derivative_samples=deriv, r_max=r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +191,7 @@ def _convolve_samples(weighted: np.ndarray, u: np.ndarray,
                       u_left: float, u_right: float) -> np.ndarray:
     k = (weighted.size - 1) // 2
     padded = np.concatenate([np.full(k, u_left), u, np.full(k, u_right)])
-    if weighted.size <= FFT_THRESHOLD:
-        return np.convolve(padded, weighted, mode="valid")
-    return signal.fftconvolve(padded, weighted, mode="valid")
+    return np.convolve(padded, weighted, mode="valid")
 
 
 def _check_compatible(kernel: Kernel, field: FieldState) -> None:

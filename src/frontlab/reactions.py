@@ -9,12 +9,15 @@ makes the envelope pair f_min = a_lo*f0, f_max = a_hi*f0 exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 GUARD_LO = -1.0
 GUARD_HI = 3.0
+
+#: samples of the state range in the derived-constant scans
+N_STATES = 4001
 
 
 class ReactionError(ValueError):
@@ -51,7 +54,6 @@ class IgnitionNonlinearity:
     base: tuple          # (f0, df0, d2f0) callables
     modulation: tuple    # (a, da) callables
     period: float = 2.0 * math.pi
-    descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
@@ -93,15 +95,14 @@ class IgnitionNonlinearity:
 
     # -- derived constants --------------------------------------------------
 
-    def beta_tilde(self, n: int = 4001) -> float:
+    def beta_tilde(self) -> float:
         """Uniform decay slope: min over [theta_tilde, 2] of -a_lo*f0'."""
-        u = np.linspace(self.theta_tilde, 2.0, n)
+        u = np.linspace(self.theta_tilde, 2.0, N_STATES)
         return float(np.min(-self.a_lo * self.base[1](u)))
 
-    def lipschitz_bound(self, u_lo: float = 0.0, u_hi: float = 2.0,
-                        n: int = 4001) -> float:
+    def lipschitz_bound(self, u_lo: float = 0.0, u_hi: float = 2.0) -> float:
         """Sampled sup of |f_u| over one period x [u_lo, u_hi]."""
-        u = np.linspace(u_lo, u_hi, n)
+        u = np.linspace(u_lo, u_hi, N_STATES)
         worst = np.max(np.abs(self.base[1](u)))
         return float(max(self.a_lo, self.a_hi) * worst)
 
@@ -129,9 +130,7 @@ def make_ignition(theta: float = 0.3, theta_tilde: float = 0.9,
     return IgnitionNonlinearity(
         theta=theta, theta_tilde=theta_tilde, a_lo=a_lo, a_hi=a_hi,
         base=base, modulation=(a, da),
-        period=2.0 * math.pi / omega_t,
-        descriptor={"theta": theta, "theta_tilde": theta_tilde,
-                    "a_mean": a_mean, "a_amp": a_amp, "omega_t": omega_t})
+        period=2.0 * math.pi / omega_t)
 
 
 def make_default_ignition() -> IgnitionNonlinearity:
@@ -160,7 +159,7 @@ class AutonomousSlice:
         return self.eval(0.0, u)
 
     def lipschitz_bound(self) -> float:
-        u = np.linspace(0.0, 2.0, 4001)
+        u = np.linspace(0.0, 2.0, N_STATES)
         return float(self.amplitude * np.max(np.abs(self.parent.base[1](u))))
 
     def dt_max(self) -> float:
@@ -177,14 +176,6 @@ def max_slice(f: IgnitionNonlinearity) -> AutonomousSlice:
 
 # ---------------------------------------------------------------------------
 # hypothesis validation
-
-
-@dataclass(frozen=True)
-class SamplingSpec:
-    n_t: int = 64
-    n_u: int = 801
-    u_lo: float = -0.5
-    u_hi: float = 2.0
 
 
 @dataclass
@@ -220,10 +211,9 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def validate_hypotheses(kernel, f: IgnitionNonlinearity,
-                        spec: SamplingSpec | None = None) -> HypothesisReport:
-    """Sampled checks of the kernel symmetry/mass and reaction structure."""
-    spec = spec or SamplingSpec()
+def validate_hypotheses(kernel, f: IgnitionNonlinearity) -> HypothesisReport:
+    """Sampled checks of the kernel symmetry/mass and reaction structure,
+    on 64 times per period and 801 states in [-0.5, 2]."""
     verdicts = {}
     violations = []
 
@@ -246,8 +236,8 @@ def validate_hypotheses(kernel, f: IgnitionNonlinearity,
     if not verdicts["H1_unit_mass"]:
         violations.append(("H1_unit_mass", "stencil", f"mass = {mass!r}"))
 
-    ts = np.linspace(0.0, f.period, spec.n_t, endpoint=False)
-    us = np.linspace(spec.u_lo, spec.u_hi, spec.n_u)
+    ts = np.linspace(0.0, f.period, 64, endpoint=False)
+    us = np.linspace(-0.5, 2.0, 801)
 
     fvals = np.array([f.eval(t, us) for t in ts])
     fu = np.array([f.eval_du(t, us) for t in ts])

@@ -7,11 +7,11 @@ scoped so the acceptance tests and unit tests share one computation.
 import numpy as np
 import pytest
 
-from frontlab.evolve import WindowPolicy, build_approx_front, evolve, extend_run
+from frontlab.evolve import build_approx_front, evolve
 from frontlab.fields import Grid
 from frontlab.kernels import build_kernel
 from frontlab.reactions import make_default_ignition, min_slice, max_slice
-from frontlab.stability import select_alpha
+from frontlab.stability import extend_reference, select_alpha
 from frontlab.waves import solve_traveling_wave
 
 DT = 0.05
@@ -72,11 +72,9 @@ def fine_traj(front_run, kernel, f):
 @pytest.fixture(scope="session")
 def long_ref(front_run, kernel, f, sparams):
     """Reference run extended past t = 60 + 5/omega for the stability and
-    asymptotic experiments."""
-    horizon = round(5.0 / sparams.omega / DT) * DT
-    return extend_run(front_run, kernel, f, t_end=T_END + horizon + 4.0,
-                      dt=DT, snapshot_every=2.0, with_derivative=False,
-                      window_policy=WindowPolicy(level=front_run.level))
+    asymptotic experiments, as the CLI extends it."""
+    return extend_reference(front_run, kernel, f, T_END,
+                            5.0 / sparams.omega, DT, 2.0)
 
 
 @pytest.fixture(scope="session")

@@ -23,8 +23,8 @@ from frontlab.kernels import (build_kernel, convolve, exponential_moment,
 from frontlab.reactions import make_ignition, max_slice, min_slice, \
     validate_hypotheses
 from frontlab.stability import (PerturbationEnvelope, _interface_function,
-                                comparison_test, gamma_convolution,
-                                run_asymptotic_experiment,
+                                asymptotic_initial, comparison_test,
+                                gamma_convolution, run_asymptotic_experiment,
                                 run_stability_experiment,
                                 subsupersolution_residual)
 from kernel_helpers import with_samples
@@ -272,47 +272,26 @@ def test_11_stability_sandwich(capsys, long_ref, kernel, f, sparams):
     assert ok
 
 
-def test_12_asymptotic_stability(capsys, long_ref, kernel, f, sparams):
+def test_12_asymptotic_stability(capsys, long_ref, kernel, f):
     # past ~400 time units the distance sits at the window-truncation
     # noise floor, which degrades the log-linear fit without information
     horizon = 400.0
-    ref0 = long_ref.trajectory.at_time(T_END)
-    x_ref = long_ref.interface_at(T_END)
-    grid = Grid(ref0.x[0], ref0.x[-1], ref0.x.size)
     ok = True
     details = []
-
-    # shape 1: mollified step at the reference interface
-    u0 = smoothed_step(grid, center=x_ref, width=2.0).with_(t=T_END)
-    rep1 = run_asymptotic_experiment(long_ref, kernel, f, u0, t0=T_END,
-                                     horizon=horizon, dt=DT, cadence=2.0)
-
-    # shape 2: liminf-above-theta plateau, burnt in with live far fields
-    base = smoothed_step(grid, center=x_ref, width=2.0)
-    u0 = base.with_(t=T_END, u=0.6 * base.u, u_left=0.6, u_right=0.0,
-                    w=None)
-    t_burn = T_END
-    for _ in range(4):
-        t_burn += 60.0
-        traj = evolve(u0, kernel, f, t_burn, DT, snapshot_every=60.0,
-                      window_policy=WindowPolicy(level=long_ref.level),
-                      evolve_far_fields=True)
-        u0 = traj.snapshots[-1]
-        if abs(u0.u_left - 1.0) <= 1e-8:
-            break
-    u0 = u0.with_(u_left=1.0)
-    rep2 = run_asymptotic_experiment(long_ref, kernel, f, u0, t0=u0.t,
-                                     horizon=T_END + horizon - u0.t, dt=DT,
-                                     cadence=2.0)
-
-    for label, rep in (("mollified step", rep1), ("liminf plateau", rep2)):
+    # the CLI's initial data: a mollified step at the reference interface,
+    # and a liminf-above-theta plateau burnt in with live far fields
+    for shape in ("mollified_step", "liminf_above_theta"):
+        u0 = asymptotic_initial(long_ref, kernel, f, T_END, DT, shape)
+        rep = run_asymptotic_experiment(long_ref, kernel, f, u0, t0=u0.t,
+                                        horizon=T_END + horizon - u0.t,
+                                        dt=DT, cadence=2.0)
         good = (rep.fitted_rate is not None and rep.fitted_rate > 0.0
                 and rep.r_squared >= 0.98)
         spread = float(np.max(rep.shift_series[-5:])
                        - np.min(rep.shift_series[-5:]))
         good &= spread <= 1e-2
         ok &= good
-        details.append(f"{label}: rate={rep.fitted_rate:.4f}, "
+        details.append(f"{shape}: rate={rep.fitted_rate:.4f}, "
                        f"R2={rep.r_squared:.4f}, zeta* spread {spread:.1e}")
     _report(capsys, 12, "asymptotic stability", ok, "; ".join(details))
     assert ok

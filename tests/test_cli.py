@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +92,19 @@ class TestExitCodes:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "configuration error" in result.output
+
+    @pytest.mark.parametrize("experiment, patch", [
+        ("validate", {"grid": {"n": [1]}}),
+        ("front", {"grid": {"n": [1]}}),
+        ("comparison", {"experiment": {"pairs": [1]}}),
+    ])
+    def test_non_numeric_value_is_config_error(self, runner, tmp_path,
+                                               experiment, patch):
+        cfg = _write_cfg(tmp_path, patch)
+        result = runner.invoke(main, [experiment, "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "is not a number" in result.output
 
     def test_null_value_is_config_error(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {"grid": {"n": None}})
@@ -238,3 +254,13 @@ class TestSweep:
                                       "--out", str(tmp_path / "out"),
                                       "--quiet"])
         assert result.exit_code == 1
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal pulls in scipy.stats, which slows every CLI launch
+    probe = "import sys, frontlab.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(frontlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -14,7 +14,7 @@ from frontlab.stability import (GammaFunction, InadmissibleAlpha,
                                 comparison_test, find_m2, fit_log_decay,
                                 gamma_convolution, make_gamma,
                                 make_perturbed_initial, profile_interp,
-                                subsupersolution_residual)
+                                sandwich_margins, subsupersolution_residual)
 
 DT = 0.05
 
@@ -230,6 +230,28 @@ class TestPerturbedInitial:
         with pytest.raises(StabilityError):
             make_perturbed_initial(snap, sparams.gamma, x_ref,
                                    sparams.eps0, lambda x: 2.0 * np.cos(x))
+
+
+class TestSandwichMargins:
+    GRID = Grid(-30.0, 30.0, 1201)
+    GAMMA = make_gamma(0.05, 6.0)
+
+    def _margins(self, pert, z_minus, z_plus, q):
+        ref = smoothed_step(self.GRID)
+        return sandwich_margins(pert, ref, self.GAMMA, 0.0, z_minus, z_plus,
+                                q)
+
+    def test_reference_sits_on_the_band(self):
+        viol, dist = self._margins(smoothed_step(self.GRID), 0.0, 0.0, 0.0)
+        assert viol == pytest.approx(0.0, abs=1e-15)
+        assert dist == pytest.approx(0.0, abs=1e-15)
+
+    def test_shift_outside_the_band_and_wider_band(self):
+        shifted = smoothed_step(self.GRID, center=1.0)
+        viol, dist = self._margins(shifted, 0.0, 0.0, 0.0)
+        assert viol > 0.1 and dist > 0.1
+        _, dist = self._margins(shifted, 0.0, 1.5, 0.0)
+        assert dist == 0.0
 
 
 class TestResiduals:
