@@ -92,6 +92,8 @@ def load_config(path: str | None) -> dict:
 def _num(section: dict, key: str, default=None, kind=float):
     """section[key], or the default, as a number of the given kind."""
     value = section.get(key, default)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"config value {key!r} is not an integer: {value!r}")
     try:
         return kind(value)
     except TypeError:

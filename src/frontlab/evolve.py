@@ -116,7 +116,7 @@ class Stepper:
                   + self.f.eval_du(t, uc) * w)
         gl = gr = 0.0
         if self.evolve_far_fields:
-            gl, gr = float(self.f.eval(t, ul)), float(self.f.eval(t, ur))
+            gl, gr = self.f.eval(t, ul), self.f.eval(t, ur)
         return ku, kw, gl, gr
 
     def step(self, state: FieldState, dt: float) -> FieldState:
@@ -149,6 +149,8 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
            snapshot_every: float | None = None,
            evolve_far_fields: bool = False) -> Trajectory:
     """Integrate to t_end, returning snapshots at the requested cadence."""
+    if window_policy is not None and state.u.ndim > 1:
+        raise EvolveInputError("a window policy needs a single lane")
     stepper = Stepper(kernel, f, evolve_far_fields=evolve_far_fields)
     n_steps = max(1, int(round((t_end - state.t) / dt)))
     dt_eff = (t_end - state.t) / n_steps

@@ -38,7 +38,8 @@ class FieldState:
 
     The far-field pair (u_left, u_right) extends u beyond the window for
     convolutions; front runs use (1, 0).  The optional co-state w tracks
-    the spatial derivative u_x.
+    the spatial derivative u_x.  A leading lane axis, u of shape (B, n)
+    with far fields of shape (B,), holds B profiles on the same window.
     """
 
     t: float
@@ -49,7 +50,7 @@ class FieldState:
     w: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.x.shape != self.u.shape:
+        if self.x.shape != self.u.shape[-1:]:
             raise ValueError("x and u shape mismatch")
         if self.w is not None and self.w.shape != self.u.shape:
             raise ValueError("w shape mismatch")

@@ -8,11 +8,12 @@ constant exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import fft, special
 
 from .fields import FieldState
 
@@ -187,11 +188,26 @@ def build_kernel(family: str, spacing: float, tail_tolerance: float,
 # ---------------------------------------------------------------------------
 # convolution
 
+@functools.lru_cache(maxsize=16)
+def _spectrum(weighted: bytes, length: int) -> np.ndarray:
+    spectrum = fft.rfft(np.frombuffer(weighted), length)
+    spectrum.flags.writeable = False  # shared by every caller of the cache
+    return spectrum
+
+
 def _convolve_samples(weighted: np.ndarray, u: np.ndarray,
-                      u_left: float, u_right: float) -> np.ndarray:
+                      u_left, u_right) -> np.ndarray:
+    # u has shape (..., n), the far fields are scalars or of shape (...)
     k = (weighted.size - 1) // 2
-    padded = np.concatenate([np.full(k, u_left), u, np.full(k, u_right)])
-    return np.convolve(padded, weighted, mode="valid")
+    n = u.shape[-1]
+    length = fft.next_fast_len(n + 4 * k, real=True)
+    padded = np.zeros(u.shape[:-1] + (length,))
+    padded[..., :k] = np.asarray(u_left)[..., None]
+    padded[..., k:k + n] = u
+    padded[..., k + n:n + 2 * k] = np.asarray(u_right)[..., None]
+    spectrum = _spectrum(weighted.tobytes(), length)
+    full = fft.irfft(fft.rfft(padded) * spectrum, length)
+    return full[..., 2 * k:2 * k + n]
 
 
 def _check_compatible(kernel: Kernel, field: FieldState) -> None:

@@ -29,17 +29,17 @@ def _default_base(theta: float):
 
     def f0(u):
         u = np.asarray(u, dtype=float)
-        v = np.where(u > theta, u - theta, 0.0)
-        return v**3 * (1.0 - u)
+        v = np.maximum(u - theta, 0.0)
+        return v * v * v * (1.0 - u)
 
     def df0(u):
         u = np.asarray(u, dtype=float)
-        v = np.where(u > theta, u - theta, 0.0)
-        return 3.0 * v**2 * (1.0 - u) - v**3
+        v = np.maximum(u - theta, 0.0)
+        return v * v * (3.0 * (1.0 - u) - v)
 
     def d2f0(u):
         u = np.asarray(u, dtype=float)
-        v = np.where(u > theta, u - theta, 0.0)
+        v = np.maximum(u - theta, 0.0)
         return 6.0 * v * (1.0 - u) - 6.0 * v**2
 
     return f0, df0, d2f0
@@ -67,7 +67,8 @@ class IgnitionNonlinearity:
 
     def _guard(self, u):
         u = np.asarray(u, dtype=float)
-        if np.any(u < GUARD_LO) or np.any(u > GUARD_HI):
+        # NaN passes (min and max propagate it) to the stepper's finite check
+        if u.size and (u.min() < GUARD_LO or u.max() > GUARD_HI):
             raise ReactionError("state outside guard range [-1, 3]")
         return u
 

@@ -19,3 +19,12 @@ def iterate_iterated(ik: IteratedKernel, order: int) -> IteratedKernel:
         samples = np.convolve(samples, ik.samples) * ik.spacing
     return IteratedKernel(order=ik.order * order, spacing=ik.spacing,
                           samples=samples)
+
+
+def direct_convolve(weighted: np.ndarray, u: np.ndarray, u_left: float,
+                    u_right: float) -> np.ndarray:
+    """Stencil sums of one lane in direct form, the reference for the FFT
+    convolution."""
+    k = (weighted.size - 1) // 2
+    padded = np.concatenate([np.full(k, u_left), u, np.full(k, u_right)])
+    return np.convolve(padded, weighted, mode="valid")

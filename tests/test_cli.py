@@ -106,6 +106,27 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert "is not a number" in result.output
 
+    @pytest.mark.parametrize("experiment, patch", [
+        ("comparison", {"experiment": {"pairs": 2.7}}),
+        ("validate", {"grid": {"n": 1201.9}}),
+    ])
+    def test_fractional_integer_is_config_error(self, runner, tmp_path,
+                                                experiment, patch):
+        cfg = _write_cfg(tmp_path, patch)
+        result = runner.invoke(main, [experiment, "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "is not an integer" in result.output
+
+    def test_integral_float_is_an_integer(self, runner, tmp_path):
+        cfg = _write_cfg(tmp_path, {"experiment": {"pairs": 2.0,
+                                                   "t_end": 1.0}})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["comparison", "--config", cfg,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "summary.json").read_text())["pairs"] == 2
+
     def test_null_value_is_config_error(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {"grid": {"n": None}})
         result = runner.invoke(main, ["front", "--config", cfg,

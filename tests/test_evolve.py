@@ -3,9 +3,9 @@ import importlib
 import numpy as np
 import pytest
 
-from frontlab.evolve import (EvolveError, Stepper, WindowPolicy,
-                             _apply_window_policy, build_approx_front,
-                             evolve, extend_run)
+from frontlab.evolve import (EvolveError, EvolveInputError, Stepper,
+                             WindowPolicy, _apply_window_policy,
+                             build_approx_front, evolve, extend_run)
 from frontlab.fields import FieldState, Grid, constant_field, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import KernelError, _convolve_samples
@@ -162,6 +162,40 @@ class TestSingleRK4Path:
         coarse = smoothed_step(Grid(-20.0, 20.0, 401))   # h = 0.1
         with pytest.raises(KernelError):
             evolve(coarse, kernel, f, 1.0, DT)
+
+
+class TestLanes:
+    @staticmethod
+    def _lanes(grid):
+        a = smoothed_step(grid, center=-2.0, width=1.0)
+        b = smoothed_step(grid, center=3.0, width=2.0).with_(u_left=0.9)
+        pair = FieldState(t=0.0, x=grid.x, u=np.stack([a.u, b.u]),
+                          u_left=np.array([1.0, 0.9]),
+                          u_right=np.array([0.0, 0.0]))
+        return (a, b), pair
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_two_lanes_match_single_lane_evolves(self, kernel, f, far):
+        singles, pair = self._lanes(Grid(-20.0, 20.0, 801))
+        lanes = evolve(pair, kernel, f, 3.0, DT, snapshot_every=1.0,
+                       evolve_far_fields=far)
+        assert len(lanes.snapshots) == 4
+        for i, single in enumerate(singles):
+            ref = evolve(single, kernel, f, 3.0, DT, snapshot_every=1.0,
+                         evolve_far_fields=far)
+            for snap, ref_snap in zip(lanes.snapshots, ref.snapshots,
+                                      strict=True):
+                assert snap.t == ref_snap.t
+                assert np.array_equal(snap.u[i], ref_snap.u)
+                assert (snap.u_left[i], snap.u_right[i]) == (
+                    ref_snap.u_left, ref_snap.u_right)
+        if far:   # the 0.9 far field lifts toward 1
+            assert lanes.snapshots[-1].u_left[1] > 0.9
+
+    def test_window_policy_needs_single_lane(self, kernel, f):
+        _, pair = self._lanes(Grid(-20.0, 20.0, 801))
+        with pytest.raises(EvolveInputError):
+            evolve(pair, kernel, f, 1.0, DT, window_policy=WindowPolicy())
 
 
 class TestMonotoneAndRange:

@@ -4,10 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontlab.fields import FieldState, Grid
-from frontlab.kernels import (Kernel, KernelError, build_kernel, convolve,
-                              convolve_derivative, exponential_moment,
-                              iterated_kernel, positive_decay_rate)
-from kernel_helpers import iterate_iterated, with_samples
+from frontlab.kernels import (Kernel, KernelError, _convolve_samples,
+                              build_kernel, convolve, convolve_derivative,
+                              exponential_moment, iterated_kernel,
+                              positive_decay_rate)
+from kernel_helpers import direct_convolve, iterate_iterated, with_samples
 
 
 def make_field(u, grid, left=1.0, right=0.0):
@@ -185,6 +186,29 @@ def test_convolution_preserves_bounds_and_monotonicity(seed, kernel):
     out = convolve(kernel, make_field(u, grid))
     assert np.all(out <= 1.0 + 1e-12) and np.all(out >= -1e-12)
     assert np.all(np.diff(out) <= 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=st.one_of(
+           st.floats(min_value=0.5, max_value=2.0).map(
+               lambda sigma: {"family": "gaussian", "sigma": sigma}),
+           # most bump widths below 2 fail build_kernel's mass check
+           st.just({"family": "bump", "a": 2.0})),
+       n=st.integers(min_value=401, max_value=2401),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_fft_convolution_matches_direct_form(params, n, seed):
+    k = build_kernel(spacing=0.05, tail_tolerance=1e-6, **params)
+    rng = np.random.default_rng(seed)
+    u = rng.random((2, n))
+    left, right = rng.random(2), rng.random(2)
+    for samples in (k.samples, k.derivative_samples):
+        weighted = k.weights * samples
+        lanes = _convolve_samples(weighted, u, left, right)
+        for i in range(2):
+            ref = direct_convolve(weighted, u[i], left[i], right[i])
+            single = _convolve_samples(weighted, u[i], left[i], right[i])
+            assert np.max(np.abs(single - ref)) <= 1e-13
+            assert np.array_equal(lanes[i], single)
 
 
 def test_with_samples_override(kernel):

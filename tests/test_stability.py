@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frontlab.evolve import _shift_window, evolve
 from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import locate_level
-from frontlab.kernels import exponential_moment
+from frontlab.kernels import convolve, exponential_moment
 from frontlab.stability import (GammaFunction, InadmissibleAlpha,
                                 PerturbationEnvelope, StabilityError,
                                 assemble_parameters, best_shift,
@@ -254,7 +255,52 @@ class TestSandwichMargins:
         assert dist == 0.0
 
 
+def three_build_residual(snaps, x_track, params, env, sign, kernel, f):
+    """(sup, inf) of the residual, building v_j anew for each of its three
+    uses; the reference for subsupersolution_residual."""
+    times = np.array([s.t for s in snaps])
+    interps = [profile_interp(s) for s in snaps]
+
+    def build_v(j, x):
+        t = times[j]
+        z = env.zeta_minus(t) if sign < 0 else env.zeta_plus(t)
+        return (interps[j](x - z)
+                + sign * env.q(t) * params.gamma(x - z - x_track(t)))
+
+    sup_res, inf_res = -np.inf, np.inf
+    for j in range(1, len(snaps) - 1):
+        x = snaps[j].x
+        v_t = ((build_v(j + 1, x) - build_v(j - 1, x))
+               / (times[j + 1] - times[j - 1]))
+        v_here = build_v(j, x)
+        fld = FieldState(t=times[j], x=x, u=v_here,
+                         u_left=1.0 + sign * env.q(times[j]), u_right=0.0)
+        res = v_t - (convolve(kernel, fld) - v_here
+                     + f.eval(times[j], np.clip(v_here, -1.0, 3.0)))
+        sup_res = max(sup_res, float(np.max(res)))
+        inf_res = min(inf_res, float(np.min(res)))
+    return sup_res, inf_res
+
+
 class TestResiduals:
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_matches_three_build_reference(self, fine_traj, sparams, kernel,
+                                           f, front_run, shifted):
+        from frontlab.stability import _interface_function
+        snaps = fine_traj.snapshots[:31]
+        if shifted:
+            # every other window moved by one node: grids differ pairwise
+            snaps = [_shift_window(s, j % 2) for j, s in enumerate(snaps)]
+        x_track = _interface_function(front_run.snapshots, front_run.level)
+        env = PerturbationEnvelope(t0=snaps[0].t, eps=sparams.eps0,
+                                   omega=sparams.omega, A=sparams.A)
+        for sign in (-1, +1):
+            series = subsupersolution_residual(snaps, x_track, sparams, env,
+                                               sign, kernel, f)
+            assert (series.sup_residual, series.inf_residual) == \
+                three_build_residual(snaps, x_track, sparams, env, sign,
+                                     kernel, f)
+
     def test_residuals_small_and_sabotage_detected(self, fine_traj, sparams,
                                                    kernel, f, front_run):
         import dataclasses
@@ -297,6 +343,17 @@ class TestComparison:
         report = comparison_test(lo, hi, kernel, f, t_end=10.0, dt=DT)
         assert report.passed
         assert report.min_margin >= -1e-8
+
+    def test_pair_margin_is_min_over_separate_evolves(self, kernel, f):
+        grid = Grid(-40.0, 40.0, 1601)
+        lo = smoothed_step(grid, center=-1.0)
+        hi = lo.with_(u=np.clip(lo.u + 0.2 * np.exp(-grid.x**2), 0.0, 1.0))
+        report = comparison_test(lo, hi, kernel, f, t_end=3.0, dt=DT)
+        tu, tv = (evolve(s, kernel, f, 3.0, DT, snapshot_every=1.0)
+                  for s in (lo, hi))
+        assert report.min_margin == min(
+            float(np.min(sv.u - su.u))
+            for su, sv in zip(tu.snapshots, tv.snapshots, strict=True))
 
     def test_unordered_rejected(self, kernel, f):
         grid = Grid(-40.0, 40.0, 1601)
