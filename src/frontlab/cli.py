@@ -377,7 +377,9 @@ def exp_stability(cfg, art: Artifacts) -> dict:
     summary.update(eps=eps, horizon=horizon,
                    worst_violation=report.worst_violation,
                    violation_count=report.violation_count,
-                   distance_at_3_over_omega=report.envelope_distance[i3])
+                   distance_at_3_over_omega=report.envelope_distance[i3],
+                   drift_at_3_over_omega=float(
+                       params.A * eps / params.omega * (1.0 - np.exp(-3.0))))
     budget = _num(ec, "violation_budget", 1e-6) + report.edge_defect
     summary["edge_defect"] = report.edge_defect
     if report.worst_violation > budget:

@@ -162,8 +162,10 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
 
     snapshots = [state]
     relocations = []
+    t_start = state.t
     for i in range(1, n_steps + 1):
-        state = stepper.step(state, dt_eff)
+        # stamp each step from the start time: summed steps drift off t_end
+        state = stepper.step(state, dt_eff).with_(t=t_start + i * dt_eff)
         if window_policy is not None and (i % check_stride == 0
                                           or i == n_steps):
             state, moved = _apply_window_policy(state, window_policy)

@@ -62,9 +62,6 @@ class FieldState:
     def with_(self, **kw) -> "FieldState":
         return replace(self, **kw)
 
-    def check_range(self, eps: float = 1e-8) -> bool:
-        return bool(np.all(self.u >= -eps) and np.all(self.u <= 1.0 + eps))
-
     def is_monotone(self, tol: float = 1e-10) -> bool:
         return bool(np.all(np.diff(self.u) <= tol))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldState
-from .kernels import ITERATION_CAP, Kernel, convolve, iterated_kernels
+from .kernels import ITERATION_CAP, Kernel, iterated_kernels
 
 
 class FrontError(ValueError):
@@ -63,30 +63,6 @@ def track_levels(snapshots, levels) -> FrontTrack:
     pos = np.array([[locate_level(s, lam) for lam in levels]
                     for s in snapshots])
     return FrontTrack(levels=levels, times=times, positions=pos)
-
-
-STEEPNESS_FLOOR = 1e-6
-
-
-def interface_speed(field: FieldState, lam: float, kernel: Kernel, f,
-                    w: np.ndarray | None = None) -> float:
-    """Instantaneous level speed -u_t/u_x at the crossing.
-
-    u_t is reconstructed from the right-hand side J*u - u + f(t,u); u_x
-    comes from the co-state when available, else from central differences.
-    """
-    pos = locate_level(field, lam)
-    u_t = convolve(kernel, field) - field.u + f.eval(field.t, field.u)
-    if w is None:
-        w = field.w
-    if w is None:
-        w = np.gradient(field.u, field.x)
-    ut_c = float(np.interp(pos, field.x, u_t))
-    ux_c = float(np.interp(pos, field.x, w))
-    if abs(ux_c) < STEEPNESS_FLOOR:
-        raise FrontError(
-            f"|u_x|={abs(ux_c):.3g} below the steepness floor at level {lam}")
-    return -ut_c / ux_c
 
 
 @dataclass

@@ -241,7 +241,9 @@ class PerturbationEnvelope:
         return self.eps * self._decay(t)
 
     def _drift(self, t):
-        return self.A * self.eps / self.omega * (1.0 - self._decay(t))
+        """A eps / omega (1 - e^{-omega (t - t0)}), 0 up to t0."""
+        return np.maximum(
+            self.A * self.eps / self.omega * (1.0 - self._decay(t)), 0.0)
 
     def zeta_minus(self, t):
         return self.zeta0_minus - self._drift(t)

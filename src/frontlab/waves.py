@@ -1,12 +1,10 @@
 """Traveling-wave solver for the homogeneous problem.
 
 Finds (c*, phi) with J*phi - phi + c* phi' + f(phi) = 0, phi(0) = theta,
-phi decreasing from 1 to 0.  Strategy: evolve the time-dependent problem
-from a smoothed step until the re-centered profile stops changing (the
-ignition wave is attracting for front-like data), take the speed guess
-from the crossing's advance over the last settle block, then polish
-(c*, phi) with a sparse Newton iteration on the stationary co-moving
-system.
+phi decreasing from 1 to 0.  One damped Newton iteration on the stationary
+co-moving system, bordered by the speed column and the phase row
+phi(0) = theta (Beyn, IMA J. Numer. Anal. 10, 1990), started from the
+smoothed step of width 2 and the speed START_SPEED.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from scipy.sparse.linalg import spsolve
 
 from .fields import FieldState, Grid, pchip_far_fields, smoothed_step
 from .kernels import Kernel, convolve
-from .evolve import Stepper, _shift_window
-from .fronts import locate_level
 
 
 class WaveError(RuntimeError):
@@ -31,12 +27,8 @@ class WaveInputError(WaveError, ValueError):
     """An argument outside the wave solver's domain."""
 
 
-#: evolve-and-align: re-centering block, earliest settle test, time cap and
-#: drift-rate tolerance of the aligned profile; Newton polish iteration cap
-BLOCK = 2.0
-T_SETTLE = 60.0
-T_CAP = 1200.0
-SETTLE_TOL = 1e-5
+#: Newton start speed and iteration cap
+START_SPEED = 0.1
 NEWTON_CAP = 40
 
 
@@ -70,47 +62,17 @@ def _stationary_residual(kernel: Kernel, f_hom, x, u, c) -> np.ndarray:
     return conv - u + c * du + f_hom.eval(0.0, np.clip(u, -1.0, 3.0))
 
 
-def _fractional_recenter(x, u, pos):
-    """Shift the profile so the crossing sits at 0 (monotone interpolation)."""
-    return pchip_far_fields(x, u, u[0], u[-1])(x + pos)
-
-
 def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
                          tol: float = 1e-8) -> TravelingWave:
-    """Evolve-and-align followed by Newton polish on the co-moving system."""
+    """Newton on the co-moving system from the smoothed step."""
     if not (1e-10 <= tol <= 1e-4):
         raise WaveInputError("tol must lie in [1e-10, 1e-4]")
     if grid.x_max - grid.x_min < 80.0 - 1e-9:
         raise WaveInputError("wave window must span at least 80 length units")
     theta = f_hom.theta
-    stepper = Stepper(kernel, f_hom)
-    n_block = max(1, int(round(BLOCK / (0.8 * stepper.dt_max))))
-    dt_eff = BLOCK / n_block
-
-    state = smoothed_step(grid, center=0.0, width=2.0)
-    prev_aligned = None
-    while state.t < T_CAP:
-        for _ in range(n_block):
-            state = stepper.step(state, dt_eff)
-        if float(np.max(state.u)) < theta:
-            raise WaveError("quenching detected: profile collapsed below "
-                            "the ignition threshold")
-        pos = locate_level(state, theta)
-        # integer re-centering keeps the crossing near 0 without
-        # interpolation: shift the profile by whole nodes, keep the grid
-        state = _shift_window(state, int(round(pos / grid.h))).with_(x=state.x)
-        frac = locate_level(state, theta)
-        aligned = _fractional_recenter(state.x, state.u, frac)
-        if prev_aligned is not None and state.t >= T_SETTLE:
-            drift = float(np.max(np.abs(aligned - prev_aligned))) / BLOCK
-            if drift < SETTLE_TOL:
-                c0 = (pos - offset) / BLOCK
-                break
-        prev_aligned, offset = aligned, frac
-    else:
-        raise WaveError("evolve-and-align did not settle within the time cap")
-
-    phi, c = _newton_polish(kernel, f_hom, grid, aligned, c0, theta, tol)
+    step = smoothed_step(grid, center=0.0, width=2.0)
+    phi, c = _newton_polish(kernel, f_hom, grid, step.u, START_SPEED, theta,
+                            tol)
 
     res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
     residual_norm = float(np.max(np.abs(res)))
@@ -125,7 +87,8 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
 
 
 def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c0, theta, tol):
-    """Newton on the stationary system with the phase row phi(0) = theta."""
+    """Damped Newton on the stationary system with the phase row
+    phi(0) = theta; a step moves phi by at most 0.2 anywhere."""
     n = grid.n
     h = grid.h
     i0 = int(np.argmin(np.abs(grid.x)))

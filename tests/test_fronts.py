@@ -7,9 +7,29 @@ from hypothesis import strategies as st
 
 from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import (FrontError, fit_exponential_tail,
-                             interface_speed, interface_width,
-                             lipschitz_estimate, locate_level, steepness,
+                             interface_width, lipschitz_estimate,
+                             locate_level, steepness,
                              steepness_bound_constant, track_levels)
+from frontlab.kernels import convolve
+
+STEEPNESS_FLOOR = 1e-6
+
+
+def interface_speed(field, lam, kernel, f):
+    """Instantaneous level speed -u_t/u_x at the crossing.
+
+    u_t is reconstructed from the right-hand side J*u - u + f(t,u); u_x
+    comes from the co-state when available, else from central differences.
+    """
+    pos = locate_level(field, lam)
+    u_t = convolve(kernel, field) - field.u + f.eval(field.t, field.u)
+    w = field.w if field.w is not None else np.gradient(field.u, field.x)
+    ut_c = float(np.interp(pos, field.x, u_t))
+    ux_c = float(np.interp(pos, field.x, w))
+    if abs(ux_c) < STEEPNESS_FLOOR:
+        raise FrontError(
+            f"|u_x|={abs(ux_c):.3g} below the steepness floor at level {lam}")
+    return -ut_c / ux_c
 
 
 def _tanh_front(grid, center=0.0, width=2.0):

@@ -149,6 +149,11 @@ class TestEnvelope:
         assert np.all(np.diff(env.zeta_plus(ts)) > 0.0)
         assert np.all(np.diff(env.zeta_minus(ts)) < 0.0)
 
+    def test_no_drift_before_t0(self):
+        # a hair before t0, inside the guard's tolerance, the shifts stay 0
+        zm, zp, _ = self._env().eval(10.0 - 5e-13)
+        assert zm == 0.0 and zp == 0.0
+
     def test_before_t0_raises(self):
         with pytest.raises(StabilityError):
             self._env().q(9.0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from frontlab import waves
 from frontlab.fields import Grid
-from frontlab.kernels import convolve
+from frontlab.kernels import build_kernel, convolve
 from frontlab.fields import FieldState
 from frontlab.waves import WaveError, solve_traveling_wave
 from frontlab.reactions import min_slice
@@ -63,6 +64,17 @@ class TestSolveTravelingWave:
         # stronger reaction pushes the front faster; sanity of ordering
         assert tw_max.speed / tw_min.speed > 1.2
 
+    def test_wide_kernel_converges(self, f, wave_grid):
+        # sigma = 3; the profile ripples by up to 7.9e-6 on the node pairs
+        # of [-60, -59], at the left window edge, so monotonicity is
+        # checked on |x| <= 40
+        wide = build_kernel("gaussian", spacing=0.05, tail_tolerance=1e-6,
+                            sigma=3.0)
+        tw = solve_traveling_wave(wide, min_slice(f), wave_grid)
+        assert tw.residual_norm <= 1e-8
+        core = np.abs(tw.x) <= 40.0
+        assert np.all(np.diff(tw.phi[core]) < 0.0)
+
 
 class TestValidation:
     def test_window_too_small(self, kernel, f):
@@ -72,3 +84,8 @@ class TestValidation:
     def test_bad_tolerance(self, kernel, f, wave_grid):
         with pytest.raises(WaveError):
             solve_traveling_wave(kernel, min_slice(f), wave_grid, tol=1e-2)
+
+    def test_newton_cap_reached(self, kernel, f, wave_grid, monkeypatch):
+        monkeypatch.setattr(waves, "NEWTON_CAP", 1)
+        with pytest.raises(WaveError):
+            solve_traveling_wave(kernel, min_slice(f), wave_grid)
