@@ -10,7 +10,7 @@ from .reactions import (IgnitionNonlinearity, ReactionError,
                         min_slice, validate_hypotheses)
 from .waves import TravelingWave, WaveError, solve_traveling_wave
 from .evolve import (ApproxFrontRun, EvolveError, Stepper, Trajectory,
-                     WindowPolicy, build_approx_front, evolve, extend_run)
+                     WindowPolicy, build_approx_front, evolve)
 from .fronts import (FrontError, fit_exponential_tail, interface_width,
                      locate_level, steepness)
 from .stability import (GammaFunction, PerturbationEnvelope,

@@ -32,7 +32,7 @@ from .fronts import (check_steepness_bound, fit_exponential_tail,
 from .kernels import build_kernel, positive_decay_rate
 from .reactions import make_ignition, max_slice, min_slice, validate_hypotheses
 from .stability import (BURN_IN, PLATEAU, StabilityError, asymptotic_initial,
-                        comparison_test, extend_reference, measured_c_min,
+                        comparison_test, measured_c_min, reference_state,
                         run_asymptotic_experiment, run_stability_experiment,
                         select_alpha)
 from .waves import WaveError, solve_traveling_wave
@@ -360,11 +360,11 @@ def exp_stability(cfg, art: Artifacts) -> dict:
     dt = _num(tc, "dt")
     params = select_alpha(run, kern, f, t_from=_num(tc, "s") + 20.0)
     horizon = round(_num(ec, "horizon_omega", 5.0) / params.omega / dt) * dt
-    ref = extend_reference(run, kern, f, t0, horizon, dt, cadence)
+    ref0 = reference_state(run, kern, f, t0, dt, cadence)
     eps = _num(ec, "eps", params.eps0)
     report = run_stability_experiment(
-        ref, kern, f, params, eps=eps, rho_fn=lambda x: np.ones_like(x),
-        t0=t0, horizon=horizon, dt=dt, cadence=cadence)
+        ref0, kern, f, params, eps=eps, rho_fn=lambda x: np.ones_like(x),
+        horizon=horizon, dt=dt, cadence=cadence)
     art.write_csv("sandwich.csv",
                   ["t", "envelope_distance", "q", "zeta_minus", "zeta_plus"],
                   [report.times, report.envelope_distance, report.q_values,
@@ -376,6 +376,7 @@ def exp_stability(cfg, art: Artifacts) -> dict:
     summary = dict(params.as_dict())
     summary.update(eps=eps, horizon=horizon,
                    worst_violation=report.worst_violation,
+                   interior_worst_violation=report.interior_worst_violation,
                    violation_count=report.violation_count,
                    distance_at_3_over_omega=report.envelope_distance[i3],
                    drift_at_3_over_omega=float(
@@ -398,15 +399,15 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
     dt = _num(cfg["time"], "dt")
     horizon = _num(ec, "horizon", 400.0)
     cadence = _num(ec, "cadence", 2.0)
-    ref = extend_reference(run, kern, f, t0, horizon, dt, cadence)
+    ref0 = reference_state(run, kern, f, t0, dt, cadence)
     shape = ec.get("initial", "mollified_step")
-    u0 = asymptotic_initial(ref, kern, f, t0, dt, shape,
-                            plateau=_num(ec, "plateau", PLATEAU),
-                            burn=_num(ec, "burn_in", BURN_IN))
-    if u0.t > t0 and u0.t >= t0 + horizon - 50.0:
+    pair0 = asymptotic_initial(ref0, kern, f, dt, shape,
+                               plateau=_num(ec, "plateau", PLATEAU),
+                               burn=_num(ec, "burn_in", BURN_IN))
+    if pair0.t > t0 and pair0.t >= t0 + horizon - 50.0:
         raise ValueError("horizon too short for the burn-in phase")
-    report = run_asymptotic_experiment(ref, kern, f, u0, t0=u0.t,
-                                       horizon=t0 + horizon - u0.t, dt=dt,
+    report = run_asymptotic_experiment(pair0, kern, f,
+                                       horizon=t0 + horizon - pair0.t, dt=dt,
                                        cadence=cadence)
     art.write_csv("asymptotic.csv", ["t", "best_shift_distance"],
                   [report.times, report.sup_distances])

@@ -36,7 +36,8 @@ SEED_MIN_SLOPE = 0.1
 
 @dataclass(frozen=True)
 class WindowPolicy:
-    """Shift the window when the tracked level leaves the middle third."""
+    """Shift the window when the tracked level of lane 0 leaves the middle
+    third."""
 
     level: float = 0.3
 
@@ -64,27 +65,24 @@ class Trajectory:
         return self.snapshots[i]
 
 
-def _shift_window(state: FieldState, m: int) -> FieldState:
-    """Relocate the window by m grid steps (m > 0 moves it rightward)."""
-    h = state.h
-    x = state.x + m * h
-    u = np.empty_like(state.u)
-    w = None if state.w is None else np.empty_like(state.w)
+def _shift_lanes(a: np.ndarray, m: int, fill) -> np.ndarray:
+    out = np.empty_like(a)
     if m > 0:
-        u[:-m] = state.u[m:]
-        u[-m:] = state.u_right
-        if w is not None:
-            w[:-m] = state.w[m:]
-            w[-m:] = 0.0
-    elif m < 0:
-        u[-m:] = state.u[:m]
-        u[:-m] = state.u_left
-        if w is not None:
-            w[-m:] = state.w[:m]
-            w[:-m] = 0.0
+        out[..., :-m], out[..., -m:] = a[..., m:], fill
     else:
+        out[..., -m:], out[..., :-m] = a[..., :m], fill
+    return out
+
+
+def _shift_window(state: FieldState, m: int) -> FieldState:
+    """Relocate the window by m grid steps (m > 0 moves it rightward); each
+    lane moves by m and fills from its own far field."""
+    if m == 0:
         return state
-    return state.with_(x=x, u=u, w=w)
+    far = np.asarray(state.u_right if m > 0 else state.u_left)[..., None]
+    w = None if state.w is None else _shift_lanes(state.w, m, 0.0)
+    return state.with_(x=state.x + m * state.h,
+                       u=_shift_lanes(state.u, m, far), w=w)
 
 
 class Stepper:
@@ -148,9 +146,10 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
            window_policy: WindowPolicy | None = None,
            snapshot_every: float | None = None,
            evolve_far_fields: bool = False) -> Trajectory:
-    """Integrate to t_end, returning snapshots at the requested cadence."""
-    if window_policy is not None and state.u.ndim > 1:
-        raise EvolveInputError("a window policy needs a single lane")
+    """Integrate to t_end, returning snapshots at the requested cadence.
+
+    A window policy steers the window of a multi-lane state by lane 0.
+    """
     stepper = Stepper(kernel, f, evolve_far_fields=evolve_far_fields)
     n_steps = max(1, int(round((t_end - state.t) / dt)))
     dt_eff = (t_end - state.t) / n_steps
@@ -180,9 +179,10 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
 
 def _apply_window_policy(state: FieldState, policy: WindowPolicy):
     lam = policy.level
-    if state.u[0] < lam or state.u[-1] > lam:
+    if np.any(state.u[..., 0] < lam) or np.any(state.u[..., -1] > lam):
         raise EvolveError("front reached the window edge before relocation")
-    pos = locate_level(state, lam, strict=False)
+    lead = state.lane(0) if state.u.ndim > 1 else state
+    pos = locate_level(lead, lam, strict=False)
     center = 0.5 * (state.x[0] + state.x[-1])
     half = 0.5 * (state.x[-1] - state.x[0])
     if abs(pos - center) <= half / 3.0:
@@ -271,19 +271,3 @@ def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
     traj = evolve(seed, kernel, f, t_end, dt, snapshot_every=snapshot_every)
     return ApproxFrontRun(s=s, y_s=y_s, level=theta, trajectory=traj)
 
-
-def extend_run(run: ApproxFrontRun, kernel: Kernel, f, t_end: float,
-               dt: float, snapshot_every: float,
-               window_policy: WindowPolicy | None = None,
-               with_derivative: bool = True) -> ApproxFrontRun:
-    """Continue an existing front run to a later time."""
-    last = run.snapshots[-1]
-    if not with_derivative:
-        last = last.with_(w=None)
-    traj = evolve(last, kernel, f, t_end, dt, window_policy=window_policy,
-                  snapshot_every=snapshot_every)
-    merged = Trajectory(
-        snapshots=run.snapshots + traj.snapshots[1:],
-        relocations=run.trajectory.relocations + traj.relocations)
-    return ApproxFrontRun(s=run.s, y_s=run.y_s, level=run.level,
-                          trajectory=merged)

@@ -62,6 +62,12 @@ class FieldState:
     def with_(self, **kw) -> "FieldState":
         return replace(self, **kw)
 
+    def lane(self, i: int) -> "FieldState":
+        """Lane i of a multi-lane state, as a single-lane state."""
+        return replace(self, u=self.u[i], u_left=float(self.u_left[i]),
+                       u_right=float(self.u_right[i]),
+                       w=None if self.w is None else self.w[i])
+
     def is_monotone(self, tol: float = 1e-10) -> bool:
         return bool(np.all(np.diff(self.u) <= tol))
 

@@ -171,11 +171,13 @@ def build_kernel(family: str, spacing: float, tail_tolerance: float,
     deriv = 0.5 * (deriv - deriv[::-1])
 
     mass = float(np.sum(_trapezoid_weights(samples.size, spacing) * samples))
-    # the trapezoid rule undershoots the stencil integral by its
-    # Euler-Maclaurin endpoint term, about h^2/6 |J'(R)|
-    endpoint_error = spacing**2 / 6.0 * abs(deriv[-1])
-    if not (1.0 - tail_tolerance - endpoint_error - 1e-8 <= mass
-            <= 1.0 + 1e-8):
+    # the trapezoid error of the stencil integral, measured against the rule
+    # on every other sample (the 2k intervals pair up exactly)
+    coarse = float(np.sum(_trapezoid_weights(k + 1, 2.0 * spacing)
+                          * samples[::2]))
+    quad_error = abs(mass - coarse)
+    if not (1.0 - tail_tolerance - quad_error - 1e-8 <= mass
+            <= 1.0 + quad_error + 1e-8):
         raise KernelError(f"quadrature mass {mass} inconsistent with tail bound")
     samples = samples / mass
     deriv = deriv / mass

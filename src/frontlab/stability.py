@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import FieldState, Grid, pchip_far_fields, smoothed_step
 from .kernels import Kernel, convolve, exponential_moment
-from .evolve import ApproxFrontRun, WindowPolicy, evolve, extend_run
+from .evolve import ApproxFrontRun, WindowPolicy, evolve
 from .fronts import fit_line, locate_level
 
 
@@ -338,71 +338,71 @@ PLATEAU = 0.6
 BURN_IN = 60.0
 
 
-def extend_reference(run: ApproxFrontRun, kernel: Kernel, f, t0: float,
-                     horizon: float, dt: float,
-                     cadence: float) -> ApproxFrontRun:
-    """The front run continued to t0 + horizon + 2 cadences, the horizon
-    rounded to whole steps, with snapshots every cadence and no co-state.
+def reference_state(run: ApproxFrontRun, kernel: Kernel, f, t0: float,
+                    dt: float, cadence: float) -> FieldState:
+    """The reference at t0 without co-state: the front run's snapshot
+    there, or its last snapshot evolved on to t0 under its window policy.
 
-    t0 must be a snapshot time of the result: one of the front run's, or
-    its last plus whole cadences of whole time steps.
+    t0 must be one of the front run's snapshot times, or its last plus
+    whole cadences of whole time steps.
     """
     ts = run.trajectory.times
     k, m = (t0 - ts[-1]) / cadence, cadence / dt
     on_extension = k > 0 and max(abs(k - round(k)), abs(m - round(m))) < 1e-9
     if np.min(np.abs(ts - t0)) > 1e-9 and not on_extension:
         raise StabilityInputError(f"t0={t0} is not a snapshot time")
-    horizon = round(horizon / dt) * dt
-    return extend_run(run, kernel, f, t_end=t0 + horizon + 2 * cadence,
-                      dt=dt, snapshot_every=cadence, with_derivative=False,
-                      window_policy=WindowPolicy(level=run.level))
+    if not on_extension:
+        return run.trajectory.at_time(t0).with_(w=None)
+    return evolve(run.snapshots[-1].with_(w=None), kernel, f, t0, dt,
+                  window_policy=WindowPolicy(level=run.level)).snapshots[-1]
 
 
-def asymptotic_initial(ref: ApproxFrontRun, kernel: Kernel, f, t0: float,
-                       dt: float, shape: str, plateau: float = PLATEAU,
+def _pair(ref: FieldState, sol: FieldState) -> FieldState:
+    """Two lanes on ref's window: lane 0 ref, lane 1 sol."""
+    return FieldState(t=ref.t, x=ref.x, u=np.stack([ref.u, sol.u]),
+                      u_left=np.array([ref.u_left, sol.u_left]),
+                      u_right=np.array([ref.u_right, sol.u_right]))
+
+
+def asymptotic_initial(ref0: FieldState, kernel: Kernel, f, dt: float,
+                       shape: str, plateau: float = PLATEAU,
                        burn: float = BURN_IN) -> FieldState:
-    """Front-like initial data centred on the reference interface at t0.
+    """The pair (reference, front-like initial data centred on the
+    reference's theta crossing) at ref0.t.
 
-    "mollified_step" is a tanh step from 1 to 0 at time t0.
-    "liminf_above_theta" scales it to a left plateau above theta and lets
-    the plateau burn up to 1, with live far fields, in up to four phases
-    of length `burn`; the data start where the burn-in ends.
+    "mollified_step" is a tanh step from 1 to 0.  "liminf_above_theta"
+    scales it to a left plateau above theta and lets the plateau burn up
+    to 1, with live far fields, in up to four phases of length `burn`;
+    the pair starts where the burn-in ends.  The reference lane is exact
+    throughout: f vanishes at its far fields (1, 0).
     """
-    ref0 = ref.trajectory.at_time(t0)
     base = smoothed_step(Grid(ref0.x[0], ref0.x[-1], ref0.x.size),
-                         center=locate_level(ref0, ref.level), width=2.0)
+                         center=locate_level(ref0, f.theta), width=2.0)
     if shape == "mollified_step":
-        return base.with_(t=t0)
+        return _pair(ref0, base)
     if shape != "liminf_above_theta":
         raise StabilityInputError(f"unknown initial shape {shape!r}")
-    u0 = base.with_(t=t0, u=plateau * base.u, u_left=plateau)
-    t_burn = t0
+    pair = _pair(ref0, base.with_(u=plateau * base.u, u_left=plateau))
+    t_burn = ref0.t
     for _ in range(4):
         t_burn += burn
-        u0 = evolve(u0, kernel, f, t_burn, dt, snapshot_every=burn,
-                    window_policy=WindowPolicy(level=ref.level),
-                    evolve_far_fields=True).snapshots[-1]
-        if abs(u0.u_left - 1.0) <= 1e-8:
+        pair = evolve(pair, kernel, f, t_burn, dt, snapshot_every=burn,
+                      window_policy=WindowPolicy(level=f.theta),
+                      evolve_far_fields=True).snapshots[-1]
+        if abs(pair.u_left[1] - 1.0) <= 1e-8:
             break
-    return u0.with_(u_left=1.0)
+    return pair.with_(u_left=np.array([pair.u_left[0], 1.0]))
 
 
-def _paired_snapshots(ref_run: ApproxFrontRun, kernel: Kernel, f,
-                      u0: FieldState, t0: float, horizon: float, dt: float,
-                      cadence: float):
-    """Evolve u0 from t0 over the horizon under the reference run's window
-    policy; yield (snapshot, reference snapshot) at every snapshot time the
-    two share.  Whole steps keep the snapshots on the reference's times."""
-    t_end = t0 + round(horizon / dt) * dt
-    traj = evolve(u0, kernel, f, t_end, dt,
-                  window_policy=WindowPolicy(level=ref_run.level),
-                  snapshot_every=cadence)
-    for snap in traj.snapshots:
-        try:
-            ref = ref_run.trajectory.at_time(snap.t)
-        except KeyError:
-            continue
-        yield snap, ref
+def _paired_snapshots(pair0: FieldState, kernel: Kernel, f, horizon: float,
+                      dt: float, cadence: float):
+    """Evolve the pair (reference, solution) over the horizon, rounded to
+    whole steps, on one window steered by the reference's theta crossing;
+    (solution, reference) at every snapshot."""
+    t_end = pair0.t + round(horizon / dt) * dt
+    traj = evolve(pair0, kernel, f, t_end, dt, snapshot_every=cadence,
+                  window_policy=WindowPolicy(level=f.theta))
+    return [(snap.lane(1), snap.lane(0)) for snap in traj.snapshots]
 
 
 @dataclass
@@ -418,6 +418,8 @@ class StabilityReport:
     worst_violation: float
     violations: np.ndarray
     edge_defect: float   # window-truncation mismatch at the far fields
+    # worst violation where both shifted references stay inside the window
+    interior_worst_violation: float
 
 
 @dataclass
@@ -432,16 +434,6 @@ class AsymptoticReport:
     r_squared: float | None
 
 
-def _interface_function(run_snaps, level):
-    ts = np.array([s.t for s in run_snaps])
-    xs = np.array([locate_level(s, level) for s in run_snaps])
-
-    def x_of_t(t):
-        return float(np.interp(t, ts, xs))
-
-    return x_of_t
-
-
 def make_perturbed_initial(ref_snap: FieldState, gamma: GammaFunction,
                            x_ref: float, eps: float, rho_fn) -> FieldState:
     rho = rho_fn(ref_snap.x)
@@ -453,11 +445,14 @@ def make_perturbed_initial(ref_snap: FieldState, gamma: GammaFunction,
 
 def sandwich_margins(pert: FieldState, ref: FieldState, gamma: GammaFunction,
                      x_ref_t: float, z_minus: float, z_plus: float,
-                     q: float) -> tuple[float, float]:
-    """(worst sandwich violation, distance outside the shifted-front band).
+                     q: float) -> tuple[float, float, float]:
+    """(worst sandwich violation, the same over the window interior,
+    distance outside the shifted-front band).
 
     Violation > 0 means the two-sided bound with the q Gamma cushion fails
-    somewhere; the band distance drops the cushion and measures how far the
+    somewhere; the interior takes only nodes x with x - z+ and x - z- both
+    inside ref's window, where neither shifted reference reads a far-field
+    constant.  The band distance drops the cushion and measures how far the
     solution sits outside [u(t, .-z+), u(t, .-z-)].
     """
     x = pert.x
@@ -465,31 +460,33 @@ def sandwich_margins(pert: FieldState, ref: FieldState, gamma: GammaFunction,
     ref_hi, ref_lo = ref_fn(x - z_plus), ref_fn(x - z_minus)
     upper = ref_hi + q * gamma(x - z_plus - x_ref_t)
     lower = ref_lo - q * gamma(x - z_minus - x_ref_t)
-    viol = max(float(np.max(pert.u - upper)), float(np.max(lower - pert.u)))
+    viol = np.maximum(pert.u - upper, lower - pert.u)
+    interior = ((np.minimum(x - z_plus, x - z_minus) >= ref.x[0])
+                & (np.maximum(x - z_plus, x - z_minus) <= ref.x[-1]))
     band_hi = float(np.max(pert.u - ref_hi))
     band_lo = float(np.max(ref_lo - pert.u))
-    return viol, max(band_hi, band_lo, 0.0)
+    return (float(np.max(viol)), float(np.max(viol[interior])),
+            max(band_hi, band_lo, 0.0))
 
 
-def run_stability_experiment(ref_run: ApproxFrontRun, kernel: Kernel, f,
+def run_stability_experiment(ref0: FieldState, kernel: Kernel, f,
                              params: StabilityParameters, eps: float,
-                             rho_fn, t0: float, horizon: float, dt: float,
+                             rho_fn, horizon: float, dt: float,
                              cadence: float) -> StabilityReport:
-    """Evolve a perturbed front and check the two-sided sandwich."""
+    """Perturb the reference at t0 = ref0.t, evolve the pair and check the
+    two-sided sandwich around the reference's theta crossing."""
     if eps > params.eps0 + 1e-15:
         raise StabilityInputError("eps exceeds eps0")
-    ref0 = ref_run.trajectory.at_time(t0)
-    x_of_t = _interface_function(ref_run.snapshots, ref_run.level)
+    t0 = ref0.t
     env = PerturbationEnvelope(t0=t0, eps=eps, omega=params.omega,
                                A=params.A)
-    u0 = make_perturbed_initial(ref0, params.gamma, x_of_t(t0), eps, rho_fn)
-    viol0, _ = sandwich_margins(u0, ref0, params.gamma, x_of_t(t0),
-                                0.0, 0.0, eps)
-    if viol0 > 1e-12:
+    x0 = locate_level(ref0, f.theta)
+    u0 = make_perturbed_initial(ref0, params.gamma, x0, eps, rho_fn)
+    if sandwich_margins(u0, ref0, params.gamma, x0, 0.0, 0.0, eps)[0] > 1e-12:
         raise StabilityError("initial data violates the sandwich")
 
     rows, edge_defect = [], 0.0
-    for snap, ref in _paired_snapshots(ref_run, kernel, f, u0, t0, horizon,
+    for snap, ref in _paired_snapshots(_pair(ref0, u0), kernel, f, horizon,
                                        dt, cadence):
         t = snap.t
         for fld in (snap, ref):
@@ -497,15 +494,17 @@ def run_stability_experiment(ref_run: ApproxFrontRun, kernel: Kernel, f,
                               abs(fld.u[-1] - fld.u_right),
                               abs(fld.u[0] - fld.u_left))
         zm, zp, q = env.eval(t)
-        viol, dist = sandwich_margins(snap, ref, params.gamma, x_of_t(t),
-                                      zm, zp, q)
-        rows.append((t, viol, dist, q, zm, zp))
-    times, viols, dists, qs, zms, zps = (np.array(c) for c in zip(*rows))
+        viol, inner, dist = sandwich_margins(
+            snap, ref, params.gamma, locate_level(ref, f.theta), zm, zp, q)
+        rows.append((t, viol, inner, dist, q, zm, zp))
+    times, viols, inners, dists, qs, zms, zps = (np.array(c)
+                                                 for c in zip(*rows))
     return StabilityReport(times=times, envelope_distance=dists, q_values=qs,
                            zeta_minus=zms, zeta_plus=zps,
                            violation_count=int(np.sum(viols > 0.0)),
                            worst_violation=float(np.max(viols)),
-                           violations=viols, edge_defect=edge_defect)
+                           violations=viols, edge_defect=edge_defect,
+                           interior_worst_violation=float(np.max(inners)))
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +563,16 @@ def fit_log_decay(times: np.ndarray, dists: np.ndarray) -> tuple:
     return float(-slope), float(math.exp(intercept)), float(r2)
 
 
-def run_asymptotic_experiment(ref_run: ApproxFrontRun, kernel: Kernel, f,
-                              u0: FieldState, t0: float, horizon: float,
-                              dt: float, cadence: float) -> AsymptoticReport:
-    """Evolve u0 and fit the exponential decay of the best-shift distance;
-    tracking stops once the distance falls below 1e-7 after t0 + 10."""
+def run_asymptotic_experiment(pair0: FieldState, kernel: Kernel, f,
+                              horizon: float, dt: float,
+                              cadence: float) -> AsymptoticReport:
+    """Evolve the pair (reference, solution) from t0 = pair0.t and fit the
+    exponential decay of the best-shift distance; tracking stops once the
+    distance falls below 1e-7 after t0 + 10."""
+    t0 = pair0.t
     rows, z_prev = [], None
-    for snap, ref in _paired_snapshots(ref_run, kernel, f, u0, t0, horizon,
-                                       dt, cadence):
+    for snap, ref in _paired_snapshots(pair0, kernel, f, horizon, dt,
+                                       cadence):
         bracket = None if z_prev is None else (z_prev - 1.0, z_prev + 1.0)
         try:
             z, dval = best_shift(snap, ref, bracket=bracket)
@@ -613,9 +614,6 @@ def comparison_test(u0: FieldState, v0: FieldState, kernel: Kernel, f,
     if (np.any(u0.u > v0.u) or u0.u_left > v0.u_left
             or u0.u_right > v0.u_right):
         raise StabilityInputError("initial data not ordered")
-    pair = FieldState(t=u0.t, x=u0.x, u=np.stack([u0.u, v0.u]),
-                      u_left=np.array([u0.u_left, v0.u_left]),
-                      u_right=np.array([u0.u_right, v0.u_right]))
-    traj = evolve(pair, kernel, f, t_end, dt, snapshot_every=1.0)
+    traj = evolve(_pair(u0, v0), kernel, f, t_end, dt, snapshot_every=1.0)
     return OrderingReport(min_margin=min(
         float(np.min(snap.u[1] - snap.u[0])) for snap in traj.snapshots))

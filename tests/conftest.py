@@ -11,7 +11,7 @@ from frontlab.evolve import build_approx_front, evolve
 from frontlab.fields import Grid
 from frontlab.kernels import build_kernel
 from frontlab.reactions import make_default_ignition, min_slice, max_slice
-from frontlab.stability import extend_reference, select_alpha
+from frontlab.stability import select_alpha
 from frontlab.waves import solve_traveling_wave
 
 DT = 0.05
@@ -63,18 +63,17 @@ def sparams(front_run, kernel, f):
 
 
 @pytest.fixture(scope="session")
+def x_track(front_run):
+    """The front run's theta crossing, linear in t between snapshots."""
+    ts, xs = front_run.interface_track()
+    return lambda t: float(np.interp(t, ts, xs))
+
+
+@pytest.fixture(scope="session")
 def fine_traj(front_run, kernel, f):
     """Snapshot cadence 0.1 over [30, 50] for time-difference residuals."""
     state = front_run.trajectory.at_time(30.0)
     return evolve(state, kernel, f, 50.0, DT, snapshot_every=0.1)
-
-
-@pytest.fixture(scope="session")
-def long_ref(front_run, kernel, f, sparams):
-    """Reference run extended past t = 60 + 5/omega for the stability and
-    asymptotic experiments, as the CLI extends it."""
-    return extend_reference(front_run, kernel, f, T_END,
-                            5.0 / sparams.omega, DT, 2.0)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from frontlab.kernels import (build_kernel, convolve, exponential_moment,
                               positive_decay_rate)
 from frontlab.reactions import make_ignition, max_slice, min_slice, \
     validate_hypotheses
-from frontlab.stability import (PerturbationEnvelope, _interface_function,
+from frontlab.stability import (PerturbationEnvelope,
                                 asymptotic_initial, comparison_test,
                                 gamma_convolution, run_asymptotic_experiment,
                                 run_stability_experiment,
@@ -224,10 +224,9 @@ def test_09_gamma_m2_bound(capsys, kernel, sparams):
     assert ok
 
 
-def test_10_subsuper_residuals(capsys, fine_traj, front_run, sparams,
+def test_10_subsuper_residuals(capsys, fine_traj, x_track, sparams,
                                kernel, f):
     snaps = fine_traj.snapshots
-    x_track = _interface_function(front_run.snapshots, front_run.level)
     t0 = snaps[0].t
     ok = True
     details = []
@@ -254,11 +253,11 @@ def test_10_subsuper_residuals(capsys, fine_traj, front_run, sparams,
     assert ok
 
 
-def test_11_stability_sandwich(capsys, long_ref, kernel, f, sparams):
+def test_11_stability_sandwich(capsys, front_run, kernel, f, sparams):
     horizon = round(5.0 / sparams.omega / DT) * DT
     report = run_stability_experiment(
-        long_ref, kernel, f, sparams, eps=sparams.eps0,
-        rho_fn=lambda x: np.ones_like(x), t0=T_END, horizon=horizon,
+        front_run.trajectory.at_time(T_END), kernel, f, sparams,
+        eps=sparams.eps0, rho_fn=lambda x: np.ones_like(x), horizon=horizon,
         dt=DT, cadence=2.0)
     budget = 1e-6 + report.edge_defect
     n_bad = int(np.sum(report.violations > budget))
@@ -272,7 +271,7 @@ def test_11_stability_sandwich(capsys, long_ref, kernel, f, sparams):
     assert ok
 
 
-def test_12_asymptotic_stability(capsys, long_ref, kernel, f):
+def test_12_asymptotic_stability(capsys, front_run, kernel, f):
     # past ~400 time units the distance sits at the window-truncation
     # noise floor, which degrades the log-linear fit without information
     horizon = 400.0
@@ -281,9 +280,10 @@ def test_12_asymptotic_stability(capsys, long_ref, kernel, f):
     # the CLI's initial data: a mollified step at the reference interface,
     # and a liminf-above-theta plateau burnt in with live far fields
     for shape in ("mollified_step", "liminf_above_theta"):
-        u0 = asymptotic_initial(long_ref, kernel, f, T_END, DT, shape)
-        rep = run_asymptotic_experiment(long_ref, kernel, f, u0, t0=u0.t,
-                                        horizon=T_END + horizon - u0.t,
+        pair0 = asymptotic_initial(front_run.trajectory.at_time(T_END),
+                                   kernel, f, DT, shape)
+        rep = run_asymptotic_experiment(pair0, kernel, f,
+                                        horizon=T_END + horizon - pair0.t,
                                         dt=DT, cadence=2.0)
         good = (rep.fitted_rate is not None and rep.fitted_rate > 0.0
                 and rep.r_squared >= 0.98)

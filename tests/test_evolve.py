@@ -5,7 +5,7 @@ import pytest
 
 from frontlab.evolve import (EvolveError, EvolveInputError, Stepper,
                              WindowPolicy, _apply_window_policy,
-                             build_approx_front, evolve, extend_run)
+                             build_approx_front, evolve)
 from frontlab.fields import FieldState, Grid, constant_field, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import KernelError, _convolve_samples
@@ -192,10 +192,25 @@ class TestLanes:
         if far:   # the 0.9 far field lifts toward 1
             assert lanes.snapshots[-1].u_left[1] > 0.9
 
-    def test_window_policy_needs_single_lane(self, kernel, f):
-        _, pair = self._lanes(Grid(-20.0, 20.0, 801))
-        with pytest.raises(EvolveInputError):
-            evolve(pair, kernel, f, 1.0, DT, window_policy=WindowPolicy())
+    def test_window_policy_steers_by_lane_zero(self, kernel, f, tw_min):
+        grid = Grid(-30.0, 30.0, 1201)
+        fn = tw_min.profile_fn()
+        # the lead seeded far to the right so the policy must recenter
+        lead = FieldState(t=0.0, x=grid.x, u=fn(grid.x - 15.0))
+        pair = FieldState(t=0.0, x=grid.x,
+                          u=np.stack([lead.u, fn(grid.x - 10.0)]),
+                          u_left=np.array([1.0, 1.0]),
+                          u_right=np.array([0.0, 0.0]))
+        policy = WindowPolicy(level=0.3)
+        lanes = evolve(pair, kernel, f, 5.0, DT, window_policy=policy,
+                       snapshot_every=1.0)
+        single = evolve(lead, kernel, f, 5.0, DT, window_policy=policy,
+                        snapshot_every=1.0)
+        assert len(single.relocations) >= 1
+        assert lanes.relocations == single.relocations
+        for snap, ref in zip(lanes.snapshots, single.snapshots, strict=True):
+            assert np.array_equal(snap.x, ref.x)
+            assert np.array_equal(snap.u[0], ref.u)
 
 
 class TestMonotoneAndRange:
@@ -323,12 +338,6 @@ class TestApproxFront:
                                profile_fn=tw_min.profile_fn(),
                                derivative_fn=tw_min.derivative_fn(),
                                theta=f.theta)
-
-    def test_extend_run_appends(self, front_run, kernel, f):
-        ext = extend_run(front_run, kernel, f, t_end=62.0, dt=DT,
-                         snapshot_every=1.0, with_derivative=False)
-        assert ext.trajectory.times[-1] == pytest.approx(62.0, abs=1e-9)
-        assert ext.s == front_run.s and ext.y_s == front_run.y_s
 
 
 class TestTrajectory:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frontlab import kernels
 from frontlab.fields import FieldState, Grid
 from frontlab.kernels import (Kernel, KernelError, _convolve_samples,
                               build_kernel, convolve, convolve_derivative,
@@ -175,6 +176,30 @@ def test_any_sigma_builds_valid_kernel(sigma):
     assert k.quadrature_mass() == pytest.approx(1.0, abs=1e-13)
 
 
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(min_value=0.5, max_value=2.0))
+# a coarse stencil: the trapezoid rule misses unit mass by 1.6e-5
+@example(a=0.51)
+def test_any_bump_width_builds_valid_kernel(a):
+    k = build_kernel("bump", spacing=0.05, tail_tolerance=1e-6, a=a)
+    assert np.all(k.samples >= 0)
+    assert k.samples[0] == 0.0 and k.samples[-1] == 0.0
+    assert k.quadrature_mass() == pytest.approx(1.0, abs=1e-13)
+
+
+def test_mass_check_rejects_a_scaled_density(monkeypatch):
+    real = kernels._family_closures
+
+    def doubled(family, params):
+        density, derivative, tail_mass, r_max = real(family, params)
+        return (lambda x: 2.0 * density(x), derivative, tail_mass, r_max)
+
+    monkeypatch.setattr(kernels, "_family_closures", doubled)
+    for family, params in (("gaussian", {"sigma": 1.0}), ("bump", {"a": 1.0})):
+        with pytest.raises(KernelError, match="quadrature mass"):
+            build_kernel(family, spacing=0.05, tail_tolerance=1e-6, **params)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_convolution_preserves_bounds_and_monotonicity(seed, kernel):
@@ -192,8 +217,8 @@ def test_convolution_preserves_bounds_and_monotonicity(seed, kernel):
 @given(params=st.one_of(
            st.floats(min_value=0.5, max_value=2.0).map(
                lambda sigma: {"family": "gaussian", "sigma": sigma}),
-           # most bump widths below 2 fail build_kernel's mass check
-           st.just({"family": "bump", "a": 2.0})),
+           st.floats(min_value=0.5, max_value=2.0).map(
+               lambda a: {"family": "bump", "a": a})),
        n=st.integers(min_value=401, max_value=2401),
        seed=st.integers(min_value=0, max_value=10_000))
 def test_fft_convolution_matches_direct_form(params, n, seed):

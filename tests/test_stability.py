@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from frontlab.stability import (GammaFunction, InadmissibleAlpha,
                                 comparison_test, find_m2, fit_log_decay,
                                 gamma_convolution, make_gamma,
                                 make_perturbed_initial, profile_interp,
-                                sandwich_margins, subsupersolution_residual)
+                                run_stability_experiment, sandwich_margins,
+                                subsupersolution_residual)
 
 DT = 0.05
 
@@ -248,16 +250,26 @@ class TestSandwichMargins:
                                 q)
 
     def test_reference_sits_on_the_band(self):
-        viol, dist = self._margins(smoothed_step(self.GRID), 0.0, 0.0, 0.0)
+        viol, inner, dist = self._margins(smoothed_step(self.GRID),
+                                          0.0, 0.0, 0.0)
         assert viol == pytest.approx(0.0, abs=1e-15)
+        assert inner == pytest.approx(0.0, abs=1e-15)
         assert dist == pytest.approx(0.0, abs=1e-15)
 
     def test_shift_outside_the_band_and_wider_band(self):
         shifted = smoothed_step(self.GRID, center=1.0)
-        viol, dist = self._margins(shifted, 0.0, 0.0, 0.0)
-        assert viol > 0.1 and dist > 0.1
-        _, dist = self._margins(shifted, 0.0, 1.5, 0.0)
+        viol, inner, dist = self._margins(shifted, 0.0, 0.0, 0.0)
+        assert viol > 0.1 and dist > 0.1 and inner == viol
+        _, _, dist = self._margins(shifted, 0.0, 1.5, 0.0)
         assert dist == 0.0
+
+    def test_interior_skips_nodes_shifted_out_of_the_window(self):
+        # a dip on x < -28.5: there x - z+ leaves the window for z+ = 1.5
+        ref = smoothed_step(self.GRID)
+        dipped = ref.with_(u=np.where(self.GRID.x < -28.6, 0.5, ref.u))
+        viol, inner, _ = self._margins(dipped, 0.0, 1.5, 0.01)
+        assert viol > 0.4
+        assert inner <= 0.0
 
 
 def three_build_residual(snaps, x_track, params, env, sign, kernel, f):
@@ -290,13 +302,11 @@ def three_build_residual(snaps, x_track, params, env, sign, kernel, f):
 class TestResiduals:
     @pytest.mark.parametrize("shifted", [False, True])
     def test_matches_three_build_reference(self, fine_traj, sparams, kernel,
-                                           f, front_run, shifted):
-        from frontlab.stability import _interface_function
+                                           f, x_track, shifted):
         snaps = fine_traj.snapshots[:31]
         if shifted:
             # every other window moved by one node: grids differ pairwise
             snaps = [_shift_window(s, j % 2) for j, s in enumerate(snaps)]
-        x_track = _interface_function(front_run.snapshots, front_run.level)
         env = PerturbationEnvelope(t0=snaps[0].t, eps=sparams.eps0,
                                    omega=sparams.omega, A=sparams.A)
         for sign in (-1, +1):
@@ -307,12 +317,8 @@ class TestResiduals:
                                      kernel, f)
 
     def test_residuals_small_and_sabotage_detected(self, fine_traj, sparams,
-                                                   kernel, f, front_run):
-        import dataclasses
-
-        from frontlab.stability import _interface_function
+                                                   kernel, f, x_track):
         snaps = fine_traj.snapshots[:61]   # t in [30, 36]
-        x_track = _interface_function(front_run.snapshots, front_run.level)
         env = PerturbationEnvelope(t0=snaps[0].t, eps=sparams.eps0,
                                    omega=sparams.omega, A=sparams.A)
         for sign in (-1, +1):
@@ -328,16 +334,26 @@ class TestResiduals:
                                            bad_env, -1, kernel, f)
         assert series.sup_residual > 1e-3
 
-    def test_eps_guard(self, fine_traj, sparams, kernel, f, front_run):
-        from frontlab.stability import _interface_function
+    def test_eps_guard(self, fine_traj, sparams, kernel, f, x_track):
         env = PerturbationEnvelope(t0=30.0, eps=10.0 * sparams.eps0,
                                    omega=sparams.omega, A=sparams.A)
         with pytest.raises(StabilityError):
-            subsupersolution_residual(fine_traj.snapshots[:10],
-                                      _interface_function(
-                                          front_run.snapshots,
-                                          front_run.level),
+            subsupersolution_residual(fine_traj.snapshots[:10], x_track,
                                       sparams, env, -1, kernel, f)
+
+
+class TestStabilityExperiment:
+    def test_sabotaged_drift_breaks_the_sandwich(self, front_run, kernel, f,
+                                                 sparams):
+        # without the shift drift A the band cannot follow the perturbed
+        # front: the gate must fail
+        report = run_stability_experiment(
+            front_run.trajectory.at_time(60.0), kernel, f,
+            dataclasses.replace(sparams, A=0.0), eps=sparams.eps0,
+            rho_fn=lambda x: np.ones_like(x), horizon=200.0, dt=DT,
+            cadence=2.0)
+        assert report.worst_violation > 1e-6 + report.edge_defect
+        assert report.interior_worst_violation <= report.worst_violation
 
 
 class TestComparison:
