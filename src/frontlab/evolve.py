@@ -220,35 +220,32 @@ class ApproxFrontRun:
         v = np.gradient(xs, ts)
         return ts, v
 
-    def interface_at(self, t: float) -> float:
-        return locate_level(self.trajectory.at_time(t), self.level)
 
-
-def seed_from_profile(grid: Grid, profile_fn, derivative_fn, shift: float,
-                      t: float, with_w: bool = True) -> FieldState:
+def seed_from_profile(grid: Grid, profile_fn, shift: float, t: float,
+                      derivative_fn=None) -> FieldState:
     u = np.clip(profile_fn(grid.x - shift), 0.0, 1.0)
-    w = derivative_fn(grid.x - shift) if with_w else None
+    w = None if derivative_fn is None else derivative_fn(grid.x - shift)
     return FieldState(t=t, x=grid.x, u=u, u_left=1.0, u_right=0.0, w=w)
 
 
 def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
                        profile_fn, derivative_fn, theta: float,
-                       t_end: float = 0.0, snapshot_every: float = 1.0,
-                       with_derivative: bool = True) -> ApproxFrontRun:
+                       t_end: float = 0.0,
+                       snapshot_every: float = 1.0) -> ApproxFrontRun:
     """Seed at time s < 0 so that the front satisfies u(0,0;s) = theta.
 
     The equation is translation invariant in x: shifting the seed by dy
     moves the terminal theta-crossing X(0; y) by dy.  The seed shift y_s is
     the root of X(0; y): one step of slope 1 from y = 0, then secant steps
     (the slope leaves 1 once the window cuts the seed's tails), until
-    |u(0,0;s) - theta| <= SEED_HIT_TOL.
+    |u(0,0;s) - theta| <= SEED_HIT_TOL.  The trial runs evolve u alone;
+    the returned run carries the u_x co-state.
     """
     if s >= 0:
         raise EvolveInputError("seed time must be negative")
     y_s, prev, slope = 0.0, None, 1.0
     for _ in range(SEED_MAX_RUNS):
-        state = seed_from_profile(grid, profile_fn, derivative_fn, y_s, s,
-                                  with_w=False)
+        state = seed_from_profile(grid, profile_fn, y_s, s)
         end = evolve(state, kernel, f, 0.0, dt).snapshots[-1]
         if abs(float(np.interp(0.0, end.x, end.u)) - theta) <= SEED_HIT_TOL:
             break
@@ -266,8 +263,7 @@ def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
     else:
         raise EvolveError(f"seed shift missed theta in {SEED_MAX_RUNS} runs")
 
-    seed = seed_from_profile(grid, profile_fn, derivative_fn, y_s, s,
-                             with_w=with_derivative)
+    seed = seed_from_profile(grid, profile_fn, y_s, s, derivative_fn)
     traj = evolve(seed, kernel, f, t_end, dt, snapshot_every=snapshot_every)
     return ApproxFrontRun(s=s, y_s=y_s, level=theta, trajectory=traj)
 

@@ -228,8 +228,6 @@ class PerturbationEnvelope:
     eps: float
     omega: float
     A: float
-    zeta0_minus: float = 0.0
-    zeta0_plus: float = 0.0
 
     def _decay(self, t):
         """e^{-omega (t - t0)}, defined only from t0 on."""
@@ -246,10 +244,10 @@ class PerturbationEnvelope:
             self.A * self.eps / self.omega * (1.0 - self._decay(t)), 0.0)
 
     def zeta_minus(self, t):
-        return self.zeta0_minus - self._drift(t)
+        return 0.0 - self._drift(t)  # +0.0, not -0.0, at t0
 
     def zeta_plus(self, t):
-        return self.zeta0_plus + self._drift(t)
+        return self._drift(t)
 
     def eval(self, t):
         return (float(self.zeta_minus(t)), float(self.zeta_plus(t)),

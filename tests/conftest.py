@@ -1,22 +1,23 @@
 """Shared fixtures: the default problem, solved waves, and front runs.
 
-The heavy fixtures (long reference run, sandwich experiment) are session
-scoped so the acceptance tests and unit tests share one computation.
+The heavy fixtures are session scoped so the acceptance tests and unit tests
+share one computation.  The min wave and the front come from the CLI's
+per-process memo, which the acceptance tests' CLI runs read too.
 """
 
 import numpy as np
 import pytest
 
-from frontlab.evolve import build_approx_front, evolve
+from frontlab import cli
+from frontlab.evolve import evolve
 from frontlab.fields import Grid
 from frontlab.kernels import build_kernel
-from frontlab.reactions import make_default_ignition, min_slice, max_slice
+from frontlab.reactions import make_default_ignition, max_slice
 from frontlab.stability import select_alpha
 from frontlab.waves import solve_traveling_wave
 
 DT = 0.05
 S_SEED = -30.0
-T_END = 60.0
 
 
 @pytest.fixture(scope="session")
@@ -36,8 +37,8 @@ def wave_grid():
 
 
 @pytest.fixture(scope="session")
-def tw_min(kernel, f, wave_grid):
-    return solve_traveling_wave(kernel, min_slice(f), wave_grid)
+def tw_min():
+    return cli._front_run(cli.load_config(None))[0]
 
 
 @pytest.fixture(scope="session")
@@ -46,15 +47,10 @@ def tw_max(kernel, f, wave_grid):
 
 
 @pytest.fixture(scope="session")
-def front_run(kernel, f, tw_min):
-    """Heterogeneous approximating front: seeded at s=-30, run to t=60,
-    with the spatial-derivative co-state at cadence 1."""
-    grid = Grid(-50.0, 50.0, 2001)
-    return build_approx_front(kernel, f, s=S_SEED, grid=grid, dt=DT,
-                              profile_fn=tw_min.profile_fn(),
-                              derivative_fn=tw_min.derivative_fn(),
-                              theta=f.theta, t_end=T_END,
-                              snapshot_every=1.0)
+def front_run():
+    """Heterogeneous approximating front of the default config: seeded at
+    s=-30, run to t=60, with the spatial-derivative co-state at cadence 1."""
+    return cli._front_run(cli.load_config(None))[1]
 
 
 @pytest.fixture(scope="session")

@@ -2,36 +2,33 @@
 
 Each test evaluates its criterion at the stated tolerance, prints a single
 ``ACCEPTANCE NN <name>: PASS/FAIL`` line to the terminal, and then asserts.
-Heavy inputs (front runs, long reference trajectories) come from the
-session-scoped fixtures in conftest.py so they are computed once.
+Tests 03, 05, 07, 08, 11 and 12 check gates that the CLI experiments
+(`front`, `steepness`, `tails`, `stability`, `asymptotic`) hold: they run the
+experiment at the default config and take its exit code as the verdict.
+Heavy inputs come from session-scoped fixtures and from the CLI's
+per-process front memo, so the default front is built once.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from frontlab import cli
 from frontlab.evolve import WindowPolicy, evolve
 from frontlab.fields import FieldState, Grid, smoothed_step
-from frontlab.fronts import (check_steepness_bound, fit_exponential_tail,
-                             interface_width, lipschitz_estimate,
-                             locate_level, steepness,
-                             steepness_bound_constant, track_levels)
-from frontlab.kernels import (build_kernel, convolve, exponential_moment,
-                              positive_decay_rate)
+from frontlab.fronts import lipschitz_estimate, track_levels
+from frontlab.kernels import build_kernel, convolve, exponential_moment
 from frontlab.reactions import make_ignition, max_slice, min_slice, \
     validate_hypotheses
-from frontlab.stability import (PerturbationEnvelope,
-                                asymptotic_initial, comparison_test,
-                                gamma_convolution, run_asymptotic_experiment,
-                                run_stability_experiment,
+from frontlab.stability import (PerturbationEnvelope, gamma_convolution,
                                 subsupersolution_residual)
 from kernel_helpers import with_samples
 
 DT = 0.05
 S_SEED = -30.0
-T_END = 60.0
 
 
 def _report(capsys, num, name, ok, detail=""):
@@ -41,6 +38,32 @@ def _report(capsys, num, name, ok, detail=""):
         line += f"  [{detail}]"
     with capsys.disabled():
         print(line, flush=True)
+
+
+def _cli(out_dir, name, **experiment):
+    """Run one CLI experiment at the default config: (passed, summary).
+
+    A run that exits before writing summary.json (a config or solver error)
+    gets a summary that names its exit code as the failure.
+    """
+    cfg = cli.load_config(None)
+    cfg["experiment"].update(name=name, **experiment)
+    code = cli._run_experiment(name, cfg, out_dir, quiet=True)
+    path = out_dir / "summary.json"
+    summary = (json.loads(path.read_text()) if path.exists()
+               else {"failure": f"{name} exited {code}"})
+    return code == cli.EXIT_OK, summary
+
+
+def _detail(summary, template):
+    """The template filled from a passing summary, or the failure."""
+    return summary.get("failure") or template.format(**summary)
+
+
+@pytest.fixture(scope="module")
+def front_cli(tmp_path_factory):
+    """One `front` run; its gates are the speed envelope and the width."""
+    return _cli(tmp_path_factory.mktemp("front"), "front")
 
 
 def test_01_hypothesis_gate(capsys, kernel, f):
@@ -93,14 +116,11 @@ def test_02_traveling_wave(capsys, kernel, f, tw_min, tw_max):
     assert ok
 
 
-def test_03_speed_envelope(capsys, front_run, tw_min, tw_max):
-    ts, speeds = front_run.interface_speeds()
-    sel = ts >= S_SEED + 20.0
-    lo, hi = 0.98 * tw_min.speed, 1.02 * tw_max.speed
-    vmin, vmax = float(np.min(speeds[sel])), float(np.max(speeds[sel]))
-    ok = vmin >= lo and vmax <= hi
-    _report(capsys, 3, "speed envelope", ok,
-            f"speeds in [{vmin:.4f}, {vmax:.4f}] vs [{lo:.4f}, {hi:.4f}]")
+def test_03_speed_envelope(capsys, front_cli):
+    ok, summary = front_cli
+    _report(capsys, 3, "speed envelope", ok, _detail(
+        summary, "speeds in [{speed_min:.4f}, {speed_max:.4f}], "
+        "envelope [{envelope_lo:.4f}, {envelope_hi:.4f}]"))
     assert ok
 
 
@@ -130,14 +150,10 @@ def test_04_comparison_principle(capsys, kernel, f, rng):
     assert ok
 
 
-def test_05_bounded_width(capsys, front_run):
-    widths = [interface_width(s, 0.05) for s in front_run.snapshots
-              if s.t >= S_SEED + 20.0]
-    widths = np.array(widths)
-    ok = float(np.max(widths)) <= 2.0 * float(np.median(widths))
-    _report(capsys, 5, "bounded interface width", ok,
-            f"max {np.max(widths):.3f} vs 2*median "
-            f"{2 * np.median(widths):.3f}")
+def test_05_bounded_width(capsys, front_cli):
+    ok, summary = front_cli
+    _report(capsys, 5, "bounded interface width", ok, _detail(
+        summary, "width max {width_max:.3f}, median {width_median:.3f}"))
     assert ok
 
 
@@ -165,50 +181,19 @@ def test_06_regularity(capsys, front_run):
     assert ok
 
 
-def test_07_steepness(capsys, front_run, kernel, f):
-    ts, xs = front_run.interface_track()
-    worst = -np.inf
-    for snap, x_ref in zip(front_run.snapshots, xs):
-        if snap.t < S_SEED + 5.0 or snap.w is None:
-            continue
-        worst = max(worst, steepness(snap, x_ref, 5.0))
-    alpha_m = -worst
-    ok = alpha_m > 0.0
-
-    const = steepness_bound_constant(kernel, f.lipschitz_bound(0.0, 2.0),
-                                     dt=1.0, offset=0.0, half_width=1.0)
-    margins = []
-    for j in range(len(front_run.snapshots) - 1):
-        snap, nxt = front_run.snapshots[j], front_run.snapshots[j + 1]
-        if snap.t < S_SEED + 5.0 or snap.w is None or nxt.w is None:
-            continue
-        for delta in (-2.0, 0.0, 2.0):
-            x = xs[j + 1] + delta
-            lhs, rhs = check_steepness_bound(snap, nxt, const, z=x, x=x,
-                                             h_int=1.0)
-            margins.append(rhs - lhs)
-    worst_margin = float(np.min(margins))
-    ok &= worst_margin >= -1e-8
-    _report(capsys, 7, "uniform steepness", ok,
-            f"alpha_M={alpha_m:.4f}, bound margin {worst_margin:.2e} "
-            f"over {len(margins)} tuples")
+def test_07_steepness(capsys, tmp_path):
+    ok, summary = _cli(tmp_path, "steepness")
+    _report(capsys, 7, "uniform steepness", ok, _detail(
+        summary, "alpha_M={alpha_m:.4f}, bound margin {bound_margin_min:.2e}"
+        " (constant {bound_constant:.2e})"))
     assert ok
 
 
-def test_08_derivative_tails(capsys, front_run, kernel):
-    snap = front_run.trajectory.at_time(T_END)
-    x_ref = front_run.interface_at(T_END)
-    right = fit_exponential_tail(snap, "right", x_from=x_ref + 8.0,
-                                 values=snap.w)
-    left = fit_exponential_tail(snap, "left", x_to=x_ref - 8.0,
-                                values=snap.w)
-    ts, speeds = front_run.interface_speeds()
-    c_min_meas = 0.98 * float(np.min(speeds[ts >= S_SEED + 20.0]))
-    target = positive_decay_rate(kernel, c_min_meas)
-    ok = right.rate >= 0.9 * target and left.rate > 0.0
-    _report(capsys, 8, "derivative tails", ok,
-            f"right {right.rate:.4f} >= 0.9*{target:.4f}, "
-            f"left {left.rate:.4f} > 0")
+def test_08_derivative_tails(capsys, tmp_path):
+    ok, summary = _cli(tmp_path, "tails")
+    _report(capsys, 8, "derivative tails", ok, _detail(
+        summary, "right {right_rate:.4f} (R2 {right_r2:.4f}) against "
+        "target {target_rate:.4f}, left {left_rate:.4f}"))
     assert ok
 
 
@@ -253,46 +238,26 @@ def test_10_subsuper_residuals(capsys, fine_traj, x_track, sparams,
     assert ok
 
 
-def test_11_stability_sandwich(capsys, front_run, kernel, f, sparams):
-    horizon = round(5.0 / sparams.omega / DT) * DT
-    report = run_stability_experiment(
-        front_run.trajectory.at_time(T_END), kernel, f, sparams,
-        eps=sparams.eps0, rho_fn=lambda x: np.ones_like(x), horizon=horizon,
-        dt=DT, cadence=2.0)
-    budget = 1e-6 + report.edge_defect
-    n_bad = int(np.sum(report.violations > budget))
-    i3 = int(np.argmin(np.abs(report.times - (T_END + 3.0 / sparams.omega))))
-    d3 = float(report.envelope_distance[i3])
-    ok = n_bad == 0 and d3 <= 0.06 * sparams.eps0
-    _report(capsys, 11, "stability sandwich", ok,
-            f"worst violation {report.worst_violation:.2e} "
-            f"(budget {budget:.2e}), {n_bad} beyond budget, "
-            f"d(3/omega)={d3:.2e} <= {0.06 * sparams.eps0:.2e}")
+def test_11_stability_sandwich(capsys, tmp_path):
+    ok, summary = _cli(tmp_path, "stability")
+    _report(capsys, 11, "stability sandwich", ok, _detail(
+        summary, "worst violation {worst_violation:.2e} (interior "
+        "{interior_worst_violation:.2e}, edge defect {edge_defect:.2e}), "
+        "d(3/omega)={distance_at_3_over_omega:.2e}, eps={eps:.2e}"))
     assert ok
 
 
-def test_12_asymptotic_stability(capsys, front_run, kernel, f):
-    # past ~400 time units the distance sits at the window-truncation
-    # noise floor, which degrades the log-linear fit without information
-    horizon = 400.0
+def test_12_asymptotic_stability(capsys, tmp_path):
+    # the mollified step at the reference interface, and a liminf-above-
+    # theta plateau burnt in with live far fields
     ok = True
     details = []
-    # the CLI's initial data: a mollified step at the reference interface,
-    # and a liminf-above-theta plateau burnt in with live far fields
     for shape in ("mollified_step", "liminf_above_theta"):
-        pair0 = asymptotic_initial(front_run.trajectory.at_time(T_END),
-                                   kernel, f, DT, shape)
-        rep = run_asymptotic_experiment(pair0, kernel, f,
-                                        horizon=T_END + horizon - pair0.t,
-                                        dt=DT, cadence=2.0)
-        good = (rep.fitted_rate is not None and rep.fitted_rate > 0.0
-                and rep.r_squared >= 0.98)
-        spread = float(np.max(rep.shift_series[-5:])
-                       - np.min(rep.shift_series[-5:]))
-        good &= spread <= 1e-2
+        good, summary = _cli(tmp_path / shape, "asymptotic", initial=shape)
         ok &= good
-        details.append(f"{shape}: rate={rep.fitted_rate:.4f}, "
-                       f"R2={rep.r_squared:.4f}, zeta* spread {spread:.1e}")
+        details.append(_detail(
+            summary, "{initial}: rate={rate:.4f}, R2={r_squared:.4f}, "
+            "zeta* spread {zeta_star_spread:.1e}"))
     _report(capsys, 12, "asymptotic stability", ok, "; ".join(details))
     assert ok
 

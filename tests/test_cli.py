@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -45,6 +46,39 @@ class TestConfig:
             load_config(str(path))
 
 
+class TestFrontMemo:
+    # its problem is the one of the off-cadence tests below, which then
+    # find it in the memo
+    def test_front_and_tails_share_one_build(self, tmp_path, monkeypatch):
+        cfg = load_config(None)
+        cfg["grid"].update(x_min=-30.0, x_max=30.0, n=1201)
+        cfg["time"].update(s=-10.0, t_end=20.0)
+        build, builds = cli.build_approx_front, []
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_approx_front", counted)
+        cli._front_memo.cache_clear()
+        _, run = cli._front_run(cfg)
+        before = [(s.u.copy(), s.w.copy()) for s in run.snapshots]
+        for name in ("front", "tails"):
+            assert cli._run_experiment(name, cfg, tmp_path / name,
+                                       quiet=True) == 0
+        assert len(builds) == 1
+        for snap, (u, w) in zip(run.snapshots, before):
+            assert np.array_equal(snap.u, u) and np.array_equal(snap.w, w)
+
+        cli._front_memo.cache_clear()
+        assert cli._run_experiment("tails", cfg, tmp_path / "fresh",
+                                   quiet=True) == 0
+        assert len(builds) == 2
+        for name in ("tails.csv", "summary.json"):
+            assert ((tmp_path / "tails" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+
+
 class TestExitCodes:
     def test_validate_ok(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -67,15 +101,6 @@ class TestExitCodes:
     def test_unstable_dt_is_config_error(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {"time": {"dt": 0.5}})
         result = runner.invoke(main, ["validate", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
-
-    def test_forced_unordered_comparison_is_config_error(self, runner,
-                                                         tmp_path):
-        cfg = _write_cfg(tmp_path, {
-            "experiment": {"force_unordered": True, "pairs": 1,
-                           "t_end": 1.0}})
-        result = runner.invoke(main, ["comparison", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
@@ -266,11 +291,9 @@ class TestSweep:
     def test_failing_case_fails_sweep(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {
             "experiment": {"workers": 1, "cases": [
-                {"experiment": {"name": "comparison", "pairs": 1,
-                                "t_end": 1.0,
-                                "force_unordered": True}},
-            ]},
-            "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
+                {"experiment": {"name": "validate"},
+                 "reaction": {"theta_tilde": 0.5}},
+            ]}})
         result = runner.invoke(main, ["sweep", "--config", cfg,
                                       "--out", str(tmp_path / "out"),
                                       "--quiet"])
