@@ -46,35 +46,11 @@ def interface_width(field: FieldState, eps: float) -> float:
 
 
 @dataclass
-class FrontTrack:
-    """Level-set positions X_lambda(t) extracted from a trajectory."""
-
-    levels: np.ndarray
-    times: np.ndarray
-    positions: np.ndarray  # shape (n_times, n_levels)
-
-    def speeds(self) -> np.ndarray:
-        return np.gradient(self.positions, self.times, axis=0)
-
-
-def track_levels(snapshots, levels) -> FrontTrack:
-    levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    times = np.array([s.t for s in snapshots])
-    pos = np.array([[locate_level(s, lam) for lam in levels]
-                    for s in snapshots])
-    return FrontTrack(levels=levels, times=times, positions=pos)
-
-
-@dataclass
 class TailFit:
     rate: float
     amplitude: float
     window: tuple
     r_squared: float
-
-    @property
-    def accepted(self) -> bool:
-        return self.rate > 0.0 and self.r_squared >= 0.98
 
 
 MAGNITUDE_BAND = (1e-12, 1e-2)

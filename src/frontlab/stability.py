@@ -328,31 +328,12 @@ def subsupersolution_residual(snaps: list, x_track, params: StabilityParameters,
 
 
 # ---------------------------------------------------------------------------
-# experiments: the shared reference run, initial data and paired evolution
+# experiments: initial data and paired evolution
 
 #: left plateau of the "liminf_above_theta" initial data, and the length of
 #: each burn-in phase that lifts it to 1
 PLATEAU = 0.6
 BURN_IN = 60.0
-
-
-def reference_state(run: ApproxFrontRun, kernel: Kernel, f, t0: float,
-                    dt: float, cadence: float) -> FieldState:
-    """The reference at t0 without co-state: the front run's snapshot
-    there, or its last snapshot evolved on to t0 under its window policy.
-
-    t0 must be one of the front run's snapshot times, or its last plus
-    whole cadences of whole time steps.
-    """
-    ts = run.trajectory.times
-    k, m = (t0 - ts[-1]) / cadence, cadence / dt
-    on_extension = k > 0 and max(abs(k - round(k)), abs(m - round(m))) < 1e-9
-    if np.min(np.abs(ts - t0)) > 1e-9 and not on_extension:
-        raise StabilityInputError(f"t0={t0} is not a snapshot time")
-    if not on_extension:
-        return run.trajectory.at_time(t0).with_(w=None)
-    return evolve(run.snapshots[-1].with_(w=None), kernel, f, t0, dt,
-                  window_policy=WindowPolicy(level=run.level)).snapshots[-1]
 
 
 def _pair(ref: FieldState, sol: FieldState) -> FieldState:
@@ -363,14 +344,13 @@ def _pair(ref: FieldState, sol: FieldState) -> FieldState:
 
 
 def asymptotic_initial(ref0: FieldState, kernel: Kernel, f, dt: float,
-                       shape: str, plateau: float = PLATEAU,
-                       burn: float = BURN_IN) -> FieldState:
+                       shape: str) -> FieldState:
     """The pair (reference, front-like initial data centred on the
     reference's theta crossing) at ref0.t.
 
     "mollified_step" is a tanh step from 1 to 0.  "liminf_above_theta"
     scales it to a left plateau above theta and lets the plateau burn up
-    to 1, with live far fields, in up to four phases of length `burn`;
+    to 1, with live far fields, in up to four phases of length BURN_IN;
     the pair starts where the burn-in ends.  The reference lane is exact
     throughout: f vanishes at its far fields (1, 0).
     """
@@ -380,11 +360,11 @@ def asymptotic_initial(ref0: FieldState, kernel: Kernel, f, dt: float,
         return _pair(ref0, base)
     if shape != "liminf_above_theta":
         raise StabilityInputError(f"unknown initial shape {shape!r}")
-    pair = _pair(ref0, base.with_(u=plateau * base.u, u_left=plateau))
+    pair = _pair(ref0, base.with_(u=PLATEAU * base.u, u_left=PLATEAU))
     t_burn = ref0.t
     for _ in range(4):
-        t_burn += burn
-        pair = evolve(pair, kernel, f, t_burn, dt, snapshot_every=burn,
+        t_burn += BURN_IN
+        pair = evolve(pair, kernel, f, t_burn, dt, snapshot_every=BURN_IN,
                       window_policy=WindowPolicy(level=f.theta),
                       evolve_far_fields=True).snapshots[-1]
         if abs(pair.u_left[1] - 1.0) <= 1e-8:
@@ -414,7 +394,6 @@ class StabilityReport:
     zeta_plus: np.ndarray
     violation_count: int
     worst_violation: float
-    violations: np.ndarray
     edge_defect: float   # window-truncation mismatch at the far fields
     # worst violation where both shifted references stay inside the window
     interior_worst_violation: float
@@ -501,7 +480,7 @@ def run_stability_experiment(ref0: FieldState, kernel: Kernel, f,
                            zeta_minus=zms, zeta_plus=zps,
                            violation_count=int(np.sum(viols > 0.0)),
                            worst_violation=float(np.max(viols)),
-                           violations=viols, edge_defect=edge_defect,
+                           edge_defect=edge_defect,
                            interior_worst_violation=float(np.max(inners)))
 
 
@@ -596,22 +575,13 @@ def run_asymptotic_experiment(pair0: FieldState, kernel: Kernel, f,
 # comparison principle
 
 
-@dataclass
-class OrderingReport:
-    min_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return self.min_margin >= -1e-8
-
-
 def comparison_test(u0: FieldState, v0: FieldState, kernel: Kernel, f,
-                    t_end: float, dt: float) -> OrderingReport:
-    """Evolve an ordered pair as two lanes of one evolve; report min(v - u)
-    over snapshots one time unit apart."""
+                    t_end: float, dt: float) -> float:
+    """Evolve an ordered pair as two lanes of one evolve; the least
+    margin min(v - u) over snapshots one time unit apart."""
     if (np.any(u0.u > v0.u) or u0.u_left > v0.u_left
             or u0.u_right > v0.u_right):
         raise StabilityInputError("initial data not ordered")
     traj = evolve(_pair(u0, v0), kernel, f, t_end, dt, snapshot_every=1.0)
-    return OrderingReport(min_margin=min(
-        float(np.min(snap.u[1] - snap.u[0])) for snap in traj.snapshots))
+    return min(float(np.min(snap.u[1] - snap.u[0]))
+               for snap in traj.snapshots)

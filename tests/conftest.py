@@ -7,6 +7,7 @@ per-process memo, which the acceptance tests' CLI runs read too.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from frontlab import cli
 from frontlab.evolve import evolve
@@ -18,6 +19,10 @@ from frontlab.waves import solve_traveling_wave
 
 DT = 0.05
 S_SEED = -30.0
+
+# --hypothesis-profile=ci: a failing draw prints its @reproduce_failure line;
+# the number of examples and the randomness are the default profile's
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -47,8 +47,8 @@ class TestConfig:
 
 
 class TestFrontMemo:
-    # its problem is the one of the off-cadence tests below, which then
-    # find it in the memo
+    # its problem is the one of the unknown-initial-shape test below, which
+    # then finds it in the memo
     def test_front_and_tails_share_one_build(self, tmp_path, monkeypatch):
         cfg = load_config(None)
         cfg["grid"].update(x_min=-30.0, x_max=30.0, n=1201)
@@ -111,12 +111,35 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "bogus" in result.output
 
-    def test_bad_wave_tolerance_is_config_error(self, runner, tmp_path):
-        cfg = _write_cfg(tmp_path, {"experiment": {"tol": 1e-2}})
+    @pytest.mark.parametrize("experiment, key", [
+        ("stability", "t0"),
+        ("asymptotic", "horizon"),
+        ("wave", "tol"),
+        ("steepness", "half_width"),
+    ])
+    def test_unread_experiment_key_is_config_error(self, runner, tmp_path,
+                                                   monkeypatch, experiment,
+                                                   key):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the experiment keys were "
+                                 "checked")
+
+        monkeypatch.setattr(cli, "_front_run", solve)
+        monkeypatch.setattr(cli, "solve_traveling_wave", solve)
+        cfg = _write_cfg(tmp_path, {"experiment": {key: 1.0}})
+        result = runner.invoke(main, [experiment, "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"{experiment} reads no experiment key {key!r}" \
+            in result.output
+
+    def test_narrow_wave_window_is_config_error(self, runner, tmp_path):
+        cfg = _write_cfg(tmp_path, {
+            "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
         result = runner.invoke(main, ["wave", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
-        assert "configuration error" in result.output
+        assert result.exit_code == 2, result.output
+        assert "must span at least 80" in result.output
 
     @pytest.mark.parametrize("experiment, patch", [
         ("validate", {"grid": {"n": [1]}}),
@@ -159,18 +182,15 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "null" in result.output
 
-    @pytest.mark.parametrize("experiment", ["asymptotic", "stability"])
-    def test_off_cadence_t0_is_config_error(self, runner, tmp_path,
-                                            experiment):
-        # snapshots at t = 20 and every 2 time units after it
+    def test_unknown_initial_shape_is_config_error(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {
-            "experiment": {"t0": 20.5},
+            "experiment": {"initial": "bogus"},
             "time": {"s": -10.0, "t_end": 20.0},
             "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
-        result = runner.invoke(main, [experiment, "--config", cfg,
+        result = runner.invoke(main, ["asymptotic", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
-        assert "t0=20.5 is not a snapshot time" in result.output
+        assert "unknown initial shape 'bogus'" in result.output
 
     def test_solver_breakdown_is_solver_failure(self, runner, tmp_path,
                                                 monkeypatch):
@@ -192,6 +212,18 @@ class TestExitCodes:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] == 0
         assert "H4_decay_slope at t=" in summary["failure"]
+
+    def test_equal_slices_fail_speed_ordering(self, runner, tmp_path):
+        # a constant a(t) makes f_min = f_max, so the two speeds coincide
+        cfg = _write_cfg(tmp_path, {
+            "reaction": {"a_amp": 0.0},
+            "grid": {"x_min": -40.0, "x_max": 40.0, "n": 1601}})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["wave", "--config", cfg,
+                                      "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "speed ordering" in json.loads(
+            (out / "summary.json").read_text())["failure"]
 
     def test_grid_spacing_mismatch_is_config_error(self, runner, tmp_path):
         # n = 1001 on [-50, 50] gives h = 0.1 against kernel spacing 0.05

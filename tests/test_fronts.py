@@ -9,7 +9,7 @@ from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import (FrontError, fit_exponential_tail,
                              interface_width, lipschitz_estimate,
                              locate_level, steepness,
-                             steepness_bound_constant, track_levels)
+                             steepness_bound_constant)
 from frontlab.kernels import convolve
 
 STEEPNESS_FLOOR = 1e-6
@@ -96,14 +96,6 @@ class TestWidthAndTracks:
             with pytest.raises(FrontError):
                 interface_width(field, eps)
 
-    def test_track_levels_constant_speed(self):
-        grid = Grid(-30.0, 30.0, 3001)
-        snaps = [_tanh_front(grid, center=0.25 * t).with_(t=float(t))
-                 for t in range(10)]
-        track = track_levels(snaps, [0.3, 0.5])
-        assert track.positions.shape == (10, 2)
-        assert np.allclose(track.speeds(), 0.25, atol=1e-4)
-
 
 class TestInterfaceSpeed:
     def test_matches_track_speed(self, front_run, kernel, f):
@@ -133,7 +125,6 @@ class TestTailFit:
         assert fit.rate == pytest.approx(rate_r, rel=1e-10)
         assert fit.amplitude == pytest.approx(0.3, rel=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.accepted
         left = fit_exponential_tail(field, "left", x_to=-5.0,
                                     values=field.u - 1.0)
         # u - 1 loses ~8 digits near u ~= 1, so the left fit is looser
@@ -176,7 +167,7 @@ class TestTailFit:
         u = 1e-4 * np.exp(rng.normal(0.0, 1.5, grid.n))
         field = FieldState(t=0.0, x=grid.x, u=u, u_left=1e-4, u_right=0.0)
         fit = fit_exponential_tail(field, "right", band=(1e-12, 1.0))
-        assert not fit.accepted
+        assert fit.r_squared < 0.98
 
 
 class TestSteepness:
