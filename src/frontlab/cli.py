@@ -33,9 +33,10 @@ from .fronts import (check_steepness_bound, fit_exponential_tail,
                      steepness_bound_constant)
 from .kernels import _check_compatible, build_kernel, positive_decay_rate
 from .reactions import make_ignition, max_slice, min_slice, validate_hypotheses
-from .stability import (StabilityError, asymptotic_initial, comparison_test,
-                        measured_c_min, run_asymptotic_experiment,
-                        run_stability_experiment, select_alpha)
+from .stability import (INITIAL_SHAPES, StabilityError, asymptotic_initial,
+                        comparison_test, measured_c_min,
+                        run_asymptotic_experiment, run_stability_experiment,
+                        select_alpha)
 from .waves import WaveError, solve_traveling_wave
 
 EXIT_OK = 0
@@ -208,8 +209,23 @@ class Artifacts:
 # experiments
 
 
-def _wave_grid(kern):
-    return Grid(-60.0, 60.0, int(120.0 / kern.spacing) + 1)
+#: the wave of each slice, by the kernel and reaction sections it reads
+_WAVES = {}
+
+
+def _wave(cfg, slice_fn):
+    """The wave of slice_fn(f) (min_slice or max_slice) on [-60, 60],
+    solved once per kernel and reaction."""
+    key = (json.dumps([cfg["kernel"], cfg["reaction"]], sort_keys=True,
+                      default=str), slice_fn)
+    if key not in _WAVES:
+        kern, f, _ = build_problem(cfg)
+        grid = Grid(-60.0, 60.0, int(120.0 / kern.spacing) + 1)
+        wave = solve_traveling_wave(kern, slice_fn(f), grid)
+        for arr in (wave.x, wave.phi, wave.dphi):  # shared by every caller
+            arr.flags.writeable = False
+        _WAVES[key] = wave
+    return _WAVES[key]
 
 
 def _front_run(cfg):
@@ -223,13 +239,10 @@ def _front_memo(problem: str):
     cfg = json.loads(problem)
     kern, f, grid = build_problem(cfg)
     tc = cfg["time"]
-    wave = solve_traveling_wave(kern, min_slice(f), _wave_grid(kern))
-    run = build_approx_front(kern, f, s=_num(tc, "s"), grid=grid,
-                             dt=_num(tc, "dt"),
-                             profile_fn=wave.profile_fn(),
-                             derivative_fn=wave.derivative_fn(),
-                             theta=f.theta, t_end=_num(tc, "t_end"),
-                             snapshot_every=_num(tc, "cadence"))
+    wave = _wave(cfg, min_slice)
+    run = build_approx_front(kern, f, wave, grid, _num(tc, "s"),
+                             _num(tc, "dt"), _num(tc, "t_end"),
+                             _num(tc, "cadence"))
     for snap in run.snapshots:  # shared by every caller of the memo
         snap.u.flags.writeable = snap.w.flags.writeable = False
     return wave, run
@@ -269,9 +282,8 @@ def exp_wave(cfg, art: Artifacts) -> dict:
 
 
 def exp_front(cfg, art: Artifacts) -> dict:
-    kern, f, _ = build_problem(cfg)
     wave_lo, run = _front_run(cfg)
-    wave_hi = solve_traveling_wave(kern, max_slice(f), _wave_grid(kern))
+    wave_hi = _wave(cfg, max_slice)
     ts, xs = run.interface_track()
     _, speeds = run.interface_speeds()
     widths = np.array([interface_width(s, 0.05) for s in run.snapshots])
@@ -279,7 +291,7 @@ def exp_front(cfg, art: Artifacts) -> dict:
                   [ts, xs, speeds, widths])
     art.plot("front_track.png", ts, {"x_theta": xs}, "t", "interface")
     art.plot("front_width.png", ts, {"width": widths}, "t", "width")
-    sel = np.asarray(ts) >= _num(cfg["time"], "s") + 20.0
+    sel = np.asarray(ts) >= run.settled_from
     lo, hi = 0.98 * wave_lo.speed, 1.02 * wave_hi.speed
     summary = {"y_s": run.y_s, "speed_min": float(np.min(speeds[sel])),
                "speed_max": float(np.max(speeds[sel])),
@@ -306,15 +318,14 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     art.plot("steepness.png", ts[late], {"sup_w": ss}, "t",
              "sup w near front")
     alpha_m = -float(np.max(ss))
-    const = steepness_bound_constant(kern, f.lipschitz_bound(0.0, 2.0),
-                                     dt=_num(cfg["time"], "cadence"),
-                                     offset=0.0, half_width=1.0)
+    const = steepness_bound_constant(kern, f.lipschitz_bound(2.0),
+                                     dt=_num(cfg["time"], "cadence"))
     margins = []
     for j in late[:-1]:  # the last snapshot has no successor
         for delta in (-2.0, 0.0, 2.0):
             x = xs[j + 1] + delta
             lhs, rhs = check_steepness_bound(snaps[j], snaps[j + 1], const,
-                                             z=x, x=x, h_int=1.0)
+                                             x)
             margins.append(rhs - lhs)
     worst = float(np.min(margins)) if margins else float("nan")
     summary = {"alpha_m": alpha_m, "bound_constant": const.value,
@@ -335,8 +346,7 @@ def exp_tails(cfg, art: Artifacts) -> dict:
                                  values=snap.w)
     left = fit_exponential_tail(snap, "left", x_to=x_ref - 8.0,
                                 values=snap.w)
-    c_min_meas = measured_c_min(run, t_from=_num(cfg["time"], "s") + 20.0)
-    target = positive_decay_rate(kern, c_min_meas)
+    target = positive_decay_rate(kern, measured_c_min(run))
     art.write_csv("tails.csv", ["x", "u", "w"], [snap.x, snap.u, snap.w])
     art.plot("tails.png", snap.x, {"|w|": np.abs(snap.w) + 1e-30},
              "x", "|w|", logy=True)
@@ -353,15 +363,12 @@ def exp_tails(cfg, art: Artifacts) -> dict:
 def exp_stability(cfg, art: Artifacts) -> dict:
     kern, f, _ = build_problem(cfg)
     _, run = _front_run(cfg)
-    tc = cfg["time"]
-    dt = _num(tc, "dt")
-    params = select_alpha(run, kern, f, t_from=_num(tc, "s") + 20.0)
+    dt = _num(cfg["time"], "dt")
+    params = select_alpha(run, kern, f)
     horizon = round(5.0 / params.omega / dt) * dt
     ref0 = run.snapshots[-1].with_(w=None)  # t0 is time.t_end
     eps = params.eps0
-    report = run_stability_experiment(
-        ref0, kern, f, params, eps=eps, rho_fn=lambda x: np.ones_like(x),
-        horizon=horizon, dt=dt, cadence=2.0)
+    report = run_stability_experiment(ref0, kern, f, params, horizon, dt)
     art.write_csv("sandwich.csv",
                   ["t", "envelope_distance", "q", "zeta_minus", "zeta_plus"],
                   [report.times, report.envelope_distance, report.q_values,
@@ -390,15 +397,17 @@ def exp_stability(cfg, art: Artifacts) -> dict:
 
 
 def exp_asymptotic(cfg, art: Artifacts) -> dict:
+    shape = cfg["experiment"].get("initial", "mollified_step")
+    if shape not in INITIAL_SHAPES:
+        raise ValueError(f"unknown initial shape {shape!r}")
     kern, f, _ = build_problem(cfg)
     _, run = _front_run(cfg)
     dt = _num(cfg["time"], "dt")
     ref0 = run.snapshots[-1].with_(w=None)  # t0 is time.t_end
-    shape = cfg["experiment"].get("initial", "mollified_step")
     pair0 = asymptotic_initial(ref0, kern, f, dt, shape)
     report = run_asymptotic_experiment(pair0, kern, f,
                                        horizon=ref0.t + 400.0 - pair0.t,
-                                       dt=dt, cadence=2.0)
+                                       dt=dt)
     art.write_csv("asymptotic.csv", ["t", "best_shift_distance"],
                   [report.times, report.sup_distances])
     art.plot("asymptotic.png", report.times,

@@ -16,6 +16,7 @@ import numpy as np
 from .fields import FieldState, Grid
 from .kernels import Kernel, _check_compatible, _convolve_samples
 from .fronts import FrontError, locate_level
+from .waves import TravelingWave
 
 
 class EvolveError(RuntimeError):
@@ -32,14 +33,8 @@ SEED_HIT_TOL = 2.5e-7
 #: the seed, not the window, still places the front
 SEED_MAX_RUNS = 10
 SEED_MIN_SLOPE = 0.1
-
-
-@dataclass(frozen=True)
-class WindowPolicy:
-    """Shift the window when the tracked level of lane 0 leaves the middle
-    third."""
-
-    level: float = 0.3
+#: time after the seed time s from which an approximating front has settled
+TRANSIENT = 20.0
 
 
 @dataclass(frozen=True)
@@ -143,13 +138,16 @@ class Stepper:
 
 
 def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
-           window_policy: WindowPolicy | None = None,
+           track_front: bool = False,
            snapshot_every: float | None = None,
            evolve_far_fields: bool = False) -> Trajectory:
-    """Integrate to t_end, returning snapshots at the requested cadence.
+    """Integrate to t_end > state.t with snapshots every snapshot_every.
 
-    A window policy steers the window of a multi-lane state by lane 0.
+    With track_front=True the window follows lane 0's theta crossing.
     """
+    if not t_end > state.t:
+        raise EvolveInputError(f"t_end={t_end} does not lie after "
+                               f"t={state.t}")
     stepper = Stepper(kernel, f, evolve_far_fields=evolve_far_fields)
     n_steps = max(1, int(round((t_end - state.t) / dt)))
     dt_eff = (t_end - state.t) / n_steps
@@ -165,20 +163,17 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
     for i in range(1, n_steps + 1):
         # stamp each step from the start time: summed steps drift off t_end
         state = stepper.step(state, dt_eff).with_(t=t_start + i * dt_eff)
-        if window_policy is not None and (i % check_stride == 0
-                                          or i == n_steps):
-            state, moved = _apply_window_policy(state, window_policy)
+        if track_front and (i % check_stride == 0 or i == n_steps):
+            state, moved = _apply_window_policy(state, f.theta)
             if moved:
                 relocations.append(Relocation(t=state.t,
                                               shift=moved * state.h))
         if i % snap_stride == 0 or i == n_steps:
-            if snapshots[-1].t < state.t - 1e-12:
-                snapshots.append(state)
+            snapshots.append(state)
     return Trajectory(snapshots=snapshots, relocations=relocations)
 
 
-def _apply_window_policy(state: FieldState, policy: WindowPolicy):
-    lam = policy.level
+def _apply_window_policy(state: FieldState, lam: float):
     if np.any(state.u[..., 0] < lam) or np.any(state.u[..., -1] > lam):
         raise EvolveError("front reached the window edge before relocation")
     lead = state.lane(0) if state.u.ndim > 1 else state
@@ -208,6 +203,11 @@ class ApproxFrontRun:
     def snapshots(self):
         return self.trajectory.snapshots
 
+    @property
+    def settled_from(self) -> float:
+        """Start of the post-transient part of the run."""
+        return self.s + TRANSIENT
+
     def interface_track(self) -> tuple[np.ndarray, np.ndarray]:
         ts = self.trajectory.times
         xs = np.array([locate_level(snap, self.level)
@@ -228,11 +228,11 @@ def seed_from_profile(grid: Grid, profile_fn, shift: float, t: float,
     return FieldState(t=t, x=grid.x, u=u, u_left=1.0, u_right=0.0, w=w)
 
 
-def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
-                       profile_fn, derivative_fn, theta: float,
-                       t_end: float = 0.0,
+def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
+                       s: float, dt: float, t_end: float = 0.0,
                        snapshot_every: float = 1.0) -> ApproxFrontRun:
-    """Seed at time s < 0 so that the front satisfies u(0,0;s) = theta.
+    """Seed the wave profile at time s < 0 so that the front satisfies
+    u(0,0;s) = theta.
 
     The equation is translation invariant in x: shifting the seed by dy
     moves the terminal theta-crossing X(0; y) by dy.  The seed shift y_s is
@@ -243,6 +243,7 @@ def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
     """
     if s >= 0:
         raise EvolveInputError("seed time must be negative")
+    theta, profile_fn = f.theta, wave.profile_fn()
     y_s, prev, slope = 0.0, None, 1.0
     for _ in range(SEED_MAX_RUNS):
         state = seed_from_profile(grid, profile_fn, y_s, s)
@@ -263,7 +264,7 @@ def build_approx_front(kernel: Kernel, f, s: float, grid: Grid, dt: float,
     else:
         raise EvolveError(f"seed shift missed theta in {SEED_MAX_RUNS} runs")
 
-    seed = seed_from_profile(grid, profile_fn, y_s, s, derivative_fn)
+    seed = seed_from_profile(grid, profile_fn, y_s, s, wave.derivative_fn())
     traj = evolve(seed, kernel, f, t_end, dt, snapshot_every=snapshot_every)
     return ApproxFrontRun(s=s, y_s=y_s, level=theta, trajectory=traj)
 

@@ -72,16 +72,16 @@ class FieldState:
         return bool(np.all(np.diff(self.u) <= tol))
 
 
-def constant_field(grid: Grid, value: float, t: float = 0.0) -> FieldState:
+def constant_field(grid: Grid, value: float) -> FieldState:
     u = np.full(grid.n, float(value))
-    return FieldState(t=t, x=grid.x, u=u, u_left=value, u_right=value)
+    return FieldState(t=0.0, x=grid.x, u=u, u_left=value, u_right=value)
 
 
-def smoothed_step(grid: Grid, center: float = 0.0, width: float = 2.0,
-                  t: float = 0.0) -> FieldState:
-    """Front-like initial datum decaying from 1 to 0 around `center`."""
+def smoothed_step(grid: Grid, center: float = 0.0,
+                  width: float = 2.0) -> FieldState:
+    """Front-like datum at t = 0, decaying from 1 to 0 around `center`."""
     u = 0.5 * (1.0 - np.tanh((grid.x - center) / width))
-    return FieldState(t=t, x=grid.x, u=u, u_left=1.0, u_right=0.0)
+    return FieldState(t=0.0, x=grid.x, u=u, u_left=1.0, u_right=0.0)
 
 
 def pchip_far_fields(x: np.ndarray, y: np.ndarray, left: float,

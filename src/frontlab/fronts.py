@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldState
-from .kernels import ITERATION_CAP, Kernel, iterated_kernels
+from .kernels import Kernel, iterated_kernels
 
 
 class FrontError(ValueError):
@@ -103,11 +103,9 @@ def fit_exponential_tail(field: FieldState, side: str,
                    r_squared=float(r2))
 
 
-def steepness(field: FieldState, center: float, half_width: float,
-              w: np.ndarray | None = None) -> float:
+def steepness(field: FieldState, center: float, half_width: float) -> float:
     """Max of u_x over [center-M, center+M]; negative for steep fronts."""
-    if w is None:
-        w = field.w
+    w = field.w
     if w is None:
         raise FrontError("steepness needs the derivative co-state")
     lo, hi = center - half_width, center + half_width
@@ -135,8 +133,6 @@ class SteepnessBoundConstant:
 
     K: float
     N: int
-    offset: float
-    half_width: float
     c_tilde: float
     dt: float
 
@@ -146,30 +142,27 @@ class SteepnessBoundConstant:
                 * (self.dt / self.N) ** self.N)
 
 
-def steepness_bound_constant(kernel: Kernel, c_fu: float, dt: float,
-                             offset: float,
-                             half_width: float) -> SteepnessBoundConstant:
-    """C = inf(J^N) * exp(-(1+K) dt) * (dt/N)^N on the offset interval."""
-    if dt <= 0 or half_width <= 0:
-        raise FrontError("dt and half_width must be positive")
-    lo, hi = offset - half_width, offset + half_width
-    for ik in iterated_kernels(kernel, ITERATION_CAP):
+def steepness_bound_constant(kernel: Kernel, c_fu: float,
+                             dt: float) -> SteepnessBoundConstant:
+    """C = inf(J^N) * exp(-(1+K) dt) * (dt/N)^N on [-1, 1]."""
+    if dt <= 0:
+        raise FrontError("dt must be positive")
+    for ik in iterated_kernels(kernel):
         xs = ik.offsets
-        if lo < xs[0] or hi > xs[-1]:
+        if -1.0 < xs[0] or 1.0 > xs[-1]:
             continue
-        inside = (xs >= lo - ik.spacing) & (xs <= hi + ik.spacing)
+        inside = (xs >= -1.0 - ik.spacing) & (xs <= 1.0 + ik.spacing)
         inf_val = float(np.min(ik.samples[inside]))
         if inf_val > 0.0:
-            return SteepnessBoundConstant(K=c_fu, N=ik.order, offset=offset,
-                                          half_width=half_width,
+            return SteepnessBoundConstant(K=c_fu, N=ik.order,
                                           c_tilde=inf_val, dt=dt)
     raise FrontError("no iteration order achieves positivity on the interval")
 
 
 def check_steepness_bound(w_before: FieldState, w_after: FieldState,
-                          const: SteepnessBoundConstant, z: float,
-                          x: float, h_int: float) -> tuple[float, float]:
-    """Evaluate w(t0+dt, x) vs C * trapezoid of w(t0, .) over [z-h, z+h].
+                          const: SteepnessBoundConstant,
+                          x: float) -> tuple[float, float]:
+    """Evaluate w(t0+dt, x) vs C * trapezoid of w(t0, .) over [x-1, x+1].
 
     Returns (lhs, rhs); the bound holds when lhs <= rhs (+ tolerance).
     """
@@ -177,8 +170,6 @@ def check_steepness_bound(w_before: FieldState, w_after: FieldState,
         raise FrontError("snapshots must carry the derivative co-state")
     lhs = float(np.interp(x, w_after.x, w_after.w))
     xs = w_before.x
-    inside = (xs >= z - h_int) & (xs <= z + h_int)
-    grid_x = xs[inside]
-    grid_w = w_before.w[inside]
-    integral = float(np.trapezoid(grid_w, grid_x))
+    inside = (xs >= x - 1.0) & (xs <= x + 1.0)
+    integral = float(np.trapezoid(w_before.w[inside], xs[inside]))
     return lhs, const.value * integral

@@ -226,13 +226,6 @@ def convolve(kernel: Kernel, field: FieldState) -> np.ndarray:
                              field.u_left, field.u_right)
 
 
-def convolve_derivative(kernel: Kernel, field: FieldState) -> np.ndarray:
-    """(J'*u)(x) at every grid node."""
-    _check_compatible(kernel, field)
-    return _convolve_samples(kernel.weights * kernel.derivative_samples,
-                             field.u, field.u_left, field.u_right)
-
-
 # ---------------------------------------------------------------------------
 # moments and decay rates
 
@@ -293,20 +286,11 @@ def positive_decay_rate(kernel: Kernel, c_min: float) -> float:
     return 0.5 * root
 
 
-def iterated_kernels(kernel: Kernel, max_order: int):
-    """Yield J^1, ..., J^max_order, each by one convolution with J."""
-    if max_order > ITERATION_CAP:
-        raise KernelError(f"iteration order exceeds cap {ITERATION_CAP}")
+def iterated_kernels(kernel: Kernel):
+    """Yield J^1, ..., J^ITERATION_CAP, each by one convolution with J."""
     samples = kernel.samples.copy()
     h = kernel.spacing
-    for order in range(1, max_order + 1):
+    for order in range(1, ITERATION_CAP + 1):
         if order > 1:
             samples = np.convolve(samples, kernel.samples) * h
         yield IteratedKernel(order=order, spacing=h, samples=samples)
-
-
-def iterated_kernel(kernel: Kernel, order: int) -> IteratedKernel:
-    """N-fold self-convolution J^N on a stencil of radius N*R."""
-    if order < 1:
-        raise KernelError("iteration order must be >= 1")
-    return list(iterated_kernels(kernel, order))[-1]

@@ -101,9 +101,9 @@ class IgnitionNonlinearity:
         u = np.linspace(self.theta_tilde, 2.0, N_STATES)
         return float(np.min(-self.a_lo * self.base[1](u)))
 
-    def lipschitz_bound(self, u_lo: float = 0.0, u_hi: float = 2.0) -> float:
-        """Sampled sup of |f_u| over one period x [u_lo, u_hi]."""
-        u = np.linspace(u_lo, u_hi, N_STATES)
+    def lipschitz_bound(self, u_hi: float = 2.0) -> float:
+        """Sampled sup of |f_u| over one period x [0, u_hi]."""
+        u = np.linspace(0.0, u_hi, N_STATES)
         worst = np.max(np.abs(self.base[1](u)))
         return float(max(self.a_lo, self.a_hi) * worst)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import FieldState, Grid, pchip_far_fields, smoothed_step
 from .kernels import Kernel, convolve, exponential_moment
-from .evolve import ApproxFrontRun, WindowPolicy, evolve
+from .evolve import ApproxFrontRun, evolve
 from .fronts import fit_line, locate_level
 
 
@@ -44,6 +44,12 @@ class GammaFunction:
     alpha: float
     M1: float
 
+    def __post_init__(self):
+        if not (0.0 < self.alpha <= 2.0):
+            raise StabilityError("alpha must lie in (0, 2]")
+        if self.M1 <= 0.0:
+            raise StabilityError("M1 must be positive")
+
     def _branches(self, x):
         """(x, right-branch mask, blend mask); the rest is the left branch."""
         x = np.asarray(x, dtype=float)
@@ -66,14 +72,6 @@ class GammaFunction:
         out[right] = -self.alpha * g[right]
         out[blend] = -0.5 * self.alpha * (x[blend] - self.M1 + 1.0) * g[blend]
         return out
-
-
-def make_gamma(alpha: float, M1: float) -> GammaFunction:
-    if not (0.0 < alpha <= 2.0):
-        raise StabilityError("alpha must lie in (0, 2]")
-    if M1 <= 0.0:
-        raise StabilityError("M1 must be positive")
-    return GammaFunction(alpha=alpha, M1=M1)
 
 
 def gamma_convolution(kernel: Kernel, gamma: GammaFunction,
@@ -123,37 +121,36 @@ def assemble_parameters(theta: float, theta_tilde: float, beta_tilde: float,
     return StabilityParameters(alpha=alpha, M1=M1, M2=M2, c_min=c_min,
                                c_steep=c_steep, c_fu=c_fu,
                                beta_tilde=beta_tilde, A=A, eps0=eps0,
-                               omega=omega, gamma=make_gamma(alpha, M1))
+                               omega=omega, gamma=GammaFunction(alpha, M1))
 
 
-def measured_c_min(run: ApproxFrontRun, t_from: float) -> float:
-    """0.98 times the least interface speed from t_from on."""
+def measured_c_min(run: ApproxFrontRun) -> float:
+    """0.98 times the least interface speed once the run has settled."""
     ts, speeds = run.interface_speeds()
-    return 0.98 * float(np.min(speeds[ts >= t_from]))
+    return 0.98 * float(np.min(speeds[ts >= run.settled_from]))
 
 
-def measure_m1(run: ApproxFrontRun, theta: float, theta_tilde: float,
-               t_from: float) -> float:
+def measure_m1(run: ApproxFrontRun, f) -> float:
     """Smallest half-width such that u >= (1+theta~)/2 left of X-M1 and
     u <= theta/2 right of X+M1 across post-transient snapshots, plus 0.25."""
-    hi = 0.5 * (1.0 + theta_tilde)
-    lo = 0.5 * theta
+    hi = 0.5 * (1.0 + f.theta_tilde)
+    lo = 0.5 * f.theta
     worst = 0.0
     for snap in run.snapshots:
-        if snap.t < t_from:
+        if snap.t < run.settled_from:
             continue
-        x_ref = locate_level(snap, theta)
+        x_ref = locate_level(snap, f.theta)
         worst = max(worst,
                     x_ref - locate_level(snap, hi),
                     locate_level(snap, lo) - x_ref)
     return worst + 0.25
 
 
-def find_m2(kernel: Kernel, gamma: GammaFunction, alpha: float,
-            c_min: float) -> float:
+def find_m2(kernel: Kernel, gamma: GammaFunction, c_min: float) -> float:
     """Smallest M2 > M1+1 with |e^{alpha(x-M1)} (J*Gamma)(x) - 1| bounded
     by alpha c_min / 4 for all sampled x >= M2, sampled up to 40 beyond
     the stencil reach."""
+    alpha = gamma.alpha
     bound = 0.25 * alpha * c_min
     # beyond the stencil reach, the discrepancy is exactly I(alpha) - 1
     flat = abs(exponential_moment(kernel, alpha) - 1.0)
@@ -174,47 +171,41 @@ def find_m2(kernel: Kernel, gamma: GammaFunction, alpha: float,
     return float(xs[int(np.argmax(ok))])
 
 
-def measure_c_steep(run: ApproxFrontRun, m2: float, t_from: float) -> float:
+def measure_c_steep(run: ApproxFrontRun, m2: float) -> float:
     worst = -np.inf
     for snap in run.snapshots:
-        if snap.t < t_from or snap.w is None:
+        if snap.t < run.settled_from:
             continue
         x_ref = locate_level(snap, run.level)
         inside = (snap.x >= x_ref - m2) & (snap.x <= x_ref + m2)
         worst = max(worst, float(np.max(snap.w[inside])))
     if not np.isfinite(worst):
-        raise StabilityError("no post-transient snapshots with co-state")
+        raise StabilityError("no post-transient snapshots")
     return -worst
 
 
-def compute_stability_parameters(run: ApproxFrontRun, kernel: Kernel, f,
-                                 alpha: float,
-                                 t_from: float) -> StabilityParameters:
-    """Assemble (M1, M2, C_steep, A, eps0, omega) from a front run.
+def select_alpha(run: ApproxFrontRun, kernel: Kernel,
+                 f) -> StabilityParameters:
+    """Assemble (M1, M2, C_steep, A, eps0, omega) from a front run, scanning
+    alpha downward until the M2 construction admits it.
 
     C_fu is the sampled derivative bound over the state range the
     perturbed solutions actually visit, [0, 1.1].
     """
-    c_min = measured_c_min(run, t_from)
-    c_fu = f.lipschitz_bound(0.0, 1.1)
+    c_min = measured_c_min(run)
+    c_fu = f.lipschitz_bound(1.1)
     beta = f.beta_tilde()
-    m1 = measure_m1(run, f.theta, f.theta_tilde, t_from)
-    gamma = make_gamma(alpha, m1)
-    m2 = find_m2(kernel, gamma, alpha, c_min)
-    c_steep = measure_c_steep(run, m2, t_from)
-    return assemble_parameters(f.theta, f.theta_tilde, beta, c_fu, c_steep,
-                               c_min, alpha, m1, m2)
-
-
-def select_alpha(run: ApproxFrontRun, kernel: Kernel, f,
-                 t_from: float) -> StabilityParameters:
-    """Scan alpha downward until the M2 construction admits it."""
+    m1 = measure_m1(run, f)
     last_err = None
     for alpha in (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125):
         try:
-            return compute_stability_parameters(run, kernel, f, alpha, t_from)
+            m2 = find_m2(kernel, GammaFunction(alpha, m1), c_min)
         except InadmissibleAlpha as err:
             last_err = err
+            continue
+        return assemble_parameters(f.theta, f.theta_tilde, beta, c_fu,
+                                   measure_c_steep(run, m2), c_min, alpha,
+                                   m1, m2)
     raise InadmissibleAlpha(f"no admissible alpha in scan: {last_err}")
 
 
@@ -334,6 +325,10 @@ def subsupersolution_residual(snaps: list, x_track, params: StabilityParameters,
 #: each burn-in phase that lifts it to 1
 PLATEAU = 0.6
 BURN_IN = 60.0
+#: initial data of the asymptotic experiment
+INITIAL_SHAPES = ("mollified_step", "liminf_above_theta")
+#: time between paired snapshots of the stability experiments
+CADENCE = 2.0
 
 
 def _pair(ref: FieldState, sol: FieldState) -> FieldState:
@@ -354,18 +349,18 @@ def asymptotic_initial(ref0: FieldState, kernel: Kernel, f, dt: float,
     the pair starts where the burn-in ends.  The reference lane is exact
     throughout: f vanishes at its far fields (1, 0).
     """
+    if shape not in INITIAL_SHAPES:
+        raise StabilityInputError(f"unknown initial shape {shape!r}")
     base = smoothed_step(Grid(ref0.x[0], ref0.x[-1], ref0.x.size),
                          center=locate_level(ref0, f.theta), width=2.0)
     if shape == "mollified_step":
         return _pair(ref0, base)
-    if shape != "liminf_above_theta":
-        raise StabilityInputError(f"unknown initial shape {shape!r}")
     pair = _pair(ref0, base.with_(u=PLATEAU * base.u, u_left=PLATEAU))
     t_burn = ref0.t
     for _ in range(4):
         t_burn += BURN_IN
-        pair = evolve(pair, kernel, f, t_burn, dt, snapshot_every=BURN_IN,
-                      window_policy=WindowPolicy(level=f.theta),
+        pair = evolve(pair, kernel, f, t_burn, dt, track_front=True,
+                      snapshot_every=BURN_IN,
                       evolve_far_fields=True).snapshots[-1]
         if abs(pair.u_left[1] - 1.0) <= 1e-8:
             break
@@ -373,13 +368,13 @@ def asymptotic_initial(ref0: FieldState, kernel: Kernel, f, dt: float,
 
 
 def _paired_snapshots(pair0: FieldState, kernel: Kernel, f, horizon: float,
-                      dt: float, cadence: float):
+                      dt: float):
     """Evolve the pair (reference, solution) over the horizon, rounded to
     whole steps, on one window steered by the reference's theta crossing;
-    (solution, reference) at every snapshot."""
+    (solution, reference) at every CADENCE."""
     t_end = pair0.t + round(horizon / dt) * dt
-    traj = evolve(pair0, kernel, f, t_end, dt, snapshot_every=cadence,
-                  window_policy=WindowPolicy(level=f.theta))
+    traj = evolve(pair0, kernel, f, t_end, dt, track_front=True,
+                  snapshot_every=CADENCE)
     return [(snap.lane(1), snap.lane(0)) for snap in traj.snapshots]
 
 
@@ -412,11 +407,8 @@ class AsymptoticReport:
 
 
 def make_perturbed_initial(ref_snap: FieldState, gamma: GammaFunction,
-                           x_ref: float, eps: float, rho_fn) -> FieldState:
-    rho = rho_fn(ref_snap.x)
-    if np.max(np.abs(rho)) > 1.0 + 1e-12:
-        raise StabilityInputError("shape function must satisfy |rho| <= 1")
-    u0 = np.clip(ref_snap.u + eps * gamma(ref_snap.x - x_ref) * rho, 0.0, 1.0)
+                           x_ref: float, eps: float) -> FieldState:
+    u0 = np.clip(ref_snap.u + eps * gamma(ref_snap.x - x_ref), 0.0, 1.0)
     return ref_snap.with_(u=u0, w=None)
 
 
@@ -447,24 +439,22 @@ def sandwich_margins(pert: FieldState, ref: FieldState, gamma: GammaFunction,
 
 
 def run_stability_experiment(ref0: FieldState, kernel: Kernel, f,
-                             params: StabilityParameters, eps: float,
-                             rho_fn, horizon: float, dt: float,
-                             cadence: float) -> StabilityReport:
-    """Perturb the reference at t0 = ref0.t, evolve the pair and check the
-    two-sided sandwich around the reference's theta crossing."""
-    if eps > params.eps0 + 1e-15:
-        raise StabilityInputError("eps exceeds eps0")
-    t0 = ref0.t
-    env = PerturbationEnvelope(t0=t0, eps=eps, omega=params.omega,
+                             params: StabilityParameters, horizon: float,
+                             dt: float) -> StabilityReport:
+    """Perturb the reference at t0 = ref0.t by eps0 Gamma, evolve the pair
+    and check the two-sided sandwich around the reference's theta
+    crossing."""
+    eps = params.eps0
+    env = PerturbationEnvelope(t0=ref0.t, eps=eps, omega=params.omega,
                                A=params.A)
     x0 = locate_level(ref0, f.theta)
-    u0 = make_perturbed_initial(ref0, params.gamma, x0, eps, rho_fn)
+    u0 = make_perturbed_initial(ref0, params.gamma, x0, eps)
     if sandwich_margins(u0, ref0, params.gamma, x0, 0.0, 0.0, eps)[0] > 1e-12:
         raise StabilityError("initial data violates the sandwich")
 
     rows, edge_defect = [], 0.0
     for snap, ref in _paired_snapshots(_pair(ref0, u0), kernel, f, horizon,
-                                       dt, cadence):
+                                       dt):
         t = snap.t
         for fld in (snap, ref):
             edge_defect = max(edge_defect,
@@ -541,15 +531,13 @@ def fit_log_decay(times: np.ndarray, dists: np.ndarray) -> tuple:
 
 
 def run_asymptotic_experiment(pair0: FieldState, kernel: Kernel, f,
-                              horizon: float, dt: float,
-                              cadence: float) -> AsymptoticReport:
+                              horizon: float, dt: float) -> AsymptoticReport:
     """Evolve the pair (reference, solution) from t0 = pair0.t and fit the
     exponential decay of the best-shift distance; tracking stops once the
     distance falls below 1e-7 after t0 + 10."""
     t0 = pair0.t
     rows, z_prev = [], None
-    for snap, ref in _paired_snapshots(pair0, kernel, f, horizon, dt,
-                                       cadence):
+    for snap, ref in _paired_snapshots(pair0, kernel, f, horizon, dt):
         bracket = None if z_prev is None else (z_prev - 1.0, z_prev + 1.0)
         try:
             z, dval = best_shift(snap, ref, bracket=bracket)

@@ -27,9 +27,10 @@ class WaveInputError(WaveError, ValueError):
     """An argument outside the wave solver's domain."""
 
 
-#: Newton start speed and iteration cap
+#: Newton start speed, iteration cap and residual tolerance
 START_SPEED = 0.1
 NEWTON_CAP = 40
+TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,47 +49,43 @@ class TravelingWave:
         return pchip_far_fields(self.x, self.dphi, 0.0, 0.0)
 
 
-def _ghost_gradient(u: np.ndarray, h: float, u_left: float,
-                    u_right: float) -> np.ndarray:
-    """Centered differences with constant far-field ghost values."""
-    padded = np.concatenate([[u_left], u, [u_right]])
+def _ghost_gradient(u: np.ndarray, h: float) -> np.ndarray:
+    """Centered differences with the far-field ghost values 1 and 0."""
+    padded = np.concatenate([[1.0], u, [0.0]])
     return (padded[2:] - padded[:-2]) / (2.0 * h)
 
 
 def _stationary_residual(kernel: Kernel, f_hom, x, u, c) -> np.ndarray:
     field = FieldState(t=0.0, x=x, u=u, u_left=1.0, u_right=0.0)
     conv = convolve(kernel, field)
-    du = _ghost_gradient(u, float(x[1] - x[0]), 1.0, 0.0)
+    du = _ghost_gradient(u, float(x[1] - x[0]))
     return conv - u + c * du + f_hom.eval(0.0, np.clip(u, -1.0, 3.0))
 
 
-def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid,
-                         tol: float = 1e-8) -> TravelingWave:
+def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
     """Newton on the co-moving system from the smoothed step."""
-    if not (1e-10 <= tol <= 1e-4):
-        raise WaveInputError("tol must lie in [1e-10, 1e-4]")
     if grid.x_max - grid.x_min < 80.0 - 1e-9:
         raise WaveInputError("wave window must span at least 80 length units")
-    theta = f_hom.theta
     step = smoothed_step(grid, center=0.0, width=2.0)
-    phi, c = _newton_polish(kernel, f_hom, grid, step.u, START_SPEED, theta,
-                            tol)
+    phi, c = _newton_polish(kernel, f_hom, grid, step.u)
 
     res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
     residual_norm = float(np.max(np.abs(res)))
-    if residual_norm > tol:
-        raise WaveError(f"polish failed: residual {residual_norm} > {tol}")
+    if residual_norm > TOL:
+        raise WaveError(f"polish failed: residual {residual_norm} > {TOL}")
     if c <= 0:
         raise WaveError("nonpositive wave speed")
     dphi = -(convolve(kernel, FieldState(0.0, grid.x, phi, 1.0, 0.0))
              - phi + f_hom.eval(0.0, phi)) / c
     return TravelingWave(speed=float(c), x=grid.x.copy(), phi=phi,
-                         dphi=dphi, residual_norm=residual_norm, theta=theta)
+                         dphi=dphi, residual_norm=residual_norm,
+                         theta=f_hom.theta)
 
 
-def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c0, theta, tol):
-    """Damped Newton on the stationary system with the phase row
-    phi(0) = theta; a step moves phi by at most 0.2 anywhere."""
+def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi):
+    """Damped Newton from (phi, START_SPEED) on the stationary system with
+    the phase row phi(0) = theta; a step moves phi by at most 0.2
+    anywhere."""
     n = grid.n
     h = grid.h
     i0 = int(np.argmin(np.abs(grid.x)))
@@ -102,17 +99,17 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c0, theta, tol):
                        np.full(n - 1, -1.0 / (2 * h))], [1, -1], format="csr")
 
     phi = phi.copy()
-    c = float(c0)
+    c = START_SPEED
     for _ in range(NEWTON_CAP):
         res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
-        phase = phi[i0] - theta
+        phase = phi[i0] - f_hom.theta
         norm = max(float(np.max(np.abs(res))), abs(phase))
-        if norm <= 0.05 * tol:
+        if norm <= 0.05 * TOL:
             break
         fp = f_hom.eval_du(0.0, np.clip(phi, -1.0, 3.0))
         a_mat = (conv_mat - sparse.identity(n, format="csr")
                  + c * d0 + sparse.diags(fp, 0, format="csr"))
-        dcol = _ghost_gradient(phi, h, 1.0, 0.0)
+        dcol = _ghost_gradient(phi, h)
         top = sparse.hstack([a_mat, sparse.csr_matrix(dcol[:, None])])
         phase_row = np.zeros(n + 1)
         phase_row[i0] = 1.0

@@ -1,8 +1,8 @@
 """Shared fixtures: the default problem, solved waves, and front runs.
 
 The heavy fixtures are session scoped so the acceptance tests and unit tests
-share one computation.  The min wave and the front come from the CLI's
-per-process memo, which the acceptance tests' CLI runs read too.
+share one computation.  Both waves and the front come from the CLI's
+per-process memos, which the acceptance tests' CLI runs read too.
 """
 
 import numpy as np
@@ -15,10 +15,8 @@ from frontlab.fields import Grid
 from frontlab.kernels import build_kernel
 from frontlab.reactions import make_default_ignition, max_slice
 from frontlab.stability import select_alpha
-from frontlab.waves import solve_traveling_wave
 
 DT = 0.05
-S_SEED = -30.0
 
 # --hypothesis-profile=ci: a failing draw prints its @reproduce_failure line;
 # the number of examples and the randomness are the default profile's
@@ -47,8 +45,8 @@ def tw_min():
 
 
 @pytest.fixture(scope="session")
-def tw_max(kernel, f, wave_grid):
-    return solve_traveling_wave(kernel, max_slice(f), wave_grid)
+def tw_max():
+    return cli._wave(cli.load_config(None), max_slice)
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +58,7 @@ def front_run():
 
 @pytest.fixture(scope="session")
 def sparams(front_run, kernel, f):
-    return select_alpha(front_run, kernel, f, t_from=S_SEED + 20.0)
+    return select_alpha(front_run, kernel, f)
 
 
 @pytest.fixture(scope="session")

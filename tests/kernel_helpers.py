@@ -4,12 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from frontlab.kernels import IteratedKernel, Kernel
+from frontlab.kernels import IteratedKernel, Kernel, iterated_kernels
 
 
 def with_samples(kernel: Kernel, samples: np.ndarray) -> Kernel:
     """Kernel with replaced samples (crafting invalid kernels)."""
     return replace(kernel, samples=samples)
+
+
+def iterated_kernel(kernel: Kernel, order: int) -> IteratedKernel:
+    """N-fold self-convolution J^N on a stencil of radius N*R."""
+    return next(ik for ik in iterated_kernels(kernel) if ik.order == order)
 
 
 def iterate_iterated(ik: IteratedKernel, order: int) -> IteratedKernel:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from frontlab import cli
-from frontlab.evolve import WindowPolicy, evolve
+from frontlab.evolve import evolve
 from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import lipschitz_estimate, locate_level
 from frontlab.kernels import build_kernel, convolve, exponential_moment
@@ -28,7 +28,6 @@ from frontlab.stability import (PerturbationEnvelope, gamma_convolution,
 from kernel_helpers import with_samples
 
 DT = 0.05
-S_SEED = -30.0
 
 
 def _report(capsys, num, name, ok, detail=""):
@@ -105,8 +104,7 @@ def test_02_traveling_wave(capsys, kernel, f, tw_min, tw_max):
         # converges slowly from generic data, so fit a late window
         grid = Grid(-40.0, 40.0, 1601)
         traj = evolve(smoothed_step(grid), kernel, slc, 250.0, DT,
-                      snapshot_every=1.0,
-                      window_policy=WindowPolicy(level=f.theta))
+                      track_front=True, snapshot_every=1.0)
         late = [s for s in traj.snapshots if s.t >= 180.0]
         speed = float(np.polyfit([s.t for s in late],
                                  [locate_level(s, f.theta) for s in late],
@@ -161,7 +159,7 @@ def test_05_bounded_width(capsys, front_cli):
 def test_06_regularity(capsys, front_run):
     ts, sup_w, lip_w = [], [], []
     for snap in front_run.snapshots:
-        if snap.t < S_SEED + 20.0 or snap.w is None:
+        if snap.t < front_run.settled_from:
             continue
         ts.append(snap.t)
         sup_w.append(float(np.max(np.abs(snap.w))))

@@ -47,21 +47,27 @@ class TestConfig:
 
 
 class TestFrontMemo:
-    # its problem is the one of the unknown-initial-shape test below, which
-    # then finds it in the memo
     def test_front_and_tails_share_one_build(self, tmp_path, monkeypatch):
         cfg = load_config(None)
         cfg["grid"].update(x_min=-30.0, x_max=30.0, n=1201)
         cfg["time"].update(s=-10.0, t_end=20.0)
         build, builds = cli.build_approx_front, []
+        solve, solves = cli.solve_traveling_wave, []
 
         def counted(*args, **kwargs):
             builds.append(1)
             return build(*args, **kwargs)
 
+        def counted_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
         monkeypatch.setattr(cli, "build_approx_front", counted)
+        monkeypatch.setattr(cli, "solve_traveling_wave", counted_solve)
+        monkeypatch.setattr(cli, "_WAVES", {})
         cli._front_memo.cache_clear()
-        _, run = cli._front_run(cfg)
+        wave, run = cli._front_run(cfg)
+        assert not wave.phi.flags.writeable
         before = [(s.u.copy(), s.w.copy()) for s in run.snapshots]
         for name in ("front", "tails"):
             assert cli._run_experiment(name, cfg, tmp_path / name,
@@ -74,6 +80,7 @@ class TestFrontMemo:
         assert cli._run_experiment("tails", cfg, tmp_path / "fresh",
                                    quiet=True) == 0
         assert len(builds) == 2
+        assert len(solves) == 2   # the min and the max wave, once each
         for name in ("tails.csv", "summary.json"):
             assert ((tmp_path / "tails" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes())
@@ -182,11 +189,13 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "null" in result.output
 
-    def test_unknown_initial_shape_is_config_error(self, runner, tmp_path):
-        cfg = _write_cfg(tmp_path, {
-            "experiment": {"initial": "bogus"},
-            "time": {"s": -10.0, "t_end": 20.0},
-            "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
+    def test_unknown_initial_shape_is_config_error(self, runner, tmp_path,
+                                                   monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("front built before the shape was checked")
+
+        monkeypatch.setattr(cli, "_front_run", build)
+        cfg = _write_cfg(tmp_path, {"experiment": {"initial": "bogus"}})
         result = runner.invoke(main, ["asymptotic", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
@@ -232,6 +241,17 @@ class TestExitCodes:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "spacing" in result.output
+
+    @pytest.mark.parametrize("t_end", [0.0, -3.0])
+    def test_comparison_not_forward_in_time_is_config_error(self, runner,
+                                                            tmp_path, t_end):
+        cfg = _write_cfg(tmp_path, {
+            "experiment": {"pairs": 1, "t_end": t_end},
+            "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
+        result = runner.invoke(main, ["comparison", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "does not lie after" in result.output
 
     def test_small_comparison_ok(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {

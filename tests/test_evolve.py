@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from frontlab.evolve import (EvolveError, EvolveInputError, Stepper,
-                             WindowPolicy, _apply_window_policy,
-                             build_approx_front, evolve)
+                             _apply_window_policy, build_approx_front,
+                             evolve)
 from frontlab.fields import FieldState, Grid, constant_field, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import KernelError, _convolve_samples
@@ -201,10 +201,9 @@ class TestLanes:
                           u=np.stack([lead.u, fn(grid.x - 10.0)]),
                           u_left=np.array([1.0, 1.0]),
                           u_right=np.array([0.0, 0.0]))
-        policy = WindowPolicy(level=0.3)
-        lanes = evolve(pair, kernel, f, 5.0, DT, window_policy=policy,
+        lanes = evolve(pair, kernel, f, 5.0, DT, track_front=True,
                        snapshot_every=1.0)
-        single = evolve(lead, kernel, f, 5.0, DT, window_policy=policy,
+        single = evolve(lead, kernel, f, 5.0, DT, track_front=True,
                         snapshot_every=1.0)
         assert len(single.relocations) >= 1
         assert lanes.relocations == single.relocations
@@ -229,8 +228,7 @@ class TestWindowPolicy:
         fn, dfn = tw_min.profile_fn(), tw_min.derivative_fn()
         # seed far to the right so the policy must recenter
         state = FieldState(t=0.0, x=grid.x, u=fn(grid.x - 15.0))
-        traj = evolve(state, kernel, f, 5.0, DT,
-                      window_policy=WindowPolicy(level=0.3),
+        traj = evolve(state, kernel, f, 5.0, DT, track_front=True,
                       snapshot_every=1.0)
         assert len(traj.relocations) >= 1
         end = traj.snapshots[-1]
@@ -249,7 +247,7 @@ class TestWindowPolicy:
         fn = tw_min.profile_fn()
         state = FieldState(t=0.0, x=grid.x, u=fn(grid.x - 11.0))
         with pytest.raises(EvolveError):
-            _apply_window_policy(state, WindowPolicy(level=0.3))
+            _apply_window_policy(state, 0.3)
 
 
 class TestApproxFront:
@@ -274,20 +272,15 @@ class TestApproxFront:
 
     def test_positive_seed_time_rejected(self, kernel, f, tw_min):
         with pytest.raises(EvolveError):
-            build_approx_front(kernel, f, s=1.0, grid=Grid(-50, 50, 2001),
-                               dt=DT, profile_fn=tw_min.profile_fn(),
-                               derivative_fn=tw_min.derivative_fn(),
-                               theta=f.theta)
+            build_approx_front(kernel, f, tw_min, Grid(-50, 50, 2001),
+                               s=1.0, dt=DT)
 
     def test_seed_time_stability(self, kernel, f, tw_min, front_run):
         """A deeper seed time gives the same front near the interface at
         t = 0 (the s -> -infinity limit is practically attained)."""
         grid = Grid(-50.0, 50.0, 2001)
-        run40 = build_approx_front(kernel, f, s=-40.0, grid=grid, dt=DT,
-                                   profile_fn=tw_min.profile_fn(),
-                                   derivative_fn=tw_min.derivative_fn(),
-                                   theta=f.theta, t_end=0.0,
-                                   snapshot_every=10.0)
+        run40 = build_approx_front(kernel, f, tw_min, grid, s=-40.0, dt=DT,
+                                   t_end=0.0, snapshot_every=10.0)
         a = front_run.trajectory.at_time(0.0)
         b = run40.trajectory.at_time(0.0)
         near = np.abs(a.x) <= 20.0
@@ -307,11 +300,8 @@ class TestApproxFront:
             return real_evolve(*args, **kwargs)
 
         monkeypatch.setattr(module, "evolve", counting_evolve)
-        run = build_approx_front(kernel, f, s=-5.0,
-                                 grid=Grid(-12.5, 12.5, 501), dt=DT,
-                                 profile_fn=tw_min.profile_fn(),
-                                 derivative_fn=tw_min.derivative_fn(),
-                                 theta=f.theta)
+        run = build_approx_front(kernel, f, tw_min, Grid(-12.5, 12.5, 501),
+                                 s=-5.0, dt=DT)
         end = run.trajectory.at_time(0.0)
         assert abs(float(np.interp(0.0, end.x, end.u)) - f.theta) <= 2.5e-7
         assert len(calls) <= 4
@@ -320,11 +310,8 @@ class TestApproxFront:
         """The window cuts the seed's tails, so a seed shift of dy moves
         the crossing by about 0.6 dy; the secant steps still hit theta.
         A bisection on the terminal value gives y_s = -4.7958607."""
-        run = build_approx_front(kernel, f, s=-30.0,
-                                 grid=Grid(-7.5, 7.5, 301), dt=DT,
-                                 profile_fn=tw_min.profile_fn(),
-                                 derivative_fn=tw_min.derivative_fn(),
-                                 theta=f.theta)
+        run = build_approx_front(kernel, f, tw_min, Grid(-7.5, 7.5, 301),
+                                 s=-30.0, dt=DT)
         end = run.trajectory.at_time(0.0)
         assert abs(float(np.interp(0.0, end.x, end.u)) - f.theta) <= 2.5e-7
         assert run.y_s == pytest.approx(-4.7958607, abs=1e-6)
@@ -333,11 +320,8 @@ class TestApproxFront:
         # the window is barely wider than the front: by t = 0 the window,
         # not the seed, places the front, and no seed shift reaches theta
         with pytest.raises(EvolveError):
-            build_approx_front(kernel, f, s=-30.0,
-                               grid=Grid(-5.0, 5.0, 201), dt=DT,
-                               profile_fn=tw_min.profile_fn(),
-                               derivative_fn=tw_min.derivative_fn(),
-                               theta=f.theta)
+            build_approx_front(kernel, f, tw_min, Grid(-5.0, 5.0, 201),
+                               s=-30.0, dt=DT)
 
 
 class TestTrajectory:

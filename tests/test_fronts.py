@@ -10,7 +10,7 @@ from frontlab.fronts import (FrontError, fit_exponential_tail,
                              interface_width, lipschitz_estimate,
                              locate_level, steepness,
                              steepness_bound_constant)
-from frontlab.kernels import convolve
+from frontlab.kernels import build_kernel, convolve
 
 STEEPNESS_FLOOR = 1e-6
 
@@ -202,8 +202,7 @@ class TestSteepness:
 
 class TestSteepnessBoundConstant:
     def test_value_formula(self, kernel):
-        const = steepness_bound_constant(kernel, c_fu=27.166, dt=1.0,
-                                         offset=0.0, half_width=1.0)
+        const = steepness_bound_constant(kernel, c_fu=27.166, dt=1.0)
         expected = (const.c_tilde * math.exp(-(1.0 + const.K) * const.dt)
                     * (const.dt / const.N) ** const.N)
         assert const.value == pytest.approx(expected, rel=1e-15)
@@ -212,21 +211,21 @@ class TestSteepnessBoundConstant:
 
     def test_gaussian_uses_first_order(self, kernel):
         # the Gaussian stencil already covers [-1, 1] with positive mass
-        const = steepness_bound_constant(kernel, c_fu=1.0, dt=0.05,
-                                         offset=0.0, half_width=1.0)
+        const = steepness_bound_constant(kernel, c_fu=1.0, dt=0.05)
         assert const.N == 1
         # inf over [-1,1] padded by one sample of the unit Gaussian density
         lo = math.exp(-0.5 * 1.05 ** 2) / math.sqrt(2 * math.pi)
         hi = math.exp(-0.5) / math.sqrt(2 * math.pi)
         assert lo * 0.999 <= const.c_tilde <= hi * 1.001
 
-    def test_wide_offset_needs_iteration(self, kernel):
-        # [5, 7] is outside the single-kernel stencil radius (~4.9)
-        const = steepness_bound_constant(kernel, c_fu=1.0, dt=0.05,
-                                         offset=6.0, half_width=1.0)
-        assert const.N >= 2
+    def test_wide_offset_needs_iteration(self):
+        # the bump of half-width 0.5 reaches only [-0.5, 0.5], and J*J
+        # vanishes at +-(1 + h), one sample beyond [-1, 1]: only J^3 is
+        # positive there
+        bump = build_kernel("bump", spacing=0.05, tail_tolerance=1e-6, a=0.5)
+        const = steepness_bound_constant(bump, c_fu=1.0, dt=0.05)
+        assert const.N == 3
 
     def test_invalid_args(self, kernel):
         with pytest.raises(FrontError):
-            steepness_bound_constant(kernel, 1.0, dt=0.0, offset=0.0,
-                                     half_width=1.0)
+            steepness_bound_constant(kernel, 1.0, dt=0.0)

@@ -61,7 +61,7 @@ class TestDerivedConstants:
 
     def test_lipschitz_bound_state_range(self, f):
         # over the range perturbed solutions visit the constant is modest
-        assert f.lipschitz_bound(0.0, 1.1) == pytest.approx(1.408, abs=1e-2)
+        assert f.lipschitz_bound(1.1) == pytest.approx(1.408, abs=1e-2)
 
     def test_dt_max(self, f):
         assert f.dt_max() == pytest.approx(1.8 / (1.0 + f.lipschitz_bound()))

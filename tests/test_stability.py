@@ -14,17 +14,16 @@ from frontlab.stability import (GammaFunction, InadmissibleAlpha,
                                 PerturbationEnvelope, StabilityError,
                                 assemble_parameters, best_shift,
                                 comparison_test, find_m2, fit_log_decay,
-                                gamma_convolution, make_gamma,
-                                make_perturbed_initial, profile_interp,
-                                run_stability_experiment, sandwich_margins,
-                                subsupersolution_residual)
+                                gamma_convolution, make_perturbed_initial,
+                                profile_interp, run_stability_experiment,
+                                sandwich_margins, subsupersolution_residual)
 
 DT = 0.05
 
 
 class TestGammaFunction:
     def test_branch_values(self):
-        g = make_gamma(alpha=0.05, M1=6.0)
+        g = GammaFunction(alpha=0.05, M1=6.0)
         x = np.array([-50.0, 0.0, 5.0])
         assert np.all(g(x) == 1.0)
         xr = np.array([7.0, 10.0, 30.0])
@@ -34,7 +33,7 @@ class TestGammaFunction:
             math.exp(-0.05 / 4.0), rel=1e-14)
 
     def test_c1_gluing(self):
-        g = make_gamma(alpha=0.05, M1=6.0)
+        g = GammaFunction(alpha=0.05, M1=6.0)
         for knot in (5.0, 7.0):
             left = np.array([knot - 1e-9])
             right = np.array([knot + 1e-9])
@@ -43,7 +42,7 @@ class TestGammaFunction:
                                                      abs=1e-9)
 
     def test_deriv_matches_finite_difference(self):
-        g = make_gamma(alpha=0.1, M1=4.0)
+        g = GammaFunction(alpha=0.1, M1=4.0)
         xs = np.linspace(-2.0, 12.0, 400)
         h = 1e-6
         fd = (g(xs + h) - g(xs - h)) / (2.0 * h)
@@ -52,7 +51,7 @@ class TestGammaFunction:
     @given(alpha=st.floats(0.01, 2.0), m1=st.floats(0.5, 20.0))
     @settings(max_examples=40, deadline=None)
     def test_monotone_and_bounded(self, alpha, m1):
-        g = make_gamma(alpha, m1)
+        g = GammaFunction(alpha, m1)
         xs = np.linspace(m1 - 30.0, m1 + 30.0, 500)
         vals = g(xs)
         assert np.all(np.diff(vals) <= 1e-15)
@@ -61,16 +60,16 @@ class TestGammaFunction:
 
     def test_make_gamma_validation(self):
         with pytest.raises(StabilityError):
-            make_gamma(0.0, 5.0)
+            GammaFunction(0.0, 5.0)
         with pytest.raises(StabilityError):
-            make_gamma(2.5, 5.0)
+            GammaFunction(2.5, 5.0)
         with pytest.raises(StabilityError):
-            make_gamma(0.1, 0.0)
+            GammaFunction(0.1, 0.0)
 
 
 class TestGammaConvolution:
     def test_flat_region_is_one(self, kernel):
-        g = make_gamma(0.05, 8.0)
+        g = GammaFunction(0.05, 8.0)
         xs = np.array([-20.0, -10.0, 0.0])
         vals = gamma_convolution(kernel, g, xs)
         assert np.allclose(vals, 1.0, atol=2e-6)
@@ -78,7 +77,7 @@ class TestGammaConvolution:
     def test_exponential_region_moment(self, kernel):
         # right of M1+1+R the convolution is Gamma(x) * I(alpha)
         alpha, m1 = 0.05, 8.0
-        g = make_gamma(alpha, m1)
+        g = GammaFunction(alpha, m1)
         xs = np.array([m1 + 1.0 + 6.0, m1 + 1.0 + 10.0])
         expected = g(xs) * exponential_moment(kernel, alpha)
         assert np.allclose(gamma_convolution(kernel, g, xs), expected,
@@ -113,9 +112,9 @@ class TestParameters:
 
     def test_find_m2_rejects_fat_alpha(self, kernel):
         # I(2) - 1 for the unit Gaussian is e^2 - 1, far above the bound
-        g = make_gamma(2.0, 6.0)
+        g = GammaFunction(2.0, 6.0)
         with pytest.raises(InadmissibleAlpha):
-            find_m2(kernel, g, 2.0, c_min=0.11)
+            find_m2(kernel, g, c_min=0.11)
 
     def test_find_m2_defect_bounded(self, kernel, sparams):
         m2 = sparams.M2
@@ -231,18 +230,14 @@ class TestPerturbedInitial:
     def test_clip_and_shape_guard(self, front_run, sparams):
         snap = front_run.trajectory.at_time(60.0)
         x_ref = locate_level(snap, 0.3)
-        u0 = make_perturbed_initial(snap, sparams.gamma, x_ref,
-                                    sparams.eps0, lambda x: np.cos(x))
+        u0 = make_perturbed_initial(snap, sparams.gamma, x_ref, sparams.eps0)
         assert np.all((u0.u >= 0.0) & (u0.u <= 1.0))
         assert np.max(np.abs(u0.u - snap.u)) <= sparams.eps0 + 1e-15
-        with pytest.raises(StabilityError):
-            make_perturbed_initial(snap, sparams.gamma, x_ref,
-                                   sparams.eps0, lambda x: 2.0 * np.cos(x))
 
 
 class TestSandwichMargins:
     GRID = Grid(-30.0, 30.0, 1201)
-    GAMMA = make_gamma(0.05, 6.0)
+    GAMMA = GammaFunction(0.05, 6.0)
 
     def _margins(self, pert, z_minus, z_plus, q):
         ref = smoothed_step(self.GRID)
@@ -349,9 +344,7 @@ class TestStabilityExperiment:
         # front: the gate must fail
         report = run_stability_experiment(
             front_run.trajectory.at_time(60.0), kernel, f,
-            dataclasses.replace(sparams, A=0.0), eps=sparams.eps0,
-            rho_fn=lambda x: np.ones_like(x), horizon=200.0, dt=DT,
-            cadence=2.0)
+            dataclasses.replace(sparams, A=0.0), horizon=200.0, dt=DT)
         assert report.worst_violation > 1e-6 + report.edge_defect
         assert report.interior_worst_violation <= report.worst_violation
 

@@ -81,10 +81,6 @@ class TestValidation:
         with pytest.raises(WaveError):
             solve_traveling_wave(kernel, min_slice(f), Grid(-30.0, 30.0, 1201))
 
-    def test_bad_tolerance(self, kernel, f, wave_grid):
-        with pytest.raises(WaveError):
-            solve_traveling_wave(kernel, min_slice(f), wave_grid, tol=1e-2)
-
     def test_newton_cap_reached(self, kernel, f, wave_grid, monkeypatch):
         monkeypatch.setattr(waves, "NEWTON_CAP", 1)
         with pytest.raises(WaveError):
