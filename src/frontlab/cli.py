@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .evolve import EvolveError, build_approx_front
+from .evolve import TRANSIENT, EvolveError, build_approx_front
 from .fields import Grid, smoothed_step
 from .fronts import (check_steepness_bound, fit_exponential_tail,
                      interface_width, locate_level, steepness,
@@ -115,9 +115,21 @@ def build_problem(cfg: dict):
     gc = cfg["grid"]
     grid = Grid(_num(gc, "x_min"), _num(gc, "x_max"), _num(gc, "n", kind=int))
     _check_compatible(kern, grid)
-    dt = _num(cfg["time"], "dt")
-    if dt > f.dt_max() + 1e-12:
-        raise ValueError(f"dt={dt} exceeds the stability cap {f.dt_max():.4f}")
+    tc = cfg["time"]
+    dt = _num(tc, "dt")
+    if not 0.0 < dt <= f.dt_max() + 1e-12:
+        raise ValueError(f"dt={dt} lies outside (0, {f.dt_max():.4f}], "
+                         "the stability cap")
+    s, t_end = _num(tc, "s"), _num(tc, "t_end")
+    if t_end < s + TRANSIENT:
+        raise ValueError(f"time.t_end={t_end:g} lies before time.s + "
+                         f"{TRANSIENT:g}, where the front has settled")
+    spans = {"cadence": _num(tc, "cadence"), "t_end - time.s": t_end - s}
+    for name, span in spans.items():  # snapshots fall on whole steps
+        steps = span / dt
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"time.{name}={span:g} is not a whole "
+                             f"multiple of time.dt={dt:g}")
     return kern, f, grid
 
 
@@ -385,10 +397,9 @@ def exp_stability(cfg, art: Artifacts) -> dict:
                    violation_count=report.violation_count,
                    distance_at_3_over_omega=report.envelope_distance[i3],
                    drift_at_3_over_omega=float(
-                       params.A * eps / params.omega * (1.0 - np.exp(-3.0))))
-    budget = 1e-6 + report.edge_defect
-    summary["edge_defect"] = report.edge_defect
-    if report.worst_violation > budget:
+                       params.A * eps / params.omega * (1.0 - np.exp(-3.0))),
+                   edge_defect=report.edge_defect)
+    if report.worst_violation > 1e-6:
         raise CheckFailure("sandwich violated beyond the discretization "
                            f"budget: {report.worst_violation:.3e}")
     if summary["distance_at_3_over_omega"] > 0.06 * eps:

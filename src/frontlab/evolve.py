@@ -35,6 +35,8 @@ SEED_MAX_RUNS = 10
 SEED_MIN_SLOPE = 0.1
 #: time after the seed time s from which an approximating front has settled
 TRANSIENT = 20.0
+#: the state range the stepper accepts; leaving it is a solver breakdown
+STATE_LO, STATE_HI = -1.0, 3.0
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
-
-    def at_time(self, t: float) -> FieldState:
-        ts = self.times
-        i = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"no snapshot at t={t}")
-        return self.snapshots[i]
 
 
 def _shift_lanes(a: np.ndarray, m: int, fill) -> np.ndarray:
@@ -101,12 +96,11 @@ class Stepper:
 
     def _rhs(self, t, y):
         u, w, ul, ur = y
-        uc = np.clip(u, -1.0, 3.0)
-        ku = _convolve_samples(self._wj, u, ul, ur) - u + self.f.eval(t, uc)
+        ku = _convolve_samples(self._wj, u, ul, ur) - u + self.f.eval(t, u)
         kw = None
         if w is not None:
             kw = (_convolve_samples(self._wdj, u, ul, ur) - w
-                  + self.f.eval_du(t, uc) * w)
+                  + self.f.eval_du(t, u) * w)
         gl = gr = 0.0
         if self.evolve_far_fields:
             gl, gr = self.f.eval(t, ul), self.f.eval(t, ur)
@@ -131,8 +125,10 @@ class Stepper:
         incr = tuple(None if a is None else a + 2 * b + 2 * c + d
                      for a, b, c, d in zip(k1, k2, k3, k4))
         u_new, w_new, ul_new, ur_new = combine(incr, dt / 6.0)
-        if not np.all(np.isfinite(u_new)):
-            raise EvolveError(f"non-finite state at t={t + dt}")
+        # the one range check: a NaN fails it too
+        if not (u_new.min() >= STATE_LO and u_new.max() <= STATE_HI):
+            raise EvolveError(f"state left [{STATE_LO:g}, {STATE_HI:g}] "
+                              f"at t={t + dt}")
         return state.with_(t=t + dt, u=u_new, w=w_new,
                            u_left=ul_new, u_right=ur_new)
 
@@ -151,10 +147,13 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
     stepper = Stepper(kernel, f, evolve_far_fields=evolve_far_fields)
     n_steps = max(1, int(round((t_end - state.t) / dt)))
     dt_eff = (t_end - state.t) / n_steps
-    if snapshot_every is None:
-        snap_stride = n_steps
-    else:
-        snap_stride = max(1, int(round(snapshot_every / dt_eff)))
+    snap_stride = n_steps
+    if snapshot_every is not None:
+        ratio = snapshot_every / dt_eff
+        snap_stride = int(round(ratio))
+        if snap_stride < 1 or abs(ratio - snap_stride) > 1e-9 * snap_stride:
+            raise EvolveInputError(f"snapshot_every={snapshot_every} is not "
+                                   f"a whole number of steps of {dt_eff:g}")
     check_stride = max(1, int(round(1.0 / dt_eff)))
 
     snapshots = [state]

@@ -129,9 +129,6 @@ def _bump_density(a):
     return density, derivative, tail_mass
 
 
-_FAMILIES = {"gaussian", "bump"}
-
-
 def _family_closures(family: str, params: dict):
     if family == "gaussian":
         sigma = float(params.get("sigma", 1.0))

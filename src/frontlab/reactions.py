@@ -1,9 +1,10 @@
 """Time-heterogeneous ignition nonlinearities f(t,u) = a(t) f0(u).
 
-The base profile vanishes below the ignition temperature theta and at 1,
-is positive in between, and stays negative on (1, 2].  The multiplicative
-modulation a(t) is bounded between declared constants a_lo and a_hi, which
-makes the envelope pair f_min = a_lo*f0, f_max = a_hi*f0 exact.
+The base profile f0(u) = (u - theta)^3 (1 - u) vanishes below the ignition
+temperature theta and at 1, is positive in between, and stays negative on
+(1, 2].  The modulation a(t) = a_mean + a_amp sin(omega_t t) is bounded
+between declared constants a_lo and a_hi, which makes the envelope pair
+f_min = a_lo*f0, f_max = a_hi*f0 exact.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GUARD_LO = -1.0
-GUARD_HI = 3.0
-
 #: samples of the state range in the derived-constant scans
 N_STATES = 4001
 
@@ -24,25 +22,9 @@ class ReactionError(ValueError):
     pass
 
 
-def _default_base(theta: float):
-    """f0(u) = (u-theta)^3 (1-u) above theta, 0 below; C^2 in u."""
-
-    def f0(u):
-        u = np.asarray(u, dtype=float)
-        v = np.maximum(u - theta, 0.0)
-        return v * v * v * (1.0 - u)
-
-    def df0(u):
-        u = np.asarray(u, dtype=float)
-        v = np.maximum(u - theta, 0.0)
-        return v * v * (3.0 * (1.0 - u) - v)
-
-    def d2f0(u):
-        u = np.asarray(u, dtype=float)
-        v = np.maximum(u - theta, 0.0)
-        return 6.0 * v * (1.0 - u) - 6.0 * v**2
-
-    return f0, df0, d2f0
+def _dt_max(c_fu: float) -> float:
+    """Explicit step budget 0.9 * 2 / (1 + C_fu)."""
+    return 0.9 * 2.0 / (1.0 + c_fu)
 
 
 @dataclass(frozen=True)
@@ -51,9 +33,9 @@ class IgnitionNonlinearity:
     theta_tilde: float
     a_lo: float
     a_hi: float
-    base: tuple          # (f0, df0, d2f0) callables
-    modulation: tuple    # (a, da) callables
-    period: float = 2.0 * math.pi
+    a_mean: float
+    a_amp: float
+    omega_t: float
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
@@ -62,54 +44,74 @@ class IgnitionNonlinearity:
             raise ReactionError("theta_tilde must lie in (theta,1)")
         if not (0.0 < self.a_lo <= self.a_hi):
             raise ReactionError("need 0 < a_lo <= a_hi")
+        if not self.omega_t > 0.0:
+            raise ReactionError("omega_t must be positive")
+
+    @property
+    def period(self) -> float:
+        return 2.0 * math.pi / self.omega_t
+
+    # -- factors: f0 is C^2 in u --------------------------------------------
+
+    def f0(self, u):
+        u = np.asarray(u, dtype=float)
+        v = np.maximum(u - self.theta, 0.0)
+        return v * v * v * (1.0 - u)
+
+    def df0(self, u):
+        u = np.asarray(u, dtype=float)
+        v = np.maximum(u - self.theta, 0.0)
+        return v * v * (3.0 * (1.0 - u) - v)
+
+    def d2f0(self, u):
+        u = np.asarray(u, dtype=float)
+        v = np.maximum(u - self.theta, 0.0)
+        return 6.0 * v * (1.0 - u) - 6.0 * v**2
+
+    def a(self, t):
+        return self.a_mean + self.a_amp * np.sin(self.omega_t * t)
+
+    def da(self, t):
+        return self.a_amp * self.omega_t * np.cos(self.omega_t * t)
 
     # -- evaluators ---------------------------------------------------------
 
-    def _guard(self, u):
-        u = np.asarray(u, dtype=float)
-        # NaN passes (min and max propagate it) to the stepper's finite check
-        if u.size and (u.min() < GUARD_LO or u.max() > GUARD_HI):
-            raise ReactionError("state outside guard range [-1, 3]")
-        return u
-
     def eval(self, t, u):
-        u = self._guard(u)
-        return self.modulation[0](t) * self.base[0](u)
+        return self.a(t) * self.f0(u)
 
     def eval_du(self, t, u):
-        u = self._guard(u)
-        return self.modulation[0](t) * self.base[1](u)
+        return self.a(t) * self.df0(u)
 
     def eval_dt(self, t, u):
-        u = self._guard(u)
-        return self.modulation[1](t) * self.base[0](u)
+        return self.da(t) * self.f0(u)
 
     def eval_duu(self, t, u):
-        u = self._guard(u)
-        return self.modulation[0](t) * self.base[2](u)
+        return self.a(t) * self.d2f0(u)
 
     def f_min(self, u):
-        return self.a_lo * self.base[0](self._guard(u))
+        return self.a_lo * self.f0(u)
 
     def f_max(self, u):
-        return self.a_hi * self.base[0](self._guard(u))
+        return self.a_hi * self.f0(u)
 
     # -- derived constants --------------------------------------------------
 
     def beta_tilde(self) -> float:
         """Uniform decay slope: min over [theta_tilde, 2] of -a_lo*f0'."""
         u = np.linspace(self.theta_tilde, 2.0, N_STATES)
-        return float(np.min(-self.a_lo * self.base[1](u)))
+        return float(np.min(-self.a_lo * self.df0(u)))
+
+    def sup_df0(self, u_hi: float = 2.0) -> float:
+        """Sampled sup of |f0'| over [0, u_hi]."""
+        u = np.linspace(0.0, u_hi, N_STATES)
+        return float(np.max(np.abs(self.df0(u))))
 
     def lipschitz_bound(self, u_hi: float = 2.0) -> float:
         """Sampled sup of |f_u| over one period x [0, u_hi]."""
-        u = np.linspace(0.0, u_hi, N_STATES)
-        worst = np.max(np.abs(self.base[1](u)))
-        return float(max(self.a_lo, self.a_hi) * worst)
+        return self.a_hi * self.sup_df0(u_hi)
 
     def dt_max(self) -> float:
-        """Explicit step budget 0.9 * 2 / (1 + C_fu)."""
-        return 0.9 * 2.0 / (1.0 + self.lipschitz_bound())
+        return _dt_max(self.lipschitz_bound())
 
 
 def make_ignition(theta: float = 0.3, theta_tilde: float = 0.9,
@@ -118,20 +120,11 @@ def make_ignition(theta: float = 0.3, theta_tilde: float = 0.9,
                   declared_a_lo: float | None = None,
                   declared_a_hi: float | None = None) -> IgnitionNonlinearity:
     """Cubic-contact ignition family with sinusoidal modulation."""
-    base = _default_base(theta)
-
-    def a(t):
-        return a_mean + a_amp * np.sin(omega_t * np.asarray(t, dtype=float))
-
-    def da(t):
-        return a_amp * omega_t * np.cos(omega_t * np.asarray(t, dtype=float))
-
     a_lo = a_mean - a_amp if declared_a_lo is None else declared_a_lo
     a_hi = a_mean + a_amp if declared_a_hi is None else declared_a_hi
     return IgnitionNonlinearity(
         theta=theta, theta_tilde=theta_tilde, a_lo=a_lo, a_hi=a_hi,
-        base=base, modulation=(a, da),
-        period=2.0 * math.pi / omega_t)
+        a_mean=a_mean, a_amp=a_amp, omega_t=omega_t)
 
 
 def make_default_ignition() -> IgnitionNonlinearity:
@@ -151,20 +144,13 @@ class AutonomousSlice:
         return self.parent.theta
 
     def eval(self, t, u):
-        return self.amplitude * self.parent.base[0](self.parent._guard(u))
+        return self.amplitude * self.parent.f0(u)
 
     def eval_du(self, t, u):
-        return self.amplitude * self.parent.base[1](self.parent._guard(u))
-
-    def __call__(self, u):
-        return self.eval(0.0, u)
-
-    def lipschitz_bound(self) -> float:
-        u = np.linspace(0.0, 2.0, N_STATES)
-        return float(self.amplitude * np.max(np.abs(self.parent.base[1](u))))
+        return self.amplitude * self.parent.df0(u)
 
     def dt_max(self) -> float:
-        return 0.9 * 2.0 / (1.0 + self.lipschitz_bound())
+        return _dt_max(self.amplitude * self.parent.sup_df0())
 
 
 def min_slice(f: IgnitionNonlinearity) -> AutonomousSlice:

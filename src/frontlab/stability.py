@@ -310,8 +310,7 @@ def subsupersolution_residual(snaps: list, x_track, params: StabilityParameters,
         q_here = env.q(times[j])
         fld = FieldState(t=times[j], x=x, u=v_here,
                          u_left=1.0 + sign * q_here, u_right=0.0)
-        rhs = (convolve(kernel, fld) - v_here
-               + f.eval(times[j], np.clip(v_here, -1.0, 3.0)))
+        rhs = convolve(kernel, fld) - v_here + f.eval(times[j], v_here)
         res = v_t - rhs
         sup_res = max(sup_res, float(np.max(res)))
         inf_res = min(inf_res, float(np.min(res)))

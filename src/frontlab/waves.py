@@ -59,7 +59,7 @@ def _stationary_residual(kernel: Kernel, f_hom, x, u, c) -> np.ndarray:
     field = FieldState(t=0.0, x=x, u=u, u_left=1.0, u_right=0.0)
     conv = convolve(kernel, field)
     du = _ghost_gradient(u, float(x[1] - x[0]))
-    return conv - u + c * du + f_hom.eval(0.0, np.clip(u, -1.0, 3.0))
+    return conv - u + c * du + f_hom.eval(0.0, u)
 
 
 def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
@@ -106,7 +106,7 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi):
         norm = max(float(np.max(np.abs(res))), abs(phase))
         if norm <= 0.05 * TOL:
             break
-        fp = f_hom.eval_du(0.0, np.clip(phi, -1.0, 3.0))
+        fp = f_hom.eval_du(0.0, phi)
         a_mat = (conv_mat - sparse.identity(n, format="csr")
                  + c * d0 + sparse.diags(fp, 0, format="csr"))
         dcol = _ghost_gradient(phi, h)

@@ -15,6 +15,7 @@ from frontlab.fields import Grid
 from frontlab.kernels import build_kernel
 from frontlab.reactions import make_default_ignition, max_slice
 from frontlab.stability import select_alpha
+from trajectory_helpers import at_time
 
 DT = 0.05
 
@@ -71,7 +72,7 @@ def x_track(front_run):
 @pytest.fixture(scope="session")
 def fine_traj(front_run, kernel, f):
     """Snapshot cadence 0.1 over [30, 50] for time-difference residuals."""
-    state = front_run.trajectory.at_time(30.0)
+    state = at_time(front_run.trajectory, 30.0)
     return evolve(state, kernel, f, 50.0, DT, snapshot_every=0.1)
 
 

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import frontlab
 from frontlab import cli
 from frontlab.cli import load_config, main
+from frontlab.stability import StabilityReport
 from frontlab.waves import WaveError
 
 
@@ -110,6 +111,38 @@ class TestExitCodes:
         result = runner.invoke(main, ["validate", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
+
+    def test_nonpositive_dt_is_config_error(self, runner, tmp_path):
+        cfg = _write_cfg(tmp_path, {"time": {"dt": 0.0}})
+        result = runner.invoke(main, ["validate", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "dt=0.0 lies outside" in result.output
+
+    @pytest.mark.parametrize("experiment, time, message", [
+        ("steepness", {"dt": 0.03},
+         "time.cadence=1 is not a whole multiple of time.dt=0.03"),
+        ("front", {"s": -10.01, "t_end": 20.0},
+         "time.t_end - time.s=30.01 is not a whole multiple of time.dt=0.05"),
+        ("front", {"s": -10.0, "t_end": 5.0},
+         "time.t_end=5 lies before time.s + 20"),
+    ], ids=["off_cadence", "off_step_run", "short_run"])
+    def test_time_section_is_checked_before_any_solve(
+            self, runner, tmp_path, monkeypatch, experiment, time, message):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the time section was "
+                                 "checked")
+
+        monkeypatch.setattr(cli, "_WAVES", {})  # no memoized wave to reuse
+        monkeypatch.setattr(cli, "solve_traveling_wave", solve)
+        monkeypatch.setattr(cli, "build_approx_front", solve)
+        cfg = _write_cfg(tmp_path, {
+            "time": time, "grid": {"x_min": -30.0, "x_max": 30.0,
+                                   "n": 1201}})
+        result = runner.invoke(main, [experiment, "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
 
     def test_unknown_reaction_key_is_config_error(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {"reaction": {"bogus": 1}})
@@ -265,6 +298,27 @@ class TestExitCodes:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pairs"] == 3
         assert summary["min_margin"] >= -1e-8
+
+
+class TestStabilityGate:
+    def test_sandwich_budget_ignores_the_edge_defect(self, tmp_path,
+                                                     monkeypatch):
+        # a 5e-6 violation fails the flat 1e-6 budget, though it lies well
+        # inside the 2.4e-5 edge defect that is reported beside it
+        def violated(ref0, *args, **kwargs):
+            one = np.array([0.0])
+            return StabilityReport(
+                times=one + ref0.t, envelope_distance=one, q_values=one,
+                zeta_minus=one, zeta_plus=one, violation_count=1,
+                worst_violation=5e-6, edge_defect=2.4e-5,
+                interior_worst_violation=5e-6)
+
+        monkeypatch.setattr(cli, "run_stability_experiment", violated)
+        code = cli._run_experiment("stability", load_config(None),
+                                   tmp_path, quiet=True)
+        assert code == 1
+        failure = json.loads((tmp_path / "summary.json").read_text())
+        assert "sandwich violated" in failure["failure"]
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from frontlab.evolve import (EvolveError, EvolveInputError, Stepper,
 from frontlab.fields import FieldState, Grid, constant_field, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import KernelError, _convolve_samples
+from trajectory_helpers import at_time
 
 DT = 0.05
 
@@ -22,11 +23,11 @@ def three_branch_step(kernel, f, state, dt, evolve_far_fields=False):
 
     def rhs_u(t, u, u_left, u_right):
         conv = _convolve_samples(wj, u, u_left, u_right)
-        return conv - u + f.eval(t, np.clip(u, -1.0, 3.0))
+        return conv - u + f.eval(t, u)
 
     def rhs_w(t, u, w, u_left, u_right):
         conv = _convolve_samples(wdj, u, u_left, u_right)
-        return conv - w + f.eval_du(t, np.clip(u, -1.0, 3.0)) * w
+        return conv - w + f.eval_du(t, u) * w
 
     t, u = state.t, state.u
     ul, ur = state.u_left, state.u_right
@@ -106,6 +107,24 @@ class TestStepper:
         state = smoothed_step(grid)
         with pytest.raises(EvolveError):
             evolve(state, kernel, f, 1.0, 0.5)
+
+    @pytest.mark.parametrize("value", [10.0, np.nan])
+    def test_state_outside_range_raises(self, kernel, f, value):
+        # the stepper is the one place that checks u in [-1, 3]; a NaN
+        # fails the same check
+        state = smoothed_step(Grid(-20.0, 20.0, 801))
+        u = state.u.copy()
+        u[400] = value
+        with pytest.raises(EvolveError, match=r"left \[-1, 3\]"):
+            Stepper(kernel, f).step(state.with_(u=u), DT)
+
+    def test_snapshot_every_off_the_steps_rejected(self, kernel, f):
+        # 1.0 / 0.03 is not whole: rounding would space snapshots 0.99 apart
+        state = smoothed_step(Grid(-20.0, 20.0, 801))
+        with pytest.raises(EvolveInputError, match="whole number of steps"):
+            evolve(state, kernel, f, 3.0, 0.03, snapshot_every=1.0)
+        times = evolve(state, kernel, f, 3.0, 0.03, snapshot_every=0.99).times
+        assert times == pytest.approx([0.0, 0.99, 1.98, 2.97, 3.0])
 
     def test_rk4_time_accuracy(self, kernel, f):
         # halving dt should shrink the defect by ~16 (4th order)
@@ -252,7 +271,7 @@ class TestWindowPolicy:
 
 class TestApproxFront:
     def test_seed_time_hits_level(self, front_run, f):
-        end = front_run.trajectory.at_time(0.0)
+        end = at_time(front_run.trajectory, 0.0)
         u0 = float(np.interp(0.0, end.x, end.u))
         assert abs(u0 - f.theta) <= 1e-6
 
@@ -260,7 +279,7 @@ class TestApproxFront:
         assert all(s.w is not None for s in front_run.snapshots)
 
     def test_derivative_tracks_profile(self, front_run):
-        snap = front_run.trajectory.at_time(20.0)
+        snap = at_time(front_run.trajectory, 20.0)
         fd = np.gradient(snap.u, snap.x)
         core = (snap.u > 1e-3) & (snap.u < 1.0 - 1e-3)
         assert np.max(np.abs(fd[core] - snap.w[core])) < 2e-3
@@ -281,8 +300,8 @@ class TestApproxFront:
         grid = Grid(-50.0, 50.0, 2001)
         run40 = build_approx_front(kernel, f, tw_min, grid, s=-40.0, dt=DT,
                                    t_end=0.0, snapshot_every=10.0)
-        a = front_run.trajectory.at_time(0.0)
-        b = run40.trajectory.at_time(0.0)
+        a = at_time(front_run.trajectory, 0.0)
+        b = at_time(run40.trajectory, 0.0)
         near = np.abs(a.x) <= 20.0
         diff = np.max(np.abs(a.u[near] - np.interp(a.x[near], b.x, b.u)))
         assert diff < 1e-2
@@ -302,7 +321,7 @@ class TestApproxFront:
         monkeypatch.setattr(module, "evolve", counting_evolve)
         run = build_approx_front(kernel, f, tw_min, Grid(-12.5, 12.5, 501),
                                  s=-5.0, dt=DT)
-        end = run.trajectory.at_time(0.0)
+        end = at_time(run.trajectory, 0.0)
         assert abs(float(np.interp(0.0, end.x, end.u)) - f.theta) <= 2.5e-7
         assert len(calls) <= 4
 
@@ -312,7 +331,7 @@ class TestApproxFront:
         A bisection on the terminal value gives y_s = -4.7958607."""
         run = build_approx_front(kernel, f, tw_min, Grid(-7.5, 7.5, 301),
                                  s=-30.0, dt=DT)
-        end = run.trajectory.at_time(0.0)
+        end = at_time(run.trajectory, 0.0)
         assert abs(float(np.interp(0.0, end.x, end.u)) - f.theta) <= 2.5e-7
         assert run.y_s == pytest.approx(-4.7958607, abs=1e-6)
 
@@ -326,10 +345,10 @@ class TestApproxFront:
 
 class TestTrajectory:
     def test_at_time_tolerance(self, front_run):
-        snap = front_run.trajectory.at_time(10.0)
+        snap = at_time(front_run.trajectory, 10.0)
         assert snap.t == pytest.approx(10.0, abs=1e-9)
         with pytest.raises(KeyError):
-            front_run.trajectory.at_time(10.5)
+            at_time(front_run.trajectory, 10.5)
 
     def test_snapshot_times_are_exact(self, front_run):
         # step i is stamped s + i*dt: no summed-step drift, t_end is hit

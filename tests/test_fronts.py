@@ -11,6 +11,7 @@ from frontlab.fronts import (FrontError, fit_exponential_tail,
                              locate_level, steepness,
                              steepness_bound_constant)
 from frontlab.kernels import build_kernel, convolve
+from trajectory_helpers import at_time
 
 STEEPNESS_FLOOR = 1e-6
 
@@ -99,7 +100,7 @@ class TestWidthAndTracks:
 
 class TestInterfaceSpeed:
     def test_matches_track_speed(self, front_run, kernel, f):
-        snap = front_run.trajectory.at_time(20.0)
+        snap = at_time(front_run.trajectory, 20.0)
         v_inst = interface_speed(snap, 0.3, kernel, f)
         ts, xs = front_run.interface_track()
         sel = (ts >= 18.0) & (ts <= 22.0)

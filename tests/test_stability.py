@@ -17,6 +17,7 @@ from frontlab.stability import (GammaFunction, InadmissibleAlpha,
                                 gamma_convolution, make_perturbed_initial,
                                 profile_interp, run_stability_experiment,
                                 sandwich_margins, subsupersolution_residual)
+from trajectory_helpers import at_time
 
 DT = 0.05
 
@@ -162,14 +163,14 @@ class TestEnvelope:
 
 class TestProfileInterp:
     def test_nodes_and_far_fields(self, front_run):
-        snap = front_run.trajectory.at_time(0.0)
+        snap = at_time(front_run.trajectory, 0.0)
         fn = profile_interp(snap)
         assert np.max(np.abs(fn(snap.x) - snap.u)) < 1e-13
         assert fn(np.array([-1e4]))[0] == snap.u_left
         assert fn(np.array([1e4]))[0] == snap.u_right
 
     def test_monotone_between_nodes(self, front_run):
-        snap = front_run.trajectory.at_time(0.0)
+        snap = at_time(front_run.trajectory, 0.0)
         fn = profile_interp(snap)
         xs = np.linspace(-30.0, 30.0, 7919)
         assert np.all(np.diff(fn(xs)) <= 1e-15)
@@ -177,7 +178,7 @@ class TestProfileInterp:
 
 class TestBestShift:
     def test_recovers_known_shift(self, front_run):
-        ref = front_run.trajectory.at_time(40.0)
+        ref = at_time(front_run.trajectory, 40.0)
         fn = profile_interp(ref)
         z_true = 1.2345
         shifted = ref.with_(u=fn(ref.x - z_true))
@@ -187,7 +188,7 @@ class TestBestShift:
 
     def test_bracket_miss_clamps_to_endpoint(self, front_run):
         # a bracket that misses the minimum converges to the nearer edge
-        ref = front_run.trajectory.at_time(40.0)
+        ref = at_time(front_run.trajectory, 40.0)
         fn = profile_interp(ref)
         shifted = ref.with_(u=fn(ref.x - 1.0))
         z, d = best_shift(shifted, ref, bracket=(5.0, 9.0))
@@ -195,7 +196,7 @@ class TestBestShift:
         assert d > best_shift(shifted, ref)[1]
 
     def test_auto_bracket_centers_on_crossings(self, front_run):
-        ref = front_run.trajectory.at_time(40.0)
+        ref = at_time(front_run.trajectory, 40.0)
         fn = profile_interp(ref)
         big = 6.5   # outside any (z-1, z+1) incremental bracket
         shifted = ref.with_(u=fn(ref.x - big))
@@ -228,7 +229,7 @@ class TestFitLogDecay:
 
 class TestPerturbedInitial:
     def test_clip_and_shape_guard(self, front_run, sparams):
-        snap = front_run.trajectory.at_time(60.0)
+        snap = at_time(front_run.trajectory, 60.0)
         x_ref = locate_level(snap, 0.3)
         u0 = make_perturbed_initial(snap, sparams.gamma, x_ref, sparams.eps0)
         assert np.all((u0.u >= 0.0) & (u0.u <= 1.0))
@@ -287,8 +288,7 @@ def three_build_residual(snaps, x_track, params, env, sign, kernel, f):
         v_here = build_v(j, x)
         fld = FieldState(t=times[j], x=x, u=v_here,
                          u_left=1.0 + sign * env.q(times[j]), u_right=0.0)
-        res = v_t - (convolve(kernel, fld) - v_here
-                     + f.eval(times[j], np.clip(v_here, -1.0, 3.0)))
+        res = v_t - (convolve(kernel, fld) - v_here + f.eval(times[j], v_here))
         sup_res = max(sup_res, float(np.max(res)))
         inf_res = min(inf_res, float(np.min(res)))
     return sup_res, inf_res
@@ -343,7 +343,7 @@ class TestStabilityExperiment:
         # without the shift drift A the band cannot follow the perturbed
         # front: the gate must fail
         report = run_stability_experiment(
-            front_run.trajectory.at_time(60.0), kernel, f,
+            at_time(front_run.trajectory, 60.0), kernel, f,
             dataclasses.replace(sparams, A=0.0), horizon=200.0, dt=DT)
         assert report.worst_violation > 1e-6 + report.edge_defect
         assert report.interior_worst_violation <= report.worst_violation
