@@ -75,6 +75,8 @@ def _deep_update(base: dict, extra: dict) -> dict:
             out[key] = _deep_update(out[key], val)
         elif val is None:
             raise ValueError(f"config value {key!r} is null")
+        elif isinstance(out.get(key), dict):
+            raise ValueError(f"config section {key!r} is not a mapping")
         else:
             out[key] = val
     return out
@@ -103,6 +105,14 @@ def _num(section: dict, key: str, default=None, kind=float):
                          f"{value!r}") from None
 
 
+def _check_whole_steps(key: str, span: float, dt: float) -> None:
+    """Snapshots fall on whole steps: span must be a whole multiple of dt."""
+    steps = span / dt
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"{key}={span:g} is not a whole multiple of "
+                         f"time.dt={dt:g}")
+
+
 def build_problem(cfg: dict):
     """(kernel, nonlinearity, grid) from the shared config sections."""
     kc = dict(cfg["kernel"])
@@ -124,12 +134,8 @@ def build_problem(cfg: dict):
     if t_end < s + TRANSIENT:
         raise ValueError(f"time.t_end={t_end:g} lies before time.s + "
                          f"{TRANSIENT:g}, where the front has settled")
-    spans = {"cadence": _num(tc, "cadence"), "t_end - time.s": t_end - s}
-    for name, span in spans.items():  # snapshots fall on whole steps
-        steps = span / dt
-        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(f"time.{name}={span:g} is not a whole "
-                             f"multiple of time.dt={dt:g}")
+    _check_whole_steps("time.cadence", _num(tc, "cadence"), dt)
+    _check_whole_steps("time.t_end - time.s", t_end - s, dt)
     return kern, f, grid
 
 
@@ -269,7 +275,7 @@ def exp_validate(cfg, art: Artifacts) -> dict:
                   [np.array([0])] + [np.array([int(v)]) for _, v in rows])
     summary = {f"h_{k}": int(v) for k, v in rows}
     summary.update(c_fu=report.c_fu, beta_tilde=report.beta_tilde,
-                   all_pass=int(report.all_pass))
+                   dt_max=f.dt_max(), all_pass=int(report.all_pass))
     if not report.all_pass:
         raise CheckFailure("hypothesis violations: "
                            + "; ".join(report.violation_lines()))
@@ -330,7 +336,7 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     art.plot("steepness.png", ts[late], {"sup_w": ss}, "t",
              "sup w near front")
     alpha_m = -float(np.max(ss))
-    const = steepness_bound_constant(kern, f.lipschitz_bound(2.0),
+    const = steepness_bound_constant(kern, f.lipschitz_bound(),
                                      dt=_num(cfg["time"], "cadence"))
     margins = []
     for j in late[:-1]:  # the last snapshot has no successor
@@ -444,6 +450,12 @@ def exp_comparison(cfg, art: Artifacts) -> dict:
     n_pairs = _num(ec, "pairs", 100, kind=int)
     t_end = _num(ec, "t_end", 3.0)
     dt = _num(cfg["time"], "dt")
+    if n_pairs < 1:
+        raise ValueError(f"experiment.pairs={n_pairs} must be at least 1")
+    if t_end <= 0.0:  # the pairs start at t = 0
+        raise ValueError(f"experiment.t_end={t_end:g} does not lie after "
+                         "t=0")
+    _check_whole_steps("experiment.t_end", t_end, dt)
     rng = np.random.default_rng(_num(cfg, "seed", kind=int))
     margins = []
     for _ in range(n_pairs):
@@ -474,16 +486,20 @@ def _sweep_worker(args):
 def exp_sweep(cfg, art: Artifacts) -> dict:
     ec = cfg["experiment"]
     cases = ec.get("cases")
-    if not cases:
-        raise ValueError("sweep requires experiment.cases")
+    if not cases or not isinstance(cases, list):
+        raise ValueError("sweep requires experiment.cases, a list")
     workers = _num(ec, "workers", 2, kind=int)
     jobs = []
-    for i, case in enumerate(cases):
-        sub_cfg = _deep_update({**cfg, "experiment": {}}, case)
-        name = sub_cfg["experiment"].get("name")
-        if name in (None, "sweep"):
-            raise ValueError(f"sweep case {i} must name a non-sweep "
-                             "experiment")
+    for i, case in enumerate(cases):  # every case is checked before any runs
+        try:
+            if not isinstance(case, dict):
+                raise ValueError(f"{case!r} is not a mapping")
+            sub_cfg = _deep_update({**cfg, "experiment": {}}, case)
+            name = sub_cfg["experiment"].get("name")
+            if name not in [e for e in EXPERIMENTS if e != "sweep"]:
+                raise ValueError(f"{name!r} is not a non-sweep experiment")
+        except ValueError as err:
+            raise ValueError(f"sweep case {i}: {err}") from None
         sub_dir = art.dir / f"case_{i:03d}"
         jobs.append((sub_cfg, str(sub_dir), True))
     if workers > 1:

@@ -16,6 +16,7 @@ import numpy as np
 from .fields import FieldState, Grid
 from .kernels import Kernel, _check_compatible, _convolve_samples
 from .fronts import FrontError, locate_level
+from .reactions import STATE_HI, STATE_LO
 from .waves import TravelingWave
 
 
@@ -35,8 +36,6 @@ SEED_MAX_RUNS = 10
 SEED_MIN_SLOPE = 0.1
 #: time after the seed time s from which an approximating front has settled
 TRANSIENT = 20.0
-#: the state range the stepper accepts; leaving it is a solver breakdown
-STATE_LO, STATE_HI = -1.0, 3.0
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class Stepper:
         incr = tuple(None if a is None else a + 2 * b + 2 * c + d
                      for a, b, c, d in zip(k1, k2, k3, k4))
         u_new, w_new, ul_new, ur_new = combine(incr, dt / 6.0)
-        # the one range check: a NaN fails it too
+        # the one range check, the range the cap assumes; a NaN fails it
         if not (u_new.min() >= STATE_LO and u_new.max() <= STATE_HI):
             raise EvolveError(f"state left [{STATE_LO:g}, {STATE_HI:g}] "
                               f"at t={t + dt}")

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: samples of the state range in the derived-constant scans
+#: the one state range: solutions from data in [0, 1] stay there, so the
+#: stepper guards it and the derived constants sample it (N_STATES points)
+STATE_LO, STATE_HI = -0.05, 1.1
 N_STATES = 4001
 
 
@@ -23,8 +25,10 @@ class ReactionError(ValueError):
 
 
 def _dt_max(c_fu: float) -> float:
-    """Explicit step budget 0.9 * 2 / (1 + C_fu)."""
-    return 0.9 * 2.0 / (1.0 + c_fu)
+    """RK4 step cap 0.9 * 2.785 / (2 + C_fu): |J^| <= 1 puts the
+    linearization's spectrum in [-2 - C_fu, C_fu], and RK4 is stable on
+    [-2.785, 0] of the real axis (Hairer & Wanner, ODEs II, IV.2)."""
+    return 0.9 * 2.785 / (2.0 + c_fu)
 
 
 @dataclass(frozen=True)
@@ -97,18 +101,19 @@ class IgnitionNonlinearity:
     # -- derived constants --------------------------------------------------
 
     def beta_tilde(self) -> float:
-        """Uniform decay slope: min over [theta_tilde, 2] of -a_lo*f0'."""
-        u = np.linspace(self.theta_tilde, 2.0, N_STATES)
+        """Uniform decay slope: min over [theta_tilde, STATE_HI] of
+        -a_lo*f0'."""
+        u = np.linspace(self.theta_tilde, STATE_HI, N_STATES)
         return float(np.min(-self.a_lo * self.df0(u)))
 
-    def sup_df0(self, u_hi: float = 2.0) -> float:
-        """Sampled sup of |f0'| over [0, u_hi]."""
-        u = np.linspace(0.0, u_hi, N_STATES)
+    def sup_df0(self) -> float:
+        """Sampled sup of |f0'| over [0, STATE_HI]."""
+        u = np.linspace(0.0, STATE_HI, N_STATES)
         return float(np.max(np.abs(self.df0(u))))
 
-    def lipschitz_bound(self, u_hi: float = 2.0) -> float:
-        """Sampled sup of |f_u| over one period x [0, u_hi]."""
-        return self.a_hi * self.sup_df0(u_hi)
+    def lipschitz_bound(self) -> float:
+        """Sampled sup of |f_u| over one period x [0, STATE_HI]."""
+        return self.a_hi * self.sup_df0()
 
     def dt_max(self) -> float:
         return _dt_max(self.lipschitz_bound())
@@ -282,7 +287,7 @@ def validate_hypotheses(kernel, f: IgnitionNonlinearity) -> HypothesisReport:
 
     return HypothesisReport(
         verdicts=verdicts,
-        c_fu=float(np.max(np.abs(fu[:, us >= 0.0]))),
+        c_fu=f.lipschitz_bound(),
         sup_ft=float(np.max(np.abs(ft))),
         sup_fuu=sup_fuu,
         beta_tilde=beta,

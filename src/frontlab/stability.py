@@ -189,11 +189,11 @@ def select_alpha(run: ApproxFrontRun, kernel: Kernel,
     """Assemble (M1, M2, C_steep, A, eps0, omega) from a front run, scanning
     alpha downward until the M2 construction admits it.
 
-    C_fu is the sampled derivative bound over the state range the
-    perturbed solutions actually visit, [0, 1.1].
+    C_fu is the sampled derivative bound over the state range that
+    solutions visit, [0, reactions.STATE_HI].
     """
     c_min = measured_c_min(run)
-    c_fu = f.lipschitz_bound(1.1)
+    c_fu = f.lipschitz_bound()
     beta = f.beta_tilde()
     m1 = measure_m1(run, f)
     last_err = None

@@ -67,12 +67,7 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
     if grid.x_max - grid.x_min < 80.0 - 1e-9:
         raise WaveInputError("wave window must span at least 80 length units")
     step = smoothed_step(grid, center=0.0, width=2.0)
-    phi, c = _newton_polish(kernel, f_hom, grid, step.u)
-
-    res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
-    residual_norm = float(np.max(np.abs(res)))
-    if residual_norm > TOL:
-        raise WaveError(f"polish failed: residual {residual_norm} > {TOL}")
+    phi, c, residual_norm = _newton_polish(kernel, f_hom, grid, step.u)
     if c <= 0:
         raise WaveError("nonpositive wave speed")
     dphi = -(convolve(kernel, FieldState(0.0, grid.x, phi, 1.0, 0.0))
@@ -85,7 +80,8 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
 def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi):
     """Damped Newton from (phi, START_SPEED) on the stationary system with
     the phase row phi(0) = theta; a step moves phi by at most 0.2
-    anywhere."""
+    anywhere.  Returns (phi, c, max|residual|) once both residuals are
+    below 0.05 TOL."""
     n = grid.n
     h = grid.h
     i0 = int(np.argmin(np.abs(grid.x)))
@@ -103,9 +99,9 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi):
     for _ in range(NEWTON_CAP):
         res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
         phase = phi[i0] - f_hom.theta
-        norm = max(float(np.max(np.abs(res))), abs(phase))
-        if norm <= 0.05 * TOL:
-            break
+        res_norm = float(np.max(np.abs(res)))
+        if max(res_norm, abs(phase)) <= 0.05 * TOL:
+            return phi, c, res_norm
         fp = f_hom.eval_du(0.0, phi)
         a_mat = (conv_mat - sparse.identity(n, format="csr")
                  + c * d0 + sparse.diags(fp, 0, format="csr"))
@@ -121,7 +117,5 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi):
             step_size = 0.2 / float(np.max(np.abs(delta[:n])))
         phi = phi + step_size * delta[:n]
         c = c + step_size * float(delta[n])
-    else:
-        raise WaveError("Newton polish did not converge within the cap")
-    return phi, c
+    raise WaveError("Newton polish did not converge within the cap")
 

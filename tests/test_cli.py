@@ -107,10 +107,12 @@ class TestExitCodes:
         assert result.exit_code == 2
 
     def test_unstable_dt_is_config_error(self, runner, tmp_path):
-        cfg = _write_cfg(tmp_path, {"time": {"dt": 0.5}})
+        # the RK4 cap is 0.7355 at the defaults
+        cfg = _write_cfg(tmp_path, {"time": {"dt": 1.0}})
         result = runner.invoke(main, ["validate", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
+        assert "dt=1.0 lies outside (0, 0.7355]" in result.output
 
     def test_nonpositive_dt_is_config_error(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {"time": {"dt": 0.0}})
@@ -286,6 +288,23 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert "does not lie after" in result.output
 
+    @pytest.mark.parametrize("experiment, message", [
+        ({"pairs": 0}, "experiment.pairs=0 must be at least 1"),
+        ({"t_end": 3.01},
+         "experiment.t_end=3.01 is not a whole multiple of time.dt=0.05"),
+    ], ids=["no_pairs", "off_step_t_end"])
+    def test_comparison_keys_are_checked_before_any_pair(
+            self, runner, tmp_path, monkeypatch, experiment, message):
+        def pair(*args, **kwargs):
+            raise AssertionError("a pair ran before the keys were checked")
+
+        monkeypatch.setattr(cli, "comparison_test", pair)
+        cfg = _write_cfg(tmp_path, {"experiment": experiment})
+        result = runner.invoke(main, ["comparison", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
     def test_small_comparison_ok(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {
             "experiment": {"pairs": 3, "t_end": 1.0},
@@ -393,6 +412,29 @@ class TestSweep:
         result = runner.invoke(main, ["sweep",
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("cases, message", [
+        ([{"experiment": {"name": "validate"}},
+          {"experiment": {"name": "bogus"}}],
+         "sweep case 1: 'bogus' is not a non-sweep experiment"),
+        ([{"experiment": {"name": "sweep"}}],
+         "sweep case 0: 'sweep' is not a non-sweep experiment"),
+        ([5], "sweep case 0: 5 is not a mapping"),
+        ([{"experiment": "validate"}],
+         "sweep case 0: config section 'experiment' is not a mapping"),
+        ({"a": 1}, "experiment.cases, a list"),
+    ], ids=["unknown_name", "nested_sweep", "number", "flat_experiment",
+            "mapping"])
+    def test_cases_are_checked_before_any_runs(self, runner, tmp_path,
+                                               cases, message):
+        cfg = _write_cfg(tmp_path, {
+            "experiment": {"workers": 1, "cases": cases}})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--config", cfg,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (out / "case_000").exists()
 
     def test_failing_case_fails_sweep(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {

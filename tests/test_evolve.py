@@ -103,19 +103,20 @@ class TestStepper:
         assert np.max(np.abs(out.u - 0.2)) < 1e-14
 
     def test_dt_cap_enforced(self, kernel, f):
+        # the cap is 0.7355 at the defaults; one step of 1.0 exceeds it
         grid = Grid(-20.0, 20.0, 801)
         state = smoothed_step(grid)
-        with pytest.raises(EvolveError):
-            evolve(state, kernel, f, 1.0, 0.5)
+        with pytest.raises(EvolveInputError, match="exceeds dt_max"):
+            evolve(state, kernel, f, 1.0, 1.0)
 
-    @pytest.mark.parametrize("value", [10.0, np.nan])
+    @pytest.mark.parametrize("value", [10.0, np.nan, 1.2, -0.1])
     def test_state_outside_range_raises(self, kernel, f, value):
-        # the stepper is the one place that checks u in [-1, 3]; a NaN
-        # fails the same check
+        # the stepper is the one place that checks u in the state range
+        # [-0.05, 1.1] that the step cap assumes; a NaN fails it too
         state = smoothed_step(Grid(-20.0, 20.0, 801))
         u = state.u.copy()
         u[400] = value
-        with pytest.raises(EvolveError, match=r"left \[-1, 3\]"):
+        with pytest.raises(EvolveError, match=r"left \[-0\.05, 1\.1\]"):
             Stepper(kernel, f).step(state.with_(u=u), DT)
 
     def test_snapshot_every_off_the_steps_rejected(self, kernel, f):

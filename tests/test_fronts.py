@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontlab.fields import FieldState, Grid, smoothed_step
-from frontlab.fronts import (FrontError, fit_exponential_tail,
-                             interface_width, lipschitz_estimate,
-                             locate_level, steepness,
+from frontlab.fronts import (FrontError, check_steepness_bound,
+                             fit_exponential_tail, interface_width,
+                             lipschitz_estimate, locate_level, steepness,
                              steepness_bound_constant)
 from frontlab.kernels import build_kernel, convolve
 from trajectory_helpers import at_time
@@ -230,3 +230,16 @@ class TestSteepnessBoundConstant:
     def test_invalid_args(self, kernel):
         with pytest.raises(FrontError):
             steepness_bound_constant(kernel, 1.0, dt=0.0)
+
+    def test_flattened_front_violates_the_bound(self, kernel, f, front_run):
+        # the gate of `frontlab steepness` can fail: a later snapshot with
+        # w scaled by 0.01 is far less steep than the bound allows, while
+        # the computed pair holds it
+        const = steepness_bound_constant(kernel, f.lipschitz_bound(), 1.0)
+        before, after = front_run.snapshots[-2:]
+        x = locate_level(after, f.theta)
+        lhs, rhs = check_steepness_bound(before, after, const, x)
+        assert lhs <= rhs
+        flat = after.with_(w=0.01 * after.w)
+        lhs, rhs = check_steepness_bound(before, flat, const, x)
+        assert lhs > rhs + 1e-3

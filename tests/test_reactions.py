@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontlab.reactions import (IgnitionNonlinearity, ReactionError,
-                                make_default_ignition, make_ignition,
-                                max_slice, min_slice, validate_hypotheses)
+from frontlab.reactions import (STATE_HI, STATE_LO, IgnitionNonlinearity,
+                                ReactionError, make_default_ignition,
+                                make_ignition, max_slice, min_slice,
+                                validate_hypotheses)
 from kernel_helpers import with_samples
 
 THETA = 0.3
@@ -49,17 +50,28 @@ class TestDerivedConstants:
         assert f.beta_tilde() == pytest.approx(0.108, abs=1e-6)
 
     def test_lipschitz_bound_global(self, f):
-        # sup over [0,2] is attained at u = 2: |3*1.7^2*(-1) - 1.7^3| * 2
-        exact = 2.0 * abs(3 * 1.7**2 * (-1.0) - 1.7**3)
-        assert f.lipschitz_bound() == pytest.approx(exact, rel=1e-3)
+        # sup over [0, STATE_HI] is attained at u = 1.1, a sampled end:
+        # a_hi |f0'(1.1)| = 2 |3*0.8^2*(-0.1) - 0.8^3| = 1.408
+        exact = 2.0 * abs(3 * 0.8**2 * (-0.1) - 0.8**3)
+        assert exact == pytest.approx(1.408, rel=1e-12)
+        assert f.lipschitz_bound() == pytest.approx(exact, rel=1e-12)
 
     def test_lipschitz_bound_state_range(self, f):
-        # over the range perturbed solutions visit the constant is modest
-        assert f.lipschitz_bound(1.1) == pytest.approx(1.408, abs=1e-2)
+        # one state range, and the bound covers |f_u| over all of it
+        assert (STATE_LO, STATE_HI) == (-0.05, 1.1)
+        u = np.linspace(STATE_LO, STATE_HI, 1151)
+        t = np.linspace(0.0, f.period, 64, endpoint=False)
+        sup_fu = max(float(np.max(np.abs(f.eval_du(ti, u)))) for ti in t)
+        assert sup_fu <= f.lipschitz_bound() * (1.0 + 1e-12)
+        assert sup_fu == pytest.approx(f.lipschitz_bound(), rel=1e-3)
 
     def test_dt_max(self, f):
-        assert f.dt_max() == pytest.approx(1.8 / (1.0 + f.lipschitz_bound()))
-        assert 0.05 < f.dt_max() < 0.07
+        # RK4's real stability interval 2.785 over the spectrum bound
+        # 2 + C_fu of the linearization (|J^| <= 1)
+        assert f.dt_max() == pytest.approx(
+            0.9 * 2.785 / (2.0 + f.lipschitz_bound()), rel=1e-15)
+        assert 0.73 < f.dt_max() < 0.74
+        assert max_slice(f).dt_max() == pytest.approx(f.dt_max(), rel=1e-15)
 
     def test_slices(self, f):
         lo, hi = min_slice(f), max_slice(f)
@@ -77,7 +89,8 @@ class TestValidateHypotheses:
         assert report.all_pass
         assert report.violations == []
         assert report.beta_tilde == pytest.approx(0.108, abs=1e-6)
-        assert report.c_fu == pytest.approx(27.166, abs=1e-2)
+        assert report.c_fu == f.lipschitz_bound()
+        assert report.c_fu == pytest.approx(1.408, rel=1e-12)
 
     def test_asymmetric_kernel_fails_h1(self, kernel, f):
         skew = kernel.samples.copy()
