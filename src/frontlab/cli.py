@@ -33,8 +33,8 @@ from .fronts import (check_steepness_bound, fit_exponential_tail,
                      steepness_bound_constant)
 from .kernels import _check_compatible, build_kernel, positive_decay_rate
 from .reactions import make_ignition, max_slice, min_slice, validate_hypotheses
-from .stability import (INITIAL_SHAPES, StabilityError, asymptotic_initial,
-                        comparison_test, measured_c_min,
+from .stability import (COMPARISON_CADENCE, INITIAL_SHAPES, StabilityError,
+                        asymptotic_initial, comparison_test, measured_c_min,
                         run_asymptotic_experiment, run_stability_experiment,
                         select_alpha)
 from .waves import WaveError, solve_traveling_wave
@@ -294,6 +294,12 @@ def exp_wave(cfg, art: Artifacts) -> dict:
     summary = {"c_star_min": tw_lo.speed, "c_star_max": tw_hi.speed,
                "residual_min": tw_lo.residual_norm,
                "residual_max": tw_hi.residual_norm}
+    for tag, tw in (("min", tw_lo), ("max", tw_hi)):  # reported, not gated
+        summary[f"newton_iterations_{tag}"] = tw.iterations
+        # the largest rise phi[i+1] - phi[i]: a wide kernel's profile
+        # ripples on the node pairs at the left window edge
+        summary[f"monotone_defect_{tag}"] = float(
+            np.max(np.diff(tw.phi), initial=0.0))
     if tw_hi.speed <= tw_lo.speed:
         raise CheckFailure("speed ordering c*(f_max) > c*(f_min) failed")
     return summary
@@ -456,6 +462,8 @@ def exp_comparison(cfg, art: Artifacts) -> dict:
         raise ValueError(f"experiment.t_end={t_end:g} does not lie after "
                          "t=0")
     _check_whole_steps("experiment.t_end", t_end, dt)
+    _check_whole_steps("the comparison's snapshot interval",
+                       COMPARISON_CADENCE, dt)
     rng = np.random.default_rng(_num(cfg, "seed", kind=int))
     margins = []
     for _ in range(n_pairs):

@@ -561,14 +561,18 @@ def run_asymptotic_experiment(pair0: FieldState, kernel: Kernel, f,
 # ---------------------------------------------------------------------------
 # comparison principle
 
+#: time between the snapshots whose margins comparison_test takes
+COMPARISON_CADENCE = 1.0
+
 
 def comparison_test(u0: FieldState, v0: FieldState, kernel: Kernel, f,
                     t_end: float, dt: float) -> float:
     """Evolve an ordered pair as two lanes of one evolve; the least
-    margin min(v - u) over snapshots one time unit apart."""
+    margin min(v - u) over snapshots COMPARISON_CADENCE apart."""
     if (np.any(u0.u > v0.u) or u0.u_left > v0.u_left
             or u0.u_right > v0.u_right):
         raise StabilityInputError("initial data not ordered")
-    traj = evolve(_pair(u0, v0), kernel, f, t_end, dt, snapshot_every=1.0)
+    traj = evolve(_pair(u0, v0), kernel, f, t_end, dt,
+                  snapshot_every=COMPARISON_CADENCE)
     return min(float(np.min(snap.u[1] - snap.u[0]))
                for snap in traj.snapshots)

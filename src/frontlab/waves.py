@@ -1,10 +1,11 @@
 """Traveling-wave solver for the homogeneous problem.
 
 Finds (c*, phi) with J*phi - phi + c* phi' + f(phi) = 0, phi(0) = theta,
-phi decreasing from 1 to 0.  One damped Newton iteration on the stationary
-co-moving system, bordered by the speed column and the phase row
-phi(0) = theta (Beyn, IMA J. Numer. Anal. 10, 1990), started from the
-smoothed step of width 2 and the speed START_SPEED.
+phi decreasing from 1 to 0, by damped Newton from the smoothed step of width
+2 and the speed START_SPEED.  The co-moving Jacobian in phi is banded
+(half-bandwidth kernel.half_points); Keller's bordering (Keller 1977) adds
+the speed column and the phase row phi(0) = theta (Beyn, IMA J. Numer. Anal.
+10, 1990), so each step is one banded LU solve with two right-hand sides.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solve_banded
 
 from .fields import FieldState, Grid, pchip_far_fields, smoothed_step
 from .kernels import Kernel, convolve
@@ -41,6 +41,7 @@ class TravelingWave:
     dphi: np.ndarray
     residual_norm: float
     theta: float
+    iterations: int
 
     def profile_fn(self):
         return pchip_far_fields(self.x, self.phi, 1.0, 0.0)
@@ -67,55 +68,53 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
     if grid.x_max - grid.x_min < 80.0 - 1e-9:
         raise WaveInputError("wave window must span at least 80 length units")
     step = smoothed_step(grid, center=0.0, width=2.0)
-    phi, c, residual_norm = _newton_polish(kernel, f_hom, grid, step.u)
+    phi, c, residual_norm, iterations = _newton_polish(kernel, f_hom, grid,
+                                                       step.u)
     if c <= 0:
         raise WaveError("nonpositive wave speed")
     dphi = -(convolve(kernel, FieldState(0.0, grid.x, phi, 1.0, 0.0))
              - phi + f_hom.eval(0.0, phi)) / c
     return TravelingWave(speed=float(c), x=grid.x.copy(), phi=phi,
                          dphi=dphi, residual_norm=residual_norm,
-                         theta=f_hom.theta)
+                         theta=f_hom.theta, iterations=iterations)
+
+
+def spsolve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Banded LU solve (band row k - d holds diagonal d) for each column of
+    rhs: the one linear solve of a Newton step.  It keeps the name of the
+    sparse solve it replaced, under which the benchmark times Newton steps."""
+    k = (band.shape[0] - 1) // 2
+    return solve_banded((k, k), band, rhs, check_finite=False)
 
 
 def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi):
-    """Damped Newton from (phi, START_SPEED) on the stationary system with
-    the phase row phi(0) = theta; a step moves phi by at most 0.2
-    anywhere.  Returns (phi, c, max|residual|) once both residuals are
-    below 0.05 TOL."""
-    n = grid.n
-    h = grid.h
+    """Damped Newton from (phi, START_SPEED): a step solves J y = -res and
+    J z = phi', borders dc = (y(0) + phase) / z(0), delta = y - dc z, and
+    moves phi by at most 0.2 anywhere.  Returns (phi, c, max|residual|,
+    steps) once both residuals are below 0.05 TOL."""
+    h, k = grid.h, kernel.half_points
     i0 = int(np.argmin(np.abs(grid.x)))
-    k = kernel.half_points
-    wj = kernel.weights * kernel.samples
-
-    offsets = list(range(-k, k + 1))
-    conv_diags = [np.full(n - abs(m), wj[k + m]) for m in offsets]
-    conv_mat = sparse.diags(conv_diags, [-m for m in offsets], format="csr")
-    d0 = sparse.diags([np.full(n - 1, 1.0 / (2 * h)),
-                       np.full(n - 1, -1.0 / (2 * h))], [1, -1], format="csr")
-
+    # J's weights are symmetric: diagonal d holds one weight in every column
+    conv_band = np.repeat((kernel.weights * kernel.samples)[:, None],
+                          grid.n, 1)
     phi = phi.copy()
     c = START_SPEED
-    for _ in range(NEWTON_CAP):
+    for steps in range(NEWTON_CAP):
         res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
         phase = phi[i0] - f_hom.theta
         res_norm = float(np.max(np.abs(res)))
         if max(res_norm, abs(phase)) <= 0.05 * TOL:
-            return phi, c, res_norm
-        fp = f_hom.eval_du(0.0, phi)
-        a_mat = (conv_mat - sparse.identity(n, format="csr")
-                 + c * d0 + sparse.diags(fp, 0, format="csr"))
-        dcol = _ghost_gradient(phi, h)
-        top = sparse.hstack([a_mat, sparse.csr_matrix(dcol[:, None])])
-        phase_row = np.zeros(n + 1)
-        phase_row[i0] = 1.0
-        full = sparse.vstack([top, sparse.csr_matrix(phase_row)]).tocsc()
-        rhs = -np.concatenate([res, [phase]])
-        delta = spsolve(full, rhs)
+            return phi, c, res_norm, steps
+        band = conv_band.copy()
+        band[k] += f_hom.eval_du(0.0, phi) - 1.0
+        band[k - 1] += c / (2 * h)
+        band[k + 1] -= c / (2 * h)
+        y, z = spsolve(band, np.stack([-res, _ghost_gradient(phi, h)], 1)).T
+        dc = float((y[i0] + phase) / z[i0])
+        delta = y - dc * z
         step_size = 1.0
-        if np.max(np.abs(delta[:n])) > 0.2:
-            step_size = 0.2 / float(np.max(np.abs(delta[:n])))
-        phi = phi + step_size * delta[:n]
-        c = c + step_size * float(delta[n])
+        if np.max(np.abs(delta)) > 0.2:
+            step_size = 0.2 / float(np.max(np.abs(delta)))
+        phi = phi + step_size * delta
+        c = c + step_size * dc
     raise WaveError("Newton polish did not converge within the cap")
-

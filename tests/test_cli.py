@@ -288,18 +288,24 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert "does not lie after" in result.output
 
-    @pytest.mark.parametrize("experiment, message", [
-        ({"pairs": 0}, "experiment.pairs=0 must be at least 1"),
-        ({"t_end": 3.01},
+    @pytest.mark.parametrize("patch, message", [
+        ({"experiment": {"pairs": 0}},
+         "experiment.pairs=0 must be at least 1"),
+        ({"experiment": {"t_end": 3.01}},
          "experiment.t_end=3.01 is not a whole multiple of time.dt=0.05"),
-    ], ids=["no_pairs", "off_step_t_end"])
+        # t_end and time.cadence are whole steps, the comparison's snapshots
+        # one time unit apart are not
+        ({"experiment": {"pairs": 2, "t_end": 3.0},
+          "time": {"dt": 0.03, "cadence": 0.99}},
+         "snapshot interval=1 is not a whole multiple of time.dt=0.03"),
+    ], ids=["no_pairs", "off_step_t_end", "off_step_snapshots"])
     def test_comparison_keys_are_checked_before_any_pair(
-            self, runner, tmp_path, monkeypatch, experiment, message):
+            self, runner, tmp_path, monkeypatch, patch, message):
         def pair(*args, **kwargs):
             raise AssertionError("a pair ran before the keys were checked")
 
         monkeypatch.setattr(cli, "comparison_test", pair)
-        cfg = _write_cfg(tmp_path, {"experiment": experiment})
+        cfg = _write_cfg(tmp_path, patch)
         result = runner.invoke(main, ["comparison", "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output

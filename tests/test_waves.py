@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frontlab import waves
-from frontlab.fields import Grid
+from frontlab.fields import Grid, smoothed_step
 from frontlab.kernels import build_kernel, convolve
 from frontlab.fields import FieldState
 from frontlab.waves import WaveError, solve_traveling_wave
@@ -21,6 +21,12 @@ class TestSolveTravelingWave:
         assert tw_min.speed == pytest.approx(0.11230, abs=2e-4)
         assert tw_max.speed == pytest.approx(0.15685, abs=2e-4)
         assert 0.0 < tw_min.speed < tw_max.speed
+
+    def test_speeds_match_the_sparse_lu_solver(self, tw_min, tw_max):
+        # c* on [-60, 60] as the sparse LU of the whole bordered matrix
+        # computed it; the banded solve agrees to about 1e-14
+        assert abs(tw_min.speed - 0.112296512834121) <= 1e-10
+        assert abs(tw_max.speed - 0.156853029572745) <= 1e-10
 
     def test_residual_norm(self, tw_min, tw_max):
         assert tw_min.residual_norm <= 1e-8
@@ -72,8 +78,45 @@ class TestSolveTravelingWave:
                             sigma=3.0)
         tw = solve_traveling_wave(wide, min_slice(f), wave_grid)
         assert tw.residual_norm <= 1e-8
+        assert tw.iterations <= 8
         core = np.abs(tw.x) <= 40.0
         assert np.all(np.diff(tw.phi[core]) < 0.0)
+
+
+def test_newton_step_solves_the_bordered_system(kernel, f, wave_grid,
+                                                monkeypatch):
+    # the first step from the smoothed step is damped: phi and c move by
+    # s (delta, dc), and the phase row delta(0) = -phase gives s.  Then
+    # (delta, dc) must solve the linearized stationary system, which pins
+    # the band layout and the bordering, whatever solves them
+    f_hom = min_slice(f)
+    residual, states = waves._stationary_residual, []
+
+    def recorded(kernel, f_hom, x, u, c):
+        states.append((u.copy(), c))
+        return residual(kernel, f_hom, x, u, c)
+
+    monkeypatch.setattr(waves, "_stationary_residual", recorded)
+    monkeypatch.setattr(waves, "NEWTON_CAP", 2)
+    with pytest.raises(WaveError):
+        solve_traveling_wave(kernel, f_hom, wave_grid)
+    (phi0, c0), (phi1, c1) = states[:2]
+    np.testing.assert_array_equal(
+        phi0, smoothed_step(wave_grid, center=0.0, width=2.0).u)
+    i0 = int(np.argmin(np.abs(wave_grid.x)))
+    s = -(phi1[i0] - phi0[i0]) / (phi0[i0] - f_hom.theta)
+    delta, dc = (phi1 - phi0) / s, (c1 - c0) / s
+    assert 0.0 < s <= 1.0
+    assert np.max(np.abs(phi1 - phi0)) == pytest.approx(
+        min(0.2, np.max(np.abs(delta))), rel=1e-12)
+
+    def r(eps):
+        return residual(kernel, f_hom, wave_grid.x, phi0 + eps * delta,
+                        c0 + eps * dc)
+
+    eps = 1e-6
+    jac_step = (r(eps) - r(-eps)) / (2.0 * eps)
+    assert np.max(np.abs(jac_step + r(0.0))) <= 1e-6 * np.max(np.abs(r(0.0)))
 
 
 class TestValidation:
