@@ -33,10 +33,10 @@ from .fronts import (check_steepness_bound, fit_exponential_tail,
                      steepness_bound_constant)
 from .kernels import _check_compatible, build_kernel, positive_decay_rate
 from .reactions import make_ignition, max_slice, min_slice, validate_hypotheses
-from .stability import (COMPARISON_CADENCE, INITIAL_SHAPES, StabilityError,
-                        asymptotic_initial, comparison_test, measured_c_min,
-                        run_asymptotic_experiment, run_stability_experiment,
-                        select_alpha)
+from .stability import (CADENCE, COMPARISON_CADENCE, INITIAL_SHAPES,
+                        StabilityError, asymptotic_initial, comparison_test,
+                        measured_c_min, run_asymptotic_experiment,
+                        run_stability_experiment, select_alpha)
 from .waves import WaveError, solve_traveling_wave
 
 EXIT_OK = 0
@@ -386,8 +386,9 @@ def exp_tails(cfg, art: Artifacts) -> dict:
 
 def exp_stability(cfg, art: Artifacts) -> dict:
     kern, f, _ = build_problem(cfg)
-    _, run = _front_run(cfg)
     dt = _num(cfg["time"], "dt")
+    _check_whole_steps("the stability snapshot interval", CADENCE, dt)
+    _, run = _front_run(cfg)
     params = select_alpha(run, kern, f)
     horizon = round(5.0 / params.omega / dt) * dt
     ref0 = run.snapshots[-1].with_(w=None)  # t0 is time.t_end
@@ -424,8 +425,10 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
     if shape not in INITIAL_SHAPES:
         raise ValueError(f"unknown initial shape {shape!r}")
     kern, f, _ = build_problem(cfg)
-    _, run = _front_run(cfg)
     dt = _num(cfg["time"], "dt")
+    # the burn-in, 30 snapshot intervals, then falls on whole steps too
+    _check_whole_steps("the stability snapshot interval", CADENCE, dt)
+    _, run = _front_run(cfg)
     ref0 = run.snapshots[-1].with_(w=None)  # t0 is time.t_end
     pair0 = asymptotic_initial(ref0, kern, f, dt, shape)
     report = run_asymptotic_experiment(pair0, kern, f,

@@ -128,7 +128,18 @@ class TestExitCodes:
          "time.t_end - time.s=30.01 is not a whole multiple of time.dt=0.05"),
         ("front", {"s": -10.0, "t_end": 5.0},
          "time.t_end=5 lies before time.s + 20"),
-    ], ids=["off_cadence", "off_step_run", "short_run"])
+        # time.cadence 0.99 is 33 steps; the paired snapshot interval 2 is
+        # not a whole number of them
+        ("stability", {"s": -10.0, "t_end": 11.0, "dt": 0.03,
+                       "cadence": 0.99},
+         "the stability snapshot interval=2 is not a whole multiple of "
+         "time.dt=0.03"),
+        ("asymptotic", {"s": -10.0, "t_end": 11.0, "dt": 0.03,
+                        "cadence": 0.99},
+         "the stability snapshot interval=2 is not a whole multiple of "
+         "time.dt=0.03"),
+    ], ids=["off_cadence", "off_step_run", "short_run",
+            "stability_off_step_pairs", "asymptotic_off_step_pairs"])
     def test_time_section_is_checked_before_any_solve(
             self, runner, tmp_path, monkeypatch, experiment, time, message):
         def solve(*args, **kwargs):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,46 @@ from frontlab.reactions import (STATE_HI, STATE_LO, IgnitionNonlinearity,
 from kernel_helpers import with_samples
 
 THETA = 0.3
+
+
+def sabotaged(method, fn):
+    """The default family with one evaluator replaced by
+    fn(default value, u)."""
+    def broken(self, t, u):
+        return fn(getattr(IgnitionNonlinearity, method)(self, t, u),
+                  np.asarray(u))
+    cls = type("Sabotaged", (IgnitionNonlinearity,), {method: broken})
+    return cls(**asdict(make_default_ignition()))
+
+
+def rescaled(kernel, mask, factor):
+    samples = kernel.samples.copy()
+    samples[mask] *= factor
+    return with_samples(kernel, samples)
+
+
+#: one sabotage per hypothesis: (kernel, f) -> (kernel, f) breaking it
+SABOTAGES = {
+    "H1_symmetry": lambda k, f: (rescaled(k, 0, 3.0), f),
+    "H1_nonnegative": lambda k, f: (rescaled(k, [0, -1], -1.0), f),
+    "H1_unit_mass": lambda k, f: (rescaled(k, slice(None), 1.001), f),
+    "H2_zero_below_theta": lambda k, f: (k, sabotaged(
+        "eval", lambda v, u: v + 1e-3 * ((u > 0.0) & (u <= THETA)))),
+    # NaN only at u = 1 exactly: the check must sample u = 1 and a NaN
+    # must fail it
+    "H2_zero_at_one": lambda k, f: (k, sabotaged(
+        "eval", lambda v, u: np.where(u == 1.0, np.nan, v))),
+    "H2_envelope": lambda k, f: (k, make_ignition(declared_a_lo=1.2,
+                                                  declared_a_hi=1.8)),
+    # a(t) = 0.2 + 0.5 sin t changes sign, so f turns positive above 1
+    "H2_negative_above_one": lambda k, f: (k, make_ignition(
+        a_mean=0.2, a_amp=0.5, declared_a_lo=0.01, declared_a_hi=0.7)),
+    "H3_bounded_fuu": lambda k, f: (k, sabotaged(
+        "eval_duu", lambda v, u: np.where(u > 1.5, np.inf, v))),
+    "H4_decay_slope": lambda k, f: (k, make_ignition(theta_tilde=0.7)),
+    "H4_zero_below_zero": lambda k, f: (k, sabotaged(
+        "eval", lambda v, u: v - 1e-3 * (u < 0.0))),
+}
 
 
 class TestBaseProfile:
@@ -30,8 +72,8 @@ class TestBaseProfile:
         u = np.linspace(0.0, 1.0, 401)
         t = np.linspace(0.0, 2 * np.pi, 101)
         vals = np.array([f.eval(ti, u) for ti in t])
-        assert np.all(vals >= f.f_min(u)[None, :] - 1e-14)
-        assert np.all(vals <= f.f_max(u)[None, :] + 1e-14)
+        assert np.all(vals >= min_slice(f).eval(0.0, u)[None, :] - 1e-14)
+        assert np.all(vals <= max_slice(f).eval(0.0, u)[None, :] + 1e-14)
 
     def test_derivatives_match_finite_differences(self, f):
         u = np.linspace(0.0, 1.8, 37)
@@ -116,6 +158,15 @@ class TestValidateHypotheses:
         assert not report.verdicts["H2_envelope"]
         assert any(v[0] == "H2_envelope" for v in report.violations)
 
+    @pytest.mark.parametrize("name", sorted(SABOTAGES))
+    def test_every_hypothesis_can_fail(self, kernel, f, name):
+        report = validate_hypotheses(*SABOTAGES[name](kernel, f))
+        assert set(SABOTAGES) == set(report.verdicts)
+        assert not report.verdicts[name]
+        assert any(line.startswith(f"{name} at ")
+                   for line in report.violation_lines())
+        assert not report.all_pass
+
     def test_report_text(self, kernel, f):
         text = validate_hypotheses(kernel, f).to_text()
         assert "H1_symmetry: pass" in text
@@ -158,5 +209,5 @@ def test_envelope_holds_for_any_amplitude(amp):
     u = np.linspace(0.31, 1.0, 50)
     for t in np.linspace(0.0, 2 * np.pi, 17):
         vals = f.eval(t, u)
-        assert np.all(vals >= f.f_min(u) - 1e-14)
-        assert np.all(vals <= f.f_max(u) + 1e-14)
+        assert np.all(vals >= min_slice(f).eval(0.0, u) - 1e-14)
+        assert np.all(vals <= max_slice(f).eval(0.0, u) + 1e-14)

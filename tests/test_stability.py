@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frontlab import stability
 from frontlab.evolve import _shift_window, evolve
 from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import locate_level
@@ -347,6 +348,25 @@ class TestStabilityExperiment:
             dataclasses.replace(sparams, A=0.0), horizon=200.0, dt=DT)
         assert report.worst_violation > 1e-6 + report.edge_defect
         assert report.interior_worst_violation <= report.worst_violation
+
+    @pytest.mark.parametrize("viol, count", [(np.spacing(1.0), 0),
+                                             (1e-12, 1)])
+    def test_violation_count_skips_rounding_ties(self, monkeypatch,
+                                                 front_run, kernel, f,
+                                                 sparams, viol, count):
+        # the initial sandwich holds; the one paired snapshot then reads
+        # viol, which is counted only past a few ulps of u <= 1
+        margins = iter([(0.0, 0.0, 0.0), (viol, viol, 0.0)])
+        monkeypatch.setattr(stability, "sandwich_margins",
+                            lambda *args: next(margins))
+        monkeypatch.setattr(stability, "_paired_snapshots",
+                            lambda pair, *args: [(pair.lane(1),
+                                                  pair.lane(0))])
+        report = run_stability_experiment(
+            front_run.snapshots[-1].with_(w=None), kernel, f, sparams,
+            horizon=2.0, dt=DT)
+        assert report.violation_count == count
+        assert report.worst_violation == viol  # reported raw
 
 
 class TestComparison:
