@@ -61,7 +61,7 @@ DEFAULTS = {
     "reaction": {"theta": 0.3, "theta_tilde": 0.9, "a_mean": 1.5,
                  "a_amp": 0.5, "omega_t": 1.0},
     "grid": {"x_min": -50.0, "x_max": 50.0, "n": 2001},
-    "time": {"s": -30.0, "t_end": 60.0, "dt": 0.05, "cadence": 1.0},
+    "time": {"s": -30.0, "t_end": 60.0, "dt": 0.2, "cadence": 1.0},
     "experiment": {},
     "output": {"dir": "out"},
     "seed": 0,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 import frontlab
 from frontlab import cli
 from frontlab.cli import load_config, main
+from frontlab.evolve import Stepper
 from frontlab.stability import StabilityReport
 from frontlab.waves import WaveError
 
@@ -32,7 +34,7 @@ class TestConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
         assert cfg["kernel"]["family"] == "gaussian"
-        assert cfg["time"]["dt"] == 0.05
+        assert cfg["time"]["dt"] == 0.2
 
     def test_deep_merge(self, tmp_path):
         path = _write_cfg(tmp_path, {"time": {"dt": 0.02}})
@@ -87,6 +89,57 @@ class TestFrontMemo:
                     == (tmp_path / "fresh" / name).read_bytes())
 
 
+#: share of its own margin by which halving time.dt may move a `front` gate
+STEP_BUDGET = 1e-4
+
+
+def _front_margins(out_dir, dt):
+    """How far each gate of `front` at the default config, with the given
+    time.dt, stands from failing."""
+    cfg = load_config(None)
+    cfg["time"]["dt"] = dt
+    assert cli._run_experiment("front", cfg, out_dir, quiet=True) == 0
+    s = json.loads((out_dir / "summary.json").read_text())
+    return {"speed_min": s["speed_min"] - s["envelope_lo"],
+            "speed_max": s["envelope_hi"] - s["speed_max"],
+            "width_max": 2.0 * s["width_median"] - s["width_max"]}
+
+
+def _unconverged_gates(tmp_path):
+    """The `front` gates whose margin moves by more than STEP_BUDGET of
+    itself when the default time.dt halves."""
+    dt = load_config(None)["time"]["dt"]
+    coarse = _front_margins(tmp_path / "dt", dt)
+    fine = _front_margins(tmp_path / "half_dt", 0.5 * dt)
+    return {gate: (margin, abs(margin - fine[gate]))
+            for gate, margin in coarse.items()
+            if abs(margin - fine[gate]) > STEP_BUDGET * margin}
+
+
+class TestDefaultStep:
+    def test_default_dt_is_converged(self, tmp_path):
+        assert _unconverged_gates(tmp_path) == {}
+
+    def test_first_order_step_is_not_converged(self, tmp_path, monkeypatch):
+        # forward Euler in place of RK4: its error halves with dt, where
+        # RK4's falls 16-fold, and the check must see that
+        def euler(self, state, dt):
+            y = (state.u, state.w, state.u_left, state.u_right)
+            ku, kw, gl, gr = self._rhs(state.t, y)
+            return state.with_(
+                t=state.t + dt, u=state.u + dt * ku,
+                w=None if kw is None else state.w + dt * kw,
+                u_left=state.u_left + dt * gl,
+                u_right=state.u_right + dt * gr)
+
+        monkeypatch.setattr(Stepper, "step", euler)
+        # a memo of its own, so no Euler front outlives the test
+        monkeypatch.setattr(cli, "_front_memo", functools.lru_cache(
+            maxsize=4)(cli._front_memo.__wrapped__))
+        unconverged = _unconverged_gates(tmp_path)
+        assert {"speed_min", "speed_max"} <= unconverged.keys()
+
+
 class TestExitCodes:
     def test_validate_ok(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -125,7 +178,7 @@ class TestExitCodes:
         ("steepness", {"dt": 0.03},
          "time.cadence=1 is not a whole multiple of time.dt=0.03"),
         ("front", {"s": -10.01, "t_end": 20.0},
-         "time.t_end - time.s=30.01 is not a whole multiple of time.dt=0.05"),
+         "time.t_end - time.s=30.01 is not a whole multiple of time.dt=0.2"),
         ("front", {"s": -10.0, "t_end": 5.0},
          "time.t_end=5 lies before time.s + 20"),
         # time.cadence 0.99 is 33 steps; the paired snapshot interval 2 is
@@ -303,7 +356,7 @@ class TestExitCodes:
         ({"experiment": {"pairs": 0}},
          "experiment.pairs=0 must be at least 1"),
         ({"experiment": {"t_end": 3.01}},
-         "experiment.t_end=3.01 is not a whole multiple of time.dt=0.05"),
+         "experiment.t_end=3.01 is not a whole multiple of time.dt=0.2"),
         # t_end and time.cadence are whole steps, the comparison's snapshots
         # one time unit apart are not
         ({"experiment": {"pairs": 2, "t_end": 3.0},
