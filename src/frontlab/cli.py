@@ -342,8 +342,8 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     art.plot("steepness.png", ts[late], {"sup_w": ss}, "t",
              "sup w near front")
     alpha_m = -float(np.max(ss))
-    const = steepness_bound_constant(kern, f.lipschitz_bound(),
-                                     dt=_num(cfg["time"], "cadence"))
+    const, _ = steepness_bound_constant(kern, f.lipschitz_bound(),
+                                        dt=_num(cfg["time"], "cadence"))
     margins = []
     for j in late[:-1]:  # the last snapshot has no successor
         for delta in (-2.0, 0.0, 2.0):
@@ -352,7 +352,7 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
                                              x)
             margins.append(rhs - lhs)
     worst = float(np.min(margins)) if margins else float("nan")
-    summary = {"alpha_m": alpha_m, "bound_constant": const.value,
+    summary = {"alpha_m": alpha_m, "bound_constant": const,
                "bound_margin_min": worst}
     if alpha_m <= 0:
         raise CheckFailure("front is not uniformly steep (alpha_m <= 0)")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldState
-from .kernels import Kernel, iterated_kernels
+from .kernels import Kernel
 
 
 class FrontError(ValueError):
@@ -103,20 +103,25 @@ def fit_exponential_tail(field: FieldState, side: str,
                    r_squared=float(r2))
 
 
+def on_interval(x: np.ndarray, v: np.ndarray, lo: float,
+                hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-linear interpolant of v on exactly [lo, hi]: the nodes
+    strictly inside plus both interpolated ends."""
+    inside = (x > lo) & (x < hi)
+    xs = np.concatenate(([lo], x[inside], [hi]))
+    vs = np.concatenate(([np.interp(lo, x, v)], v[inside],
+                         [np.interp(hi, x, v)]))
+    return xs, vs
+
+
 def steepness(field: FieldState, center: float, half_width: float) -> float:
     """Max of u_x over [center-M, center+M]; negative for steep fronts."""
-    w = field.w
-    if w is None:
+    if field.w is None:
         raise FrontError("steepness needs the derivative co-state")
     lo, hi = center - half_width, center + half_width
     if lo < field.x[0] or hi > field.x[-1]:
         raise FrontError("steepness interval outside the window")
-    inside = (field.x >= lo) & (field.x <= hi)
-    vals = [float(np.interp(lo, field.x, w)),
-            float(np.interp(hi, field.x, w))]
-    if np.any(inside):
-        vals.append(float(np.max(w[inside])))
-    return max(vals)
+    return float(np.max(on_interval(field.x, field.w, lo, hi)[1]))
 
 
 def lipschitz_estimate(values: np.ndarray, h: float) -> float:
@@ -127,49 +132,39 @@ def lipschitz_estimate(values: np.ndarray, h: float) -> float:
     return float(np.max(np.abs(np.diff(values))) / h)
 
 
-@dataclass
-class SteepnessBoundConstant:
-    """Constant in the interval-mean lower bound for u_x propagation."""
-
-    K: float
-    N: int
-    c_tilde: float
-    dt: float
-
-    @property
-    def value(self) -> float:
-        return (self.c_tilde * math.exp(-(1.0 + self.K) * self.dt)
-                * (self.dt / self.N) ** self.N)
+#: cap on the kernel self-convolution order N
+ITERATION_CAP = 32
 
 
 def steepness_bound_constant(kernel: Kernel, c_fu: float,
-                             dt: float) -> SteepnessBoundConstant:
-    """C = inf(J^N) * exp(-(1+K) dt) * (dt/N)^N on [-1, 1]."""
+                             dt: float) -> tuple[float, int]:
+    """(C, N), C = inf(J^N on [-1, 1]) * exp(-(1+K) dt) * (dt/N)^N for
+    the least N whose stencil reaches 1 and whose J^N is positive there."""
     if dt <= 0:
         raise FrontError("dt must be positive")
-    for ik in iterated_kernels(kernel):
-        xs = ik.offsets
-        if -1.0 < xs[0] or 1.0 > xs[-1]:
+    h, samples = kernel.spacing, kernel.samples
+    for order in range(1, ITERATION_CAP + 1):
+        if order > 1:
+            samples = np.convolve(samples, kernel.samples) * h
+        k = samples.size // 2
+        if k * h < 1.0:
             continue
-        inside = (xs >= -1.0 - ik.spacing) & (xs <= 1.0 + ik.spacing)
-        inf_val = float(np.min(ik.samples[inside]))
+        _, vals = on_interval(np.arange(-k, k + 1) * h, samples, -1.0, 1.0)
+        inf_val = float(np.min(vals))
         if inf_val > 0.0:
-            return SteepnessBoundConstant(K=c_fu, N=ik.order,
-                                          c_tilde=inf_val, dt=dt)
+            return (inf_val * math.exp(-(1.0 + c_fu) * dt)
+                    * (dt / order) ** order, order)
     raise FrontError("no iteration order achieves positivity on the interval")
 
 
 def check_steepness_bound(w_before: FieldState, w_after: FieldState,
-                          const: SteepnessBoundConstant,
-                          x: float) -> tuple[float, float]:
-    """Evaluate w(t0+dt, x) vs C * trapezoid of w(t0, .) over [x-1, x+1].
+                          const: float, x: float) -> tuple[float, float]:
+    """Evaluate w(t0+dt, x) vs C * integral of w(t0, .) over [x-1, x+1].
 
     Returns (lhs, rhs); the bound holds when lhs <= rhs (+ tolerance).
     """
     if w_before.w is None or w_after.w is None:
         raise FrontError("snapshots must carry the derivative co-state")
     lhs = float(np.interp(x, w_after.x, w_after.w))
-    xs = w_before.x
-    inside = (xs >= x - 1.0) & (xs <= x + 1.0)
-    integral = float(np.trapezoid(w_before.w[inside], xs[inside]))
-    return lhs, const.value * integral
+    xs, ws = on_interval(w_before.x, w_before.w, x - 1.0, x + 1.0)
+    return lhs, const * float(np.trapezoid(ws, xs))

@@ -20,9 +20,6 @@ from .fields import FieldState
 #: hard cap on the stencil radius search (length units)
 RADIUS_CAP = 200.0
 
-#: cap on kernel self-convolution order
-ITERATION_CAP = 32
-
 
 class KernelError(ValueError):
     pass
@@ -66,20 +63,6 @@ class Kernel:
     def derivative_abs_integral(self) -> float:
         """Quadrature of |J'|; (H1) diagnostic only, no threshold asserted."""
         return float(np.sum(self.weights * np.abs(self.derivative_samples)))
-
-
-@dataclass(frozen=True)
-class IteratedKernel:
-    """N-fold self-convolution of a kernel on a widened stencil."""
-
-    order: int
-    spacing: float
-    samples: np.ndarray
-
-    @property
-    def offsets(self) -> np.ndarray:
-        k = (self.samples.size - 1) // 2
-        return np.arange(-k, k + 1) * self.spacing
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +265,3 @@ def positive_decay_rate(kernel: Kernel, c_min: float) -> float:
     root = 0.5 * (lo + hi)
     return 0.5 * root
 
-
-def iterated_kernels(kernel: Kernel):
-    """Yield J^1, ..., J^ITERATION_CAP, each by one convolution with J."""
-    samples = kernel.samples.copy()
-    h = kernel.spacing
-    for order in range(1, ITERATION_CAP + 1):
-        if order > 1:
-            samples = np.convolve(samples, kernel.samples) * h
-        yield IteratedKernel(order=order, spacing=h, samples=samples)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,66 @@ class TestDefaultStep:
             maxsize=4)(cli._front_memo.__wrapped__))
         unconverged = _unconverged_gates(tmp_path)
         assert {"speed_min", "speed_max"} <= unconverged.keys()
+
+
+def _steepness_summary(out_dir, spacing, n):
+    """`steepness` summary at the default config on the default window,
+    with the given kernel spacing and node count."""
+    cfg = load_config(None)
+    cfg["kernel"]["spacing"] = spacing
+    cfg["grid"]["n"] = n
+    assert cli._run_experiment("steepness", cfg, out_dir, quiet=True) == 0
+    return json.loads((out_dir / "summary.json").read_text())
+
+
+class TestSteepnessGrid:
+    def test_halving_h_moves_no_steepness_gate(self, tmp_path):
+        coarse = _steepness_summary(tmp_path / "h", 0.05, 2001)
+        fine = _steepness_summary(tmp_path / "half_h", 0.025, 4001)
+        # the infimum over exactly [-1, 1] is J(1) on either grid
+        assert fine["bound_constant"] == pytest.approx(
+            coarse["bound_constant"], rel=1e-6)
+        for gate in ("bound_margin_min", "alpha_m"):
+            assert (abs(fine[gate] - coarse[gate])
+                    <= STEP_BUDGET * coarse[gate]), gate
+
+
+def _steepness_of_edited_front(runner, tmp_path, monkeypatch, edit):
+    """`frontlab steepness` at the defaults on the default front, with its
+    snapshots passed through edit(snapshots, s)."""
+    cfg = load_config(None)
+    wave, run = cli._front_run(cfg)
+    snaps = edit(run.snapshots, cfg["time"]["s"])
+    edited = replace(run, trajectory=replace(run.trajectory,
+                                             snapshots=snaps))
+    monkeypatch.setattr(cli, "_front_run", lambda cfg: (wave, edited))
+    return runner.invoke(main, ["steepness", "--out", str(tmp_path)])
+
+
+class TestSteepnessGates:
+    def test_flat_front_is_not_uniformly_steep(self, runner, tmp_path,
+                                               monkeypatch):
+        # w = 0 on every snapshot that alpha_m reads (t >= s + 5)
+        def flatten(snaps, s):
+            return [snap.with_(w=np.zeros_like(snap.w))
+                    if snap.t >= s + 5.0 else snap for snap in snaps]
+
+        result = _steepness_of_edited_front(runner, tmp_path, monkeypatch,
+                                            flatten)
+        assert result.exit_code == 1, result.output
+        assert "not uniformly steep" in result.output
+
+    def test_flattened_last_snapshot_violates_the_bound(
+            self, runner, tmp_path, monkeypatch):
+        # w scaled by 0.01 on the last snapshot: still steep, but far less
+        # than the bound from its predecessor allows
+        def flatten_last(snaps, s):
+            return snaps[:-1] + [snaps[-1].with_(w=0.01 * snaps[-1].w)]
+
+        result = _steepness_of_edited_front(runner, tmp_path, monkeypatch,
+                                            flatten_last)
+        assert result.exit_code == 1, result.output
+        assert "pointwise steepness bound violated" in result.output
 
 
 class TestExitCodes:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import (FrontError, check_steepness_bound,
                              fit_exponential_tail, interface_width,
-                             lipschitz_estimate, locate_level, steepness,
-                             steepness_bound_constant)
+                             lipschitz_estimate, locate_level, on_interval,
+                             steepness, steepness_bound_constant)
 from frontlab.kernels import build_kernel, convolve
 from trajectory_helpers import at_time
 
@@ -201,31 +201,70 @@ class TestSteepness:
             lipschitz_estimate(np.array([1.0]), 0.01)
 
 
+def _gaussian_density(x, var):
+    return math.exp(-0.5 * x * x / var) / math.sqrt(2.0 * math.pi * var)
+
+
+class TestOnInterval:
+    def test_ends_are_interpolated(self):
+        x = np.linspace(0.0, 1.0, 11)
+        # lo is the node 0.2, which is not repeated; hi lies between nodes
+        xs, vs = on_interval(x, 3.0 * x, 0.2, 0.65)
+        assert xs[0] == 0.2 and xs[-1] == 0.65 and xs.size == 6
+        assert np.all(np.diff(xs) > 0.0)
+        assert np.allclose(vs, 3.0 * xs, rtol=0.0, atol=1e-15)
+        # the trapezoid of a linear function on exactly [lo, hi] is exact
+        assert np.trapezoid(vs, xs) == pytest.approx(
+            1.5 * (0.65**2 - 0.2**2), rel=1e-14)
+
+    def test_steepness_bound_integrates_to_the_exact_ends(self):
+        # w = -1 everywhere: the integral over [x-1, x+1] is -2 wherever x
+        # falls between the nodes
+        grid = Grid(-5.0, 5.0, 101)
+        snap = FieldState(t=0.0, x=grid.x, u=np.zeros(grid.n), u_left=1.0,
+                          u_right=0.0, w=-np.ones(grid.n))
+        for x in (0.0, 0.03, 0.51):
+            assert check_steepness_bound(snap, snap, 1.0, x)[1] == (
+                pytest.approx(-2.0, rel=1e-13))
+
+
 class TestSteepnessBoundConstant:
     def test_value_formula(self, kernel):
-        const = steepness_bound_constant(kernel, c_fu=27.166, dt=1.0)
-        expected = (const.c_tilde * math.exp(-(1.0 + const.K) * const.dt)
-                    * (const.dt / const.N) ** const.N)
-        assert const.value == pytest.approx(expected, rel=1e-15)
-        assert const.value > 0.0
-        assert const.K == 27.166
+        const, order = steepness_bound_constant(kernel, c_fu=27.166, dt=1.0)
+        # N = 1: C = J(1) e^{-(1+K) dt} dt with J the unit Gaussian; the
+        # stencil's renormalization raises J by its lost tail mass,
+        # 2 Phi(-4.9) = 9.6e-7, inside the tail tolerance 1e-6
+        expected = _gaussian_density(1.0, 1.0) * math.exp(-28.166)
+        assert order == 1
+        assert const == pytest.approx(expected, rel=1e-6)
 
     def test_gaussian_uses_first_order(self, kernel):
-        # the Gaussian stencil already covers [-1, 1] with positive mass
-        const = steepness_bound_constant(kernel, c_fu=1.0, dt=0.05)
-        assert const.N == 1
-        # inf over [-1,1] padded by one sample of the unit Gaussian density
-        lo = math.exp(-0.5 * 1.05 ** 2) / math.sqrt(2 * math.pi)
-        hi = math.exp(-0.5) / math.sqrt(2 * math.pi)
-        assert lo * 0.999 <= const.c_tilde <= hi * 1.001
+        # the Gaussian stencil already covers [-1, 1] with positive mass,
+        # and the infimum over exactly [-1, 1] is J(1), not J(1 + h)
+        const, order = steepness_bound_constant(kernel, c_fu=1.0, dt=0.05)
+        assert order == 1
+        inf_j = const / (math.exp(-2.0 * 0.05) * 0.05)
+        assert inf_j == pytest.approx(_gaussian_density(1.0, 1.0), rel=1e-5)
+
+    def test_narrow_gaussian_needs_second_order(self):
+        # the stencil of sigma = 0.18 reaches only 0.9, so J^2 = N(0, 2
+        # sigma^2) sets the constant, from its value at 1
+        sigma, dt = 0.18, 0.05
+        narrow = build_kernel("gaussian", spacing=0.05, tail_tolerance=1e-6,
+                              sigma=sigma)
+        assert narrow.stencil_radius < 1.0
+        const, order = steepness_bound_constant(narrow, c_fu=1.0, dt=dt)
+        assert order == 2
+        expected = (_gaussian_density(1.0, 2.0 * sigma**2)
+                    * math.exp(-2.0 * dt) * (dt / 2.0) ** 2)
+        assert const == pytest.approx(expected, rel=1e-3)
 
     def test_wide_offset_needs_iteration(self):
         # the bump of half-width 0.5 reaches only [-0.5, 0.5], and J*J
-        # vanishes at +-(1 + h), one sample beyond [-1, 1]: only J^3 is
-        # positive there
+        # vanishes at +-1, the ends of its stencil: only J^3 is positive on
+        # all of [-1, 1]
         bump = build_kernel("bump", spacing=0.05, tail_tolerance=1e-6, a=0.5)
-        const = steepness_bound_constant(bump, c_fu=1.0, dt=0.05)
-        assert const.N == 3
+        assert steepness_bound_constant(bump, c_fu=1.0, dt=0.05)[1] == 3
 
     def test_invalid_args(self, kernel):
         with pytest.raises(FrontError):
@@ -235,7 +274,8 @@ class TestSteepnessBoundConstant:
         # the gate of `frontlab steepness` can fail: a later snapshot with
         # w scaled by 0.01 is far less steep than the bound allows, while
         # the computed pair holds it
-        const = steepness_bound_constant(kernel, f.lipschitz_bound(), 1.0)
+        const, _ = steepness_bound_constant(kernel, f.lipschitz_bound(),
+                                            1.0)
         before, after = front_run.snapshots[-2:]
         x = locate_level(after, f.theta)
         lhs, rhs = check_steepness_bound(before, after, const, x)

@@ -8,8 +8,7 @@ from frontlab.fields import FieldState, Grid
 from frontlab.kernels import (Kernel, KernelError, _convolve_samples,
                               build_kernel, convolve, exponential_moment,
                               positive_decay_rate)
-from kernel_helpers import (direct_convolve, iterate_iterated,
-                            iterated_kernel, with_samples)
+from kernel_helpers import direct_convolve, with_samples
 
 
 def make_field(u, grid, left=1.0, right=0.0):
@@ -144,26 +143,6 @@ class TestPositiveDecayRate:
     def test_rejects_nonpositive_speed(self, kernel):
         with pytest.raises(KernelError):
             positive_decay_rate(kernel, 0.0)
-
-
-class TestIteratedKernel:
-    def test_two_fold_gaussian(self, kernel):
-        ik = iterated_kernel(kernel, 2)
-        mid = ik.samples.size // 2
-        # J*J for N(0,1) is N(0,2)
-        assert ik.samples[mid] == pytest.approx(1.0 / np.sqrt(4 * np.pi),
-                                                rel=1e-5)
-        assert np.trapezoid(ik.samples, ik.offsets) == pytest.approx(
-            1.0, abs=1e-5)
-
-    def test_iterate_iterated_matches_direct(self, kernel):
-        via_step = iterate_iterated(iterated_kernel(kernel, 1), 2)
-        direct = iterated_kernel(kernel, 2)
-        assert np.max(np.abs(via_step.samples - direct.samples)) < 1e-12
-
-    def test_support_grows(self, kernel):
-        ik3 = iterated_kernel(kernel, 3)
-        assert ik3.offsets[-1] == pytest.approx(3 * kernel.stencil_radius)
 
 
 @settings(max_examples=25, deadline=None)
