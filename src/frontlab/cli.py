@@ -6,7 +6,8 @@ Usage::
 
 Experiments: validate, wave, front, steepness, tails, stability,
 asymptotic, comparison, sweep.  Exit codes: 0 success, 1 theorem-check
-failure, 2 usage/config error, 3 solver failure (a numerical breakdown).
+failure, 2 usage/config error, 3 solver failure (a numerical breakdown),
+4 programming error; a sweep exits with its failed cases' largest code.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import importlib.metadata
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -43,13 +45,16 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+EXIT_INTERNAL = 4
 
 #: numerical breakdowns (the package rejects bad input with ValueErrors)
 SOLVER_ERRORS = (WaveError, EvolveError, StabilityError)
 
 
 class CheckFailure(Exception):
-    """A theorem check failed; message names the violated inequality."""
+    """A theorem check failed; message names the violated inequality.  A
+    failed sweep sets code to the largest exit code of its cases."""
+    code = EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +232,7 @@ class Artifacts:
 # experiments
 
 
+WIDTH_LEVEL = 0.05  # the width is the diameter of {0.05 <= u <= 0.95}
 #: the wave of each slice, by the kernel and reaction sections it reads
 _WAVES = {}
 
@@ -261,6 +267,10 @@ def _front_memo(problem: str):
     run = build_approx_front(kern, f, wave, grid, _num(tc, "s"),
                              _num(tc, "dt"), _num(tc, "t_end"),
                              _num(tc, "cadence"))
+    u = run.snapshots[-1].u  # the front moves right in a fixed window
+    if not (u[0] > 1.0 - WIDTH_LEVEL and u[-1] < WIDTH_LEVEL):
+        raise ValueError(f"the front leaves grid [{grid.x_min:g}, "
+                         f"{grid.x_max:g}] by time.t_end={tc['t_end']:g}")
     for snap in run.snapshots:  # shared by every caller of the memo
         snap.u.flags.writeable = snap.w.flags.writeable = False
     return wave, run
@@ -310,7 +320,8 @@ def exp_front(cfg, art: Artifacts) -> dict:
     wave_hi = _wave(cfg, max_slice)
     ts, xs = run.interface_track()
     _, speeds = run.interface_speeds()
-    widths = np.array([interface_width(s, 0.05) for s in run.snapshots])
+    widths = np.array([interface_width(s, WIDTH_LEVEL)
+                       for s in run.snapshots])
     art.write_csv("front_track.csv", ["t", "x_theta", "speed", "width"],
                   [ts, xs, speeds, widths])
     art.plot("front_track.png", ts, {"x_theta": xs}, "t", "interface")
@@ -426,14 +437,11 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
         raise ValueError(f"unknown initial shape {shape!r}")
     kern, f, _ = build_problem(cfg)
     dt = _num(cfg["time"], "dt")
-    # the burn-in, 30 snapshot intervals, then falls on whole steps too
     _check_whole_steps("the stability snapshot interval", CADENCE, dt)
     _, run = _front_run(cfg)
     ref0 = run.snapshots[-1].with_(w=None)  # t0 is time.t_end
-    pair0 = asymptotic_initial(ref0, kern, f, dt, shape)
-    report = run_asymptotic_experiment(pair0, kern, f,
-                                       horizon=ref0.t + 400.0 - pair0.t,
-                                       dt=dt)
+    pair0 = asymptotic_initial(ref0, f.theta, shape)
+    report = run_asymptotic_experiment(pair0, kern, f, horizon=400.0, dt=dt)
     art.write_csv("asymptotic.csv", ["t", "best_shift_distance"],
                   [report.times, report.sup_distances])
     art.plot("asymptotic.png", report.times,
@@ -523,7 +531,9 @@ def exp_sweep(cfg, art: Artifacts) -> dict:
                   [np.arange(len(codes)), codes])
     summary = {"cases": len(codes), "failures": int(np.sum(codes != 0))}
     if summary["failures"]:
-        raise CheckFailure(f"{summary['failures']} sweep case(s) failed")
+        err = CheckFailure(f"{summary['failures']} sweep case(s) failed")
+        err.code = int(codes.max())
+        raise err
     return summary
 
 
@@ -560,14 +570,18 @@ def _run_experiment(experiment: str, cfg: dict, out_dir: Path,
     except CheckFailure as err:
         art.write_summary({"passed": 0, "failure": str(err)})
         art.finish()
-        art.say(f"CHECK FAILED: {err}")
-        return EXIT_CHECK_FAILED
+        art.say(f"CHECK FAILED: {err}" if err.code == EXIT_CHECK_FAILED
+                else f"FAILED: {err}")
+        return err.code
     except ValueError as err:
         art.say(f"configuration error: {err}")
         return EXIT_CONFIG
     except SOLVER_ERRORS as err:
         art.say(f"solver failure: {err}")
         return EXIT_SOLVER
+    except Exception:  # a programming error, neither a check nor bad input
+        traceback.print_exc()
+        return EXIT_INTERNAL
     summary["passed"] = 1
     art.write_summary(summary)
     art.finish()

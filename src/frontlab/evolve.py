@@ -78,32 +78,30 @@ class Stepper:
     """RK4 stepper bound to one kernel and one nonlinearity.
 
     One RK4 advances the state (u, w, u_left, u_right); the co-state w is
-    optional.  With evolve_far_fields=True the far-field constants follow
-    the spatially homogeneous reaction ODE v' = f(t, v) (the nonlocal term
-    vanishes on constants), so e.g. a left state above the ignition
-    threshold lifts toward 1 consistently with the interior dynamics;
-    otherwise they are frozen (zero rate).
+    optional.  The nonlocal term vanishes on constants, so the far fields
+    follow the reaction ODE v' = f(t, v): a left state above the ignition
+    threshold lifts toward 1 with the interior, and f = 0 holds 1 and 0
+    fixed.
     """
 
-    def __init__(self, kernel: Kernel, f, evolve_far_fields: bool = False):
+    def __init__(self, kernel: Kernel, f):
         self.kernel = kernel
         self.f = f
-        self.evolve_far_fields = evolve_far_fields
         self._wj = kernel.weights * kernel.samples
         self._wdj = kernel.weights * kernel.derivative_samples
         self.dt_max = f.dt_max()
 
     def _rhs(self, t, y):
         u, w, ul, ur = y
-        ku = _convolve_samples(self._wj, u, ul, ur) - u + self.f.eval(t, u)
+        # one reaction call on the lane-wise [u_left, u, u_right]
+        r = self.f.eval(t, np.concatenate(
+            (np.asarray(ul)[..., None], u, np.asarray(ur)[..., None]), -1))
+        ku = _convolve_samples(self._wj, u, ul, ur) - u + r[..., 1:-1]
         kw = None
         if w is not None:
             kw = (_convolve_samples(self._wdj, u, ul, ur) - w
                   + self.f.eval_du(t, u) * w)
-        gl = gr = 0.0
-        if self.evolve_far_fields:
-            gl, gr = self.f.eval(t, ul), self.f.eval(t, ur)
-        return ku, kw, gl, gr
+        return ku, kw, r[..., 0], r[..., -1]
 
     def step(self, state: FieldState, dt: float) -> FieldState:
         if dt > self.dt_max * (1.0 + 1e-12):
@@ -134,8 +132,7 @@ class Stepper:
 
 def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
            track_front: bool = False,
-           snapshot_every: float | None = None,
-           evolve_far_fields: bool = False) -> Trajectory:
+           snapshot_every: float | None = None) -> Trajectory:
     """Integrate to t_end > state.t with snapshots every snapshot_every.
 
     With track_front=True the window follows lane 0's theta crossing.
@@ -143,7 +140,7 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
     if not t_end > state.t:
         raise EvolveInputError(f"t_end={t_end} does not lie after "
                                f"t={state.t}")
-    stepper = Stepper(kernel, f, evolve_far_fields=evolve_far_fields)
+    stepper = Stepper(kernel, f)
     n_steps = max(1, int(round((t_end - state.t) / dt)))
     dt_eff = (t_end - state.t) / n_steps
     snap_stride = n_steps

@@ -320,10 +320,8 @@ def subsupersolution_residual(snaps: list, x_track, params: StabilityParameters,
 # ---------------------------------------------------------------------------
 # experiments: initial data and paired evolution
 
-#: left plateau of the "liminf_above_theta" initial data, and the length of
-#: each burn-in phase that lifts it to 1
+#: left plateau of the "liminf_above_theta" initial data
 PLATEAU = 0.6
-BURN_IN = 60.0
 #: initial data of the asymptotic experiment
 INITIAL_SHAPES = ("mollified_step", "liminf_above_theta")
 #: time between paired snapshots of the stability experiments
@@ -337,33 +335,22 @@ def _pair(ref: FieldState, sol: FieldState) -> FieldState:
                       u_right=np.array([ref.u_right, sol.u_right]))
 
 
-def asymptotic_initial(ref0: FieldState, kernel: Kernel, f, dt: float,
+def asymptotic_initial(ref0: FieldState, theta: float,
                        shape: str) -> FieldState:
     """The pair (reference, front-like initial data centred on the
     reference's theta crossing) at ref0.t.
 
     "mollified_step" is a tanh step from 1 to 0.  "liminf_above_theta"
-    scales it to a left plateau above theta and lets the plateau burn up
-    to 1, with live far fields, in up to four phases of length BURN_IN;
-    the pair starts where the burn-in ends.  The reference lane is exact
-    throughout: f vanishes at its far fields (1, 0).
+    scales it to a left plateau PLATEAU above theta; the paired run lifts
+    the plateau and its far field toward 1.
     """
     if shape not in INITIAL_SHAPES:
         raise StabilityInputError(f"unknown initial shape {shape!r}")
     base = smoothed_step(Grid(ref0.x[0], ref0.x[-1], ref0.x.size),
-                         center=locate_level(ref0, f.theta), width=2.0)
-    if shape == "mollified_step":
-        return _pair(ref0, base)
-    pair = _pair(ref0, base.with_(u=PLATEAU * base.u, u_left=PLATEAU))
-    t_burn = ref0.t
-    for _ in range(4):
-        t_burn += BURN_IN
-        pair = evolve(pair, kernel, f, t_burn, dt, track_front=True,
-                      snapshot_every=BURN_IN,
-                      evolve_far_fields=True).snapshots[-1]
-        if abs(pair.u_left[1] - 1.0) <= 1e-8:
-            break
-    return pair.with_(u_left=np.array([pair.u_left[0], 1.0]))
+                         center=locate_level(ref0, theta), width=2.0)
+    if shape == "liminf_above_theta":
+        base = base.with_(u=PLATEAU * base.u, u_left=PLATEAU)
+    return _pair(ref0, base)
 
 
 def _paired_snapshots(pair0: FieldState, kernel: Kernel, f, horizon: float,

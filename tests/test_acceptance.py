@@ -248,7 +248,7 @@ def test_11_stability_sandwich(capsys, tmp_path):
 
 def test_12_asymptotic_stability(capsys, tmp_path):
     # the mollified step at the reference interface, and a liminf-above-
-    # theta plateau burnt in with live far fields
+    # theta plateau that the paired run lifts toward 1
     ok = True
     details = []
     for shape in ("mollified_step", "liminf_above_theta"):

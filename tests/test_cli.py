@@ -372,6 +372,28 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert "solver failure: Newton polish" in result.output
 
+    def test_programming_error_is_internal_error(self, runner, tmp_path,
+                                                 monkeypatch):
+        # exit 1 is kept for a failed theorem check
+        def broken(cfg, art):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "validate", broken)
+        result = runner.invoke(main, ["validate",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == cli.EXIT_INTERNAL == 4
+        assert "TypeError: unsupported operand" in result.stderr
+
+    def test_front_leaving_the_window_is_config_error(self, runner,
+                                                      tmp_path):
+        # at about 0.14 per time unit the front leaves [-50, 50] before 400
+        cfg = _write_cfg(tmp_path, {"time": {"t_end": 400.0}})
+        result = runner.invoke(main, ["front", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "time.t_end=400" in result.output
+        assert "grid [-50, 50]" in result.output
+
     def test_failed_hypothesis_is_check_failure(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {"reaction": {"theta_tilde": 0.5}})
         out = tmp_path / "out"
@@ -567,16 +589,23 @@ class TestSweep:
         assert message in result.output
         assert not (out / "case_000").exists()
 
-    def test_failing_case_fails_sweep(self, runner, tmp_path):
-        cfg = _write_cfg(tmp_path, {
-            "experiment": {"workers": 1, "cases": [
-                {"experiment": {"name": "validate"},
-                 "reaction": {"theta_tilde": 0.5}},
-            ]}})
+    @pytest.mark.parametrize("cases, code", [
+        ([{"time": {"dt": 5.0}}], 2),
+        ([{"reaction": {"theta_tilde": 0.5}}], 1),
+        ([{"reaction": {"theta_tilde": 0.5}}, {"time": {"dt": 5.0}}], 2),
+    ], ids=["config_error", "check_failure", "both"])
+    def test_sweep_exits_with_the_largest_case_code(self, runner, tmp_path,
+                                                    cases, code):
+        cfg = _write_cfg(tmp_path, {"experiment": {"workers": 1, "cases": [
+            {"experiment": {"name": "validate"}, **case} for case in cases]}})
+        out = tmp_path / "out"
         result = runner.invoke(main, ["sweep", "--config", cfg,
-                                      "--out", str(tmp_path / "out"),
-                                      "--quiet"])
-        assert result.exit_code == 1
+                                      "--out", str(out)])
+        assert result.exit_code == code, result.output
+        assert ("CHECK FAILED" in result.output) == (code == 1)
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[1]) for r in rows] == [
+            2 if "time" in case else 1 for case in cases]
 
 
 def test_import_leaves_out_scipy_signal():

@@ -14,10 +14,9 @@ from trajectory_helpers import at_time
 DT = 0.05
 
 
-def three_branch_step(kernel, f, state, dt, evolve_far_fields=False):
-    """Reference RK4 step written as three branches (far fields, u only,
-    u with co-state); the co-state branch keeps the far fields frozen in
-    its stages."""
+def three_branch_step(kernel, f, state, dt):
+    """Reference RK4 step written as three branches (the far fields as
+    scalar ODEs v' = f(t, v), u only, u with co-state)."""
     wj = kernel.weights * kernel.samples
     wdj = kernel.weights * kernel.derivative_samples
 
@@ -29,48 +28,36 @@ def three_branch_step(kernel, f, state, dt, evolve_far_fields=False):
         conv = _convolve_samples(wdj, u, u_left, u_right)
         return conv - w + f.eval_du(t, u) * w
 
+    def fscal(ts, v):
+        return float(f.eval(ts, v))
+
     t, u = state.t, state.u
     ul, ur = state.u_left, state.u_right
-    if evolve_far_fields:
-        def fscal(ts, v):
-            return float(f.eval(ts, v))
-        gl1, gr1 = fscal(t, ul), fscal(t, ur)
-        gl2 = fscal(t + 0.5 * dt, ul + 0.5 * dt * gl1)
-        gr2 = fscal(t + 0.5 * dt, ur + 0.5 * dt * gr1)
-        gl3 = fscal(t + 0.5 * dt, ul + 0.5 * dt * gl2)
-        gr3 = fscal(t + 0.5 * dt, ur + 0.5 * dt * gr2)
-        gl4 = fscal(t + dt, ul + dt * gl3)
-        gr4 = fscal(t + dt, ur + dt * gr3)
-        stage_l = (ul, ul + 0.5 * dt * gl1, ul + 0.5 * dt * gl2,
-                   ul + dt * gl3)
-        stage_r = (ur, ur + 0.5 * dt * gr1, ur + 0.5 * dt * gr2,
-                   ur + dt * gr3)
-        ul_new = ul + dt / 6.0 * (gl1 + 2 * gl2 + 2 * gl3 + gl4)
-        ur_new = ur + dt / 6.0 * (gr1 + 2 * gr2 + 2 * gr3 + gr4)
-    else:
-        stage_l = (ul, ul, ul, ul)
-        stage_r = (ur, ur, ur, ur)
-        ul_new, ur_new = ul, ur
-    if state.w is None:
-        k1 = rhs_u(t, u, stage_l[0], stage_r[0])
-        k2 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k1, stage_l[1], stage_r[1])
-        k3 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k2, stage_l[2], stage_r[2])
-        k4 = rhs_u(t + dt, u + dt * k3, stage_l[3], stage_r[3])
-        u_new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        w_new = None
-    else:
+    gl1, gr1 = fscal(t, ul), fscal(t, ur)
+    gl2 = fscal(t + 0.5 * dt, ul + 0.5 * dt * gl1)
+    gr2 = fscal(t + 0.5 * dt, ur + 0.5 * dt * gr1)
+    gl3 = fscal(t + 0.5 * dt, ul + 0.5 * dt * gl2)
+    gr3 = fscal(t + 0.5 * dt, ur + 0.5 * dt * gr2)
+    gl4 = fscal(t + dt, ul + dt * gl3)
+    gr4 = fscal(t + dt, ur + dt * gr3)
+    sl = (ul, ul + 0.5 * dt * gl1, ul + 0.5 * dt * gl2, ul + dt * gl3)
+    sr = (ur, ur + 0.5 * dt * gr1, ur + 0.5 * dt * gr2, ur + dt * gr3)
+    ul_new = ul + dt / 6.0 * (gl1 + 2 * gl2 + 2 * gl3 + gl4)
+    ur_new = ur + dt / 6.0 * (gr1 + 2 * gr2 + 2 * gr3 + gr4)
+    k1 = rhs_u(t, u, sl[0], sr[0])
+    k2 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k1, sl[1], sr[1])
+    k3 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k2, sl[2], sr[2])
+    k4 = rhs_u(t + dt, u + dt * k3, sl[3], sr[3])
+    u_new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    w_new = None
+    if state.w is not None:
         w = state.w
-        k1 = rhs_u(t, u, ul, ur)
-        l1 = rhs_w(t, u, w, ul, ur)
-        k2 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k1, ul, ur)
+        l1 = rhs_w(t, u, w, sl[0], sr[0])
         l2 = rhs_w(t + 0.5 * dt, u + 0.5 * dt * k1, w + 0.5 * dt * l1,
-                   ul, ur)
-        k3 = rhs_u(t + 0.5 * dt, u + 0.5 * dt * k2, ul, ur)
+                   sl[1], sr[1])
         l3 = rhs_w(t + 0.5 * dt, u + 0.5 * dt * k2, w + 0.5 * dt * l2,
-                   ul, ur)
-        k4 = rhs_u(t + dt, u + dt * k3, ul, ur)
-        l4 = rhs_w(t + dt, u + dt * k3, w + dt * l3, ul, ur)
-        u_new = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                   sl[2], sr[2])
+        l4 = rhs_w(t + dt, u + dt * k3, w + dt * l3, sl[3], sr[3])
         w_new = w + dt / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
     return state.with_(t=t + dt, u=u_new, w=w_new,
                        u_left=ul_new, u_right=ur_new)
@@ -79,11 +66,25 @@ def three_branch_step(kernel, f, state, dt, evolve_far_fields=False):
 def _reference_states():
     grid = Grid(-20.0, 20.0, 801)
     base = smoothed_step(grid)
+    plateau = base.with_(u=0.6 * base.u, u_left=0.6)
     return {
-        "u_only": (base, False),
-        "u_and_w": (base.with_(w=np.gradient(base.u, base.x)), False),
-        "far_fields": (base.with_(u=0.6 * base.u, u_left=0.6), True),
+        "u_only": base,
+        "u_and_w": base.with_(w=np.gradient(base.u, base.x)),
+        "far_fields": plateau,
+        "far_fields_and_w": plateau.with_(w=np.gradient(plateau.u,
+                                                        plateau.x)),
     }
+
+
+def scalar_rk4(f, t, v, dt):
+    """One classical RK4 step of the scalar ODE v' = f(t, v)."""
+    def g(ts, vs):
+        return float(f.eval(ts, vs))
+    k1 = g(t, v)
+    k2 = g(t + 0.5 * dt, v + 0.5 * dt * k1)
+    k3 = g(t + 0.5 * dt, v + 0.5 * dt * k2)
+    k4 = g(t + dt, v + dt * k3)
+    return v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 class TestStepper:
@@ -139,11 +140,11 @@ class TestStepper:
         assert c1 / c2 > 10.0
 
     def test_far_field_evolution(self, kernel, f):
-        # with evolving far fields a subcritical plateau must grow toward 1
+        # a plateau above theta, far field included, must grow toward 1
         grid = Grid(-20.0, 20.0, 801)
         base = smoothed_step(grid)
         state = base.with_(u=0.6 * base.u, u_left=0.6)
-        traj = evolve(state, kernel, f, 30.0, DT, evolve_far_fields=True)
+        traj = evolve(state, kernel, f, 30.0, DT)
         end = traj.snapshots[-1]
         assert end.u_left > 0.95
         assert end.u_right == 0.0
@@ -152,14 +153,15 @@ class TestStepper:
 
 
 class TestSingleRK4Path:
-    @pytest.mark.parametrize("case", ["u_only", "u_and_w", "far_fields"])
+    @pytest.mark.parametrize("case", ["u_only", "u_and_w", "far_fields",
+                                      "far_fields_and_w"])
     def test_matches_three_branch_reference(self, kernel, f, case):
-        state, far = _reference_states()[case]
-        stepper = Stepper(kernel, f, evolve_far_fields=far)
+        state = _reference_states()[case]
+        stepper = Stepper(kernel, f)
         ref = state
         for _ in range(20):
             state = stepper.step(state, DT)
-            ref = three_branch_step(kernel, f, ref, DT, far)
+            ref = three_branch_step(kernel, f, ref, DT)
             assert np.array_equal(state.u, ref.u)
             assert (state.w is None) == (ref.w is None)
             if ref.w is not None:
@@ -169,14 +171,30 @@ class TestSingleRK4Path:
 
     def test_far_fields_drive_u_with_or_without_costate(self, kernel, f):
         # the co-state must not change how u and the far fields evolve
-        state, _ = _reference_states()["far_fields"]
-        plain = evolve(state, kernel, f, 5.0, DT, evolve_far_fields=True)
+        state = _reference_states()["far_fields"]
+        plain = evolve(state, kernel, f, 5.0, DT)
         with_w = evolve(state.with_(w=np.gradient(state.u, state.x)),
-                        kernel, f, 5.0, DT, evolve_far_fields=True)
+                        kernel, f, 5.0, DT)
         a, b = plain.snapshots[-1], with_w.snapshots[-1]
         assert a.u_left > 0.6
         assert np.array_equal(a.u, b.u)
         assert (a.u_left, a.u_right) == (b.u_left, b.u_right)
+
+    @pytest.mark.parametrize("costate", [False, True])
+    def test_constant_state_follows_scalar_rk4(self, kernel, f, costate):
+        # J*v - v = 0 on a constant, so u = v and both far fields follow
+        # the scalar RK4 of v' = f(t, v) to round-off
+        state = constant_field(Grid(-20.0, 20.0, 801), 0.6)
+        if costate:
+            state = state.with_(w=np.zeros_like(state.u))
+        stepper, v = Stepper(kernel, f), 0.6
+        for _ in range(40):
+            state, v = stepper.step(state, DT), scalar_rk4(f, state.t, v, DT)
+            assert np.max(np.abs(state.u - v)) <= 1e-14
+            assert (state.u_left, state.u_right) == (v, v)
+            if costate:
+                assert np.max(np.abs(state.w)) <= 1e-14
+        assert v > 0.62   # the reaction lifts the constant above 0.6
 
     def test_grid_spacing_must_match_kernel(self, kernel, f):
         coarse = smoothed_step(Grid(-20.0, 20.0, 401))   # h = 0.1
@@ -194,23 +212,20 @@ class TestLanes:
                           u_right=np.array([0.0, 0.0]))
         return (a, b), pair
 
-    @pytest.mark.parametrize("far", [False, True])
-    def test_two_lanes_match_single_lane_evolves(self, kernel, f, far):
+    def test_two_lanes_match_single_lane_evolves(self, kernel, f):
         singles, pair = self._lanes(Grid(-20.0, 20.0, 801))
-        lanes = evolve(pair, kernel, f, 3.0, DT, snapshot_every=1.0,
-                       evolve_far_fields=far)
+        lanes = evolve(pair, kernel, f, 3.0, DT, snapshot_every=1.0)
         assert len(lanes.snapshots) == 4
         for i, single in enumerate(singles):
-            ref = evolve(single, kernel, f, 3.0, DT, snapshot_every=1.0,
-                         evolve_far_fields=far)
+            ref = evolve(single, kernel, f, 3.0, DT, snapshot_every=1.0)
             for snap, ref_snap in zip(lanes.snapshots, ref.snapshots,
                                       strict=True):
                 assert snap.t == ref_snap.t
                 assert np.array_equal(snap.u[i], ref_snap.u)
                 assert (snap.u_left[i], snap.u_right[i]) == (
                     ref_snap.u_left, ref_snap.u_right)
-        if far:   # the 0.9 far field lifts toward 1
-            assert lanes.snapshots[-1].u_left[1] > 0.9
+        # the 0.9 far field lifts toward 1
+        assert lanes.snapshots[-1].u_left[1] > 0.9
 
     def test_window_policy_steers_by_lane_zero(self, kernel, f, tw_min):
         grid = Grid(-30.0, 30.0, 1201)
@@ -275,6 +290,11 @@ class TestApproxFront:
         end = at_time(front_run.trajectory, 0.0)
         u0 = float(np.interp(0.0, end.x, end.u))
         assert abs(u0 - f.theta) <= 1e-6
+
+    def test_far_fields_stay_exact(self, front_run):
+        # f is exactly 0 at 1 and at 0, so the far fields never move
+        assert all((snap.u_left, snap.u_right) == (1.0, 0.0)
+                   for snap in front_run.snapshots)
 
     def test_snapshots_carry_derivative(self, front_run):
         assert all(s.w is not None for s in front_run.snapshots)
