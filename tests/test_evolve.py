@@ -212,8 +212,13 @@ class TestLanes:
                           u_right=np.array([0.0, 0.0]))
         return (a, b), pair
 
-    def test_two_lanes_match_single_lane_evolves(self, kernel, f):
+    @pytest.mark.parametrize("costate", [False, True])
+    def test_two_lanes_match_single_lane_evolves(self, kernel, f, costate):
         singles, pair = self._lanes(Grid(-20.0, 20.0, 801))
+        if costate:
+            singles = tuple(s.with_(w=np.gradient(s.u, s.x))
+                            for s in singles)
+            pair = pair.with_(w=np.stack([s.w for s in singles]))
         lanes = evolve(pair, kernel, f, 3.0, DT, snapshot_every=1.0)
         assert len(lanes.snapshots) == 4
         for i, single in enumerate(singles):
@@ -224,6 +229,9 @@ class TestLanes:
                 assert np.array_equal(snap.u[i], ref_snap.u)
                 assert (snap.u_left[i], snap.u_right[i]) == (
                     ref_snap.u_left, ref_snap.u_right)
+                if costate:
+                    assert snap.w is not None and ref_snap.w is not None
+                    assert np.array_equal(snap.w[i], ref_snap.w)
         # the 0.9 far field lifts toward 1
         assert lanes.snapshots[-1].u_left[1] > 0.9
 
