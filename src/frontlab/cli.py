@@ -15,12 +15,10 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-import importlib.metadata
 import json
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -207,6 +205,7 @@ class Artifacts:
         self._register(path)
 
     def finish(self) -> None:
+        import importlib.metadata  # only the manifest reads it
         cfg_blob = json.dumps(self.cfg, sort_keys=True).encode()
         hashes = {}
         for name in self.files:
@@ -522,6 +521,7 @@ def exp_sweep(cfg, art: Artifacts) -> dict:
         sub_dir = art.dir / f"case_{i:03d}"
         jobs.append((sub_cfg, str(sub_dir), True))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:

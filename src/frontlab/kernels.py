@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, special
 
 from .fields import FieldState
 
@@ -78,7 +77,7 @@ def _gaussian_density(sigma):
         return -x / sigma**2 * density(x)
 
     def tail_mass(r):
-        return 2.0 * special.ndtr(-r / sigma)
+        return math.erfc(r / sigma / math.sqrt(2.0))
 
     return density, derivative, tail_mass
 
@@ -169,9 +168,24 @@ def build_kernel(family: str, spacing: float, tail_tolerance: float,
 # ---------------------------------------------------------------------------
 # convolution
 
+@functools.lru_cache(maxsize=64)
+def _next_fast_len(target: int) -> int:
+    """The least 5-smooth number >= target, the FFT length that
+    scipy.fft.next_fast_len(target, real=True) picks."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 @functools.lru_cache(maxsize=16)
 def _spectrum(weighted: bytes, length: int) -> np.ndarray:
-    spectrum = fft.rfft(np.frombuffer(weighted), length)
+    spectrum = np.fft.rfft(np.frombuffer(weighted), length)
     spectrum.flags.writeable = False  # shared by every caller of the cache
     return spectrum
 
@@ -181,13 +195,13 @@ def _convolve_samples(weighted: np.ndarray, u: np.ndarray,
     # u has shape (..., n), the far fields are scalars or of shape (...)
     k = (weighted.size - 1) // 2
     n = u.shape[-1]
-    length = fft.next_fast_len(n + 4 * k, real=True)
+    length = _next_fast_len(n + 4 * k)
     padded = np.zeros(u.shape[:-1] + (length,))
     padded[..., :k] = np.asarray(u_left)[..., None]
     padded[..., k:k + n] = u
     padded[..., k + n:n + 2 * k] = np.asarray(u_right)[..., None]
     spectrum = _spectrum(weighted.tobytes(), length)
-    full = fft.irfft(fft.rfft(padded) * spectrum, length)
+    full = np.fft.irfft(np.fft.rfft(padded) * spectrum, length)
     return full[..., 2 * k:2 * k + n]
 
 
@@ -224,8 +238,8 @@ def _moment_tail(kernel: Kernel, r: float) -> float:
         sigma = float(kernel.params.get("sigma", 1.0))
         R = kernel.stencil_radius
         bulk = math.exp(0.5 * (sigma * r) ** 2)
-        right = special.ndtr(-(R + sigma**2 * r) / sigma)
-        left = special.ndtr(-(R - sigma**2 * r) / sigma)
+        right = 0.5 * math.erfc((R + sigma**2 * r) / sigma / math.sqrt(2.0))
+        left = 0.5 * math.erfc((R - sigma**2 * r) / sigma / math.sqrt(2.0))
         return bulk * (right + left)
     return 0.0  # compact support: no mass beyond the stencil
 

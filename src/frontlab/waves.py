@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .fields import FieldState, Grid, pchip_far_fields, smoothed_step
 from .kernels import Kernel, convolve
@@ -82,7 +81,9 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
 def spsolve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Banded LU solve (band row k - d holds diagonal d) for each column of
     rhs: the one linear solve of a Newton step.  It keeps the name of the
-    sparse solve it replaced, under which the benchmark times Newton steps."""
+    sparse solve it replaced, under which the benchmark times Newton steps.
+    scipy loads here, on the first solve, so it stays off the CLI's launch."""
+    from scipy.linalg import solve_banded
     k = (band.shape[0] - 1) // 2
     return solve_banded((k, k), band, rhs, check_finite=False)
 

@@ -608,11 +608,50 @@ class TestSweep:
             2 if "time" in case else 1 for case in cases]
 
 
+def _fresh_python(code, *args):
+    """stdout of `code` run in a fresh interpreter that imports this
+    checkout's frontlab."""
+    src = str(Path(frontlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.strip()
+
+
 def test_import_leaves_out_scipy_signal():
     # scipy.signal pulls in scipy.stats, which slows every CLI launch
     probe = "import sys, frontlab.cli; print('scipy.signal' in sys.modules)"
-    src = str(Path(frontlab.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert _fresh_python(probe) == "False"
+
+
+#: runs frontlab with the given arguments (none: import only), then prints
+#: the scipy modules it loaded
+_SCIPY_PROBE = """
+import json, sys
+from frontlab import cli
+if sys.argv[1:]:
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit as exit_:
+        assert exit_.code == 0, exit_.code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+@pytest.mark.parametrize("experiment", [None, "comparison", "wave"])
+def test_scipy_loads_only_for_the_wave_solve(tmp_path, experiment):
+    args = []
+    if experiment is not None:
+        cfg = _write_cfg(tmp_path, {
+            "experiment": {"pairs": 3, "t_end": 1.0},
+            "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}}
+            if experiment == "comparison" else {})
+        args = [experiment, "--config", cfg, "--out", str(tmp_path / "out"),
+                "--quiet"]
+    modules = set(json.loads(_fresh_python(_SCIPY_PROBE, *args)))
+    if experiment == "wave":  # the banded Newton solve
+        assert "scipy.linalg" in modules
+        assert not modules & {"scipy.interpolate", "scipy.special",
+                              "scipy.fft"}
+    else:
+        assert modules == set()

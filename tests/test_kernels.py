@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft, special
 
 from frontlab import kernels
 from frontlab.fields import FieldState, Grid
@@ -225,3 +228,46 @@ def test_with_samples_override(kernel):
     k2 = with_samples(kernel, skew)
     assert isinstance(k2, Kernel)
     assert not np.array_equal(k2.samples, k2.samples[::-1])
+
+
+class TestScipyParity:
+    """The numpy-only convolution and Gaussian tails reproduce the
+    scipy.fft and scipy.special forms they replaced."""
+
+    def test_next_fast_len(self):
+        for target in range(1, 20001):
+            assert kernels._next_fast_len(target) == fft.next_fast_len(
+                target, real=True), target
+
+    @pytest.mark.parametrize("lanes", [(), (2,)])
+    def test_convolution_bit_for_bit(self, kernel, rng, lanes):
+        weighted = kernel.weights * kernel.samples
+        u = rng.random(lanes + (1201,))
+        left, right = rng.random(lanes), rng.random(lanes)
+        k, n = kernel.half_points, u.shape[-1]
+        length = fft.next_fast_len(n + 4 * k, real=True)
+        padded = np.zeros(lanes + (length,))
+        padded[..., :k] = left[..., None]
+        padded[..., k:k + n] = u
+        padded[..., k + n:n + 2 * k] = right[..., None]
+        ref = fft.irfft(fft.rfft(padded) * fft.rfft(weighted, length),
+                        length)[..., 2 * k:2 * k + n]
+        got = _convolve_samples(weighted, u, left, right)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
+    def test_gaussian_tails_match_ndtr(self, sigma, tol):
+        k = build_kernel("gaussian", spacing=0.05, tail_tolerance=tol,
+                         sigma=sigma)
+        half = 1
+        while 2.0 * special.ndtr(-half * 0.05 / sigma) > tol:
+            half += 1
+        assert k.half_points == half
+        R = k.stencil_radius
+        for r in np.linspace(-0.9, 0.9, 7) * k.r_max:
+            quad = np.sum(k.weights * k.samples * np.exp(-r * k.offsets))
+            ref = quad + math.exp(0.5 * (sigma * r) ** 2) * (
+                special.ndtr(-(R + sigma**2 * r) / sigma)
+                + special.ndtr(-(R - sigma**2 * r) / sigma))
+            assert abs(exponential_moment(k, r) - ref) <= 1e-15 * ref
