@@ -243,7 +243,7 @@ def _wave(cfg, slice_fn):
                       default=str), slice_fn)
     if key not in _WAVES:
         kern, f, _ = build_problem(cfg)
-        grid = Grid(-60.0, 60.0, int(120.0 / kern.spacing) + 1)
+        grid = Grid(-60.0, 60.0, round(120.0 / kern.spacing) + 1)
         wave = solve_traveling_wave(kern, slice_fn(f), grid)
         for arr in (wave.x, wave.phi, wave.dphi):  # shared by every caller
             arr.flags.writeable = False
@@ -305,6 +305,7 @@ def exp_wave(cfg, art: Artifacts) -> dict:
                "residual_max": tw_hi.residual_norm}
     for tag, tw in (("min", tw_lo), ("max", tw_hi)):  # reported, not gated
         summary[f"newton_iterations_{tag}"] = tw.iterations
+        summary[f"coarse_iterations_{tag}"] = tw.coarse_iterations
         # the largest rise phi[i+1] - phi[i]: a wide kernel's profile
         # ripples on the node pairs at the left window edge
         summary[f"monotone_defect_{tag}"] = float(

@@ -165,6 +165,21 @@ def build_kernel(family: str, spacing: float, tail_tolerance: float,
                   derivative_samples=deriv, r_max=r_max)
 
 
+def subsample_kernel(kernel: Kernel) -> Kernel:
+    """The kernel at every other offset (spacing 2h, offset 0 kept),
+    renormalized to unit trapezoid mass at that spacing."""
+    k = kernel.half_points
+    keep = slice(k % 2, None, 2)
+    samples = kernel.samples[keep]
+    spacing = 2.0 * kernel.spacing
+    mass = float(np.sum(_trapezoid_weights(samples.size, spacing) * samples))
+    return Kernel(family=kernel.family, params=dict(kernel.params),
+                  spacing=spacing, stencil_radius=(k // 2) * spacing,
+                  samples=samples / mass,
+                  derivative_samples=kernel.derivative_samples[keep] / mass,
+                  r_max=kernel.r_max)
+
+
 # ---------------------------------------------------------------------------
 # convolution
 

@@ -16,6 +16,7 @@ import frontlab
 from frontlab import cli
 from frontlab.cli import load_config, main
 from frontlab.evolve import Stepper
+from frontlab.reactions import min_slice
 from frontlab.stability import StabilityReport
 from frontlab.waves import WaveError
 
@@ -88,6 +89,19 @@ class TestFrontMemo:
         for name in ("tails.csv", "summary.json"):
             assert ((tmp_path / "tails" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes())
+
+
+    def test_wave_window_rounds_its_node_count(self, monkeypatch):
+        # 120 / (100 / 1190) is 1427.9999999999998 in floating point; the
+        # wave window needs 1429 nodes at the kernel's spacing, not 1428
+        cfg = load_config(None)
+        cfg["kernel"]["spacing"] = 0.08403361344537816
+        cfg["grid"]["n"] = 1191
+        cli.build_problem(cfg)
+        monkeypatch.setattr(cli, "_WAVES", {})
+        wave = cli._wave(cfg, min_slice)
+        assert wave.x.size == 1429
+        assert wave.residual_norm <= 1e-8
 
 
 #: share of its own margin by which halving time.dt may move a `front` gate

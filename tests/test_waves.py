@@ -3,10 +3,10 @@ import pytest
 
 from frontlab import waves
 from frontlab.fields import Grid, smoothed_step
-from frontlab.kernels import build_kernel, convolve
+from frontlab.kernels import build_kernel, convolve, subsample_kernel
 from frontlab.fields import FieldState
 from frontlab.waves import WaveError, solve_traveling_wave
-from frontlab.reactions import min_slice
+from frontlab.reactions import max_slice, min_slice
 
 
 def stationary_residual(tw, kernel, f_hom):
@@ -85,8 +85,9 @@ class TestSolveTravelingWave:
 
 def test_newton_step_solves_the_bordered_system(kernel, f, wave_grid,
                                                 monkeypatch):
-    # the first step from the smoothed step is damped: phi and c move by
-    # s (delta, dc), and the phase row delta(0) = -phase gives s.  Then
+    # the first step from the smoothed step is damped and runs on the
+    # coarse grid (every other node, the subsampled kernel): phi and c move
+    # by s (delta, dc), and the phase row delta(0) = -phase gives s.  Then
     # (delta, dc) must solve the linearized stationary system, which pins
     # the band layout and the bordering, whatever solves them
     f_hom = min_slice(f)
@@ -100,10 +101,13 @@ def test_newton_step_solves_the_bordered_system(kernel, f, wave_grid,
     monkeypatch.setattr(waves, "NEWTON_CAP", 2)
     with pytest.raises(WaveError):
         solve_traveling_wave(kernel, f_hom, wave_grid)
+    coarse = Grid(-60.0, 60.0, 1201)
+    coarse_kernel = subsample_kernel(kernel)
     (phi0, c0), (phi1, c1) = states[:2]
     np.testing.assert_array_equal(
-        phi0, smoothed_step(wave_grid, center=0.0, width=2.0).u)
-    i0 = int(np.argmin(np.abs(wave_grid.x)))
+        phi0, smoothed_step(coarse, center=0.0, width=2.0).u)
+    assert c0 == waves.START_SPEED
+    i0 = int(np.argmin(np.abs(coarse.x)))
     s = -(phi1[i0] - phi0[i0]) / (phi0[i0] - f_hom.theta)
     delta, dc = (phi1 - phi0) / s, (c1 - c0) / s
     assert 0.0 < s <= 1.0
@@ -111,12 +115,63 @@ def test_newton_step_solves_the_bordered_system(kernel, f, wave_grid,
         min(0.2, np.max(np.abs(delta))), rel=1e-12)
 
     def r(eps):
-        return residual(kernel, f_hom, wave_grid.x, phi0 + eps * delta,
+        return residual(coarse_kernel, f_hom, coarse.x, phi0 + eps * delta,
                         c0 + eps * dc)
 
     eps = 1e-6
     jac_step = (r(eps) - r(-eps)) / (2.0 * eps)
     assert np.max(np.abs(jac_step + r(0.0))) <= 1e-6 * np.max(np.abs(r(0.0)))
+
+
+class TestTwoLevelSolve:
+    #: c* (min slice, max slice) on the default [-50, 50], 2001-node grid,
+    #: as the one-level Newton on the fine grid computed it
+    ONE_LEVEL = {0.75: (0.08422314068207415, 0.11764169700563333),
+                 1.0: (0.11229598783944876, 0.15685301855070366),
+                 1.5: (0.16840819708966945, 0.23527415545730818),
+                 2.0: (0.22428536244912844, 0.31365203329334695)}
+
+    @pytest.mark.parametrize("sigma", sorted(ONE_LEVEL))
+    def test_speeds_match_the_one_level_solve(self, f, sigma):
+        kern = build_kernel("gaussian", spacing=0.05, tail_tolerance=1e-6,
+                            sigma=sigma)
+        grid = Grid(-50.0, 50.0, 2001)
+        for slice_fn, ref in zip((min_slice, max_slice),
+                                 self.ONE_LEVEL[sigma]):
+            tw = solve_traveling_wave(kern, slice_fn(f), grid)
+            assert abs(tw.speed - ref) <= 1e-9
+            assert tw.iterations >= 2 and tw.coarse_iterations >= 1
+
+    def test_subsampled_kernel(self, kernel):
+        coarse = subsample_kernel(kernel)
+        assert coarse.spacing == 2.0 * kernel.spacing
+        assert coarse.half_points == kernel.half_points // 2
+        np.testing.assert_array_equal(coarse.samples, coarse.samples[::-1])
+        np.testing.assert_array_equal(coarse.derivative_samples,
+                                      -coarse.derivative_samples[::-1])
+        assert coarse.quadrature_mass() == pytest.approx(1.0, abs=1e-14)
+        # the samples are the kernel's own at the even offsets, rescaled
+        np.testing.assert_allclose(
+            coarse.samples / coarse.samples[coarse.half_points],
+            kernel.samples[kernel.half_points % 2::2]
+            / kernel.samples[kernel.half_points], rtol=1e-14)
+
+    def test_even_node_count(self, kernel, f):
+        # the coarse grid ends one fine node short of x_max
+        grid = Grid(-50.0, 49.95, 2000)
+        tw = solve_traveling_wave(kernel, min_slice(f), grid)
+        assert tw.x.size == 2000
+        assert tw.residual_norm <= 1e-8
+        assert 0.0 < tw.speed < 1.0
+
+    def test_fine_polish_takes_two_steps(self, kernel, f, wave_grid,
+                                         tw_min):
+        # started at the converged wave, the polish still takes two steps
+        phi, c, res, steps = waves._newton_polish(
+            kernel, min_slice(f), wave_grid, tw_min.phi, tw_min.speed,
+            min_steps=2)
+        assert steps == 2 and res <= 0.05 * waves.TOL
+        assert abs(c - tw_min.speed) <= 1e-12
 
 
 class TestValidation:
