@@ -5,15 +5,20 @@ phi decreasing from 1 to 0, by damped Newton.  The co-moving Jacobian in phi
 is banded (half-bandwidth kernel.half_points); Keller's bordering (Keller
 1977) adds the speed column and the phase row phi(0) = theta (Beyn, IMA J.
 Numer. Anal. 10, 1990), so each step is one banded LU solve with two
-right-hand sides.  The solve has two levels (nested iteration, Brandt 1977):
-the damped steps from the smoothed step of width 2 and the speed
-START_SPEED run on every other node with the subsampled kernel, where an LU
-costs about 1/8 as much; the fine grid then starts from the interpolated
-coarse wave and polishes it in at least two full steps.
+right-hand sides: LAPACK dgbsv on the band in its column-major storage
+(LAPACK Users' Guide, 3rd ed., 1999, sec. 5.3.3), from scipy's compiled
+LAPACK module without the scipy.linalg package.  The solve has two levels
+(nested iteration, Brandt 1977): the damped steps from the smoothed step of
+width 2 and the speed START_SPEED run on every other node with the
+subsampled kernel, where an LU costs about 1/8 as much; the fine grid then
+starts from the interpolated coarse wave and polishes it in at least two
+full steps.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +95,34 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
                          coarse_iterations=coarse_iterations)
 
 
-def spsolve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Banded LU solve (band row k - d holds diagonal d) for each column of
-    rhs: the one linear solve of a Newton step.  It keeps the name of the
-    sparse solve it replaced, under which the benchmark times Newton steps.
-    scipy loads here, on the first solve, so it stays off the CLI's launch."""
-    from scipy.linalg import solve_banded
-    k = (band.shape[0] - 1) // 2
-    return solve_banded((k, k), band, rhs, check_finite=False)
+@functools.cache
+def _gbsv():
+    """LAPACK dgbsv from scipy.linalg._flapack, loaded from its own file so
+    that scipy.linalg's package __init__ (0.25 s of imports) never runs."""
+    from importlib import machinery, util
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:  # else scipy.linalg has loaded it
+        folder = util.find_spec("scipy.linalg").submodule_search_locations[0]
+        spec = machinery.FileFinder(folder, (
+            machinery.ExtensionFileLoader,
+            machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].dgbsv
+
+
+def spsolve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Banded LU solve for each column of rhs: the one linear solve of a
+    Newton step.  ab is a Fortran-ordered (3k+1, n) band in dgbsv's storage
+    (row 2k - d holds diagonal d; rows 0..k-1 are room for the LU's fill-in)
+    and is overwritten.  It keeps the name of the sparse solve it replaced,
+    under which the benchmark times Newton steps.  Raises WaveError when the
+    band is singular."""
+    k = (ab.shape[0] - 1) // 3
+    _, _, x, info = _gbsv()(k, k, ab, rhs, overwrite_ab=True)
+    if info != 0:
+        raise WaveError(f"banded LU failed (dgbsv info {info})")
+    return x
 
 
 def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c,
@@ -106,11 +131,13 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c,
     borders dc = (y(0) + phase) / z(0), delta = y - dc z, and moves phi by
     at most 0.2 anywhere.  Returns (phi, c, max|residual|, steps) once both
     residuals are below 0.05 TOL after at least min_steps steps."""
-    h, k = grid.h, kernel.half_points
+    h, k = grid.h, max(kernel.half_points, 1)  # room for c phi' at +-1
     i0 = int(np.argmin(np.abs(grid.x)))
-    # J's weights are symmetric: diagonal d holds one weight in every column
-    conv_band = np.repeat((kernel.weights * kernel.samples)[:, None],
-                          grid.n, 1)
+    # J's weights are symmetric: diagonal d (row 2k - d) holds one weight
+    # in every column
+    base = np.zeros((3 * k + 1, grid.n), order="F")
+    r = kernel.half_points
+    base[2 * k - r:2 * k + r + 1] = (kernel.weights * kernel.samples)[:, None]
     phi = phi.copy()
     for steps in range(NEWTON_CAP):
         res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
@@ -118,11 +145,11 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c,
         res_norm = float(np.max(np.abs(res)))
         if steps >= min_steps and max(res_norm, abs(phase)) <= 0.05 * TOL:
             return phi, c, res_norm, steps
-        band = conv_band.copy()
-        band[k] += f_hom.eval_du(0.0, phi) - 1.0
-        band[k - 1] += c / (2 * h)
-        band[k + 1] -= c / (2 * h)
-        y, z = spsolve(band, np.stack([-res, _ghost_gradient(phi, h)], 1)).T
+        ab = base.copy(order="F")
+        ab[2 * k] += f_hom.eval_du(0.0, phi) - 1.0
+        ab[2 * k - 1] += c / (2 * h)
+        ab[2 * k + 1] -= c / (2 * h)
+        y, z = spsolve(ab, np.stack([-res, _ghost_gradient(phi, h)], 1)).T
         dc = float((y[i0] + phase) / z[i0])
         delta = y - dc * z
         step_size = 1.0

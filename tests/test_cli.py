@@ -386,6 +386,16 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert "solver failure: Newton polish" in result.output
 
+    def test_one_node_kernel_is_not_an_internal_error(self, runner,
+                                                      tmp_path):
+        # bump a = 0.05 at spacing 0.05 has half_points 1, so the coarse
+        # kernel of the two-level solve is one node wide and the band needs
+        # rows for the advection diagonals beyond the kernel's
+        cfg = _write_cfg(tmp_path, {"kernel": {"family": "bump", "a": 0.05}})
+        result = runner.invoke(main, ["wave", "--config", cfg,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code in (0, 3), result.output
+
     def test_programming_error_is_internal_error(self, runner, tmp_path,
                                                  monkeypatch):
         # exit 1 is kept for a failed theorem check
@@ -663,9 +673,39 @@ def test_scipy_loads_only_for_the_wave_solve(tmp_path, experiment):
         args = [experiment, "--config", cfg, "--out", str(tmp_path / "out"),
                 "--quiet"]
     modules = set(json.loads(_fresh_python(_SCIPY_PROBE, *args)))
-    if experiment == "wave":  # the banded Newton solve
-        assert "scipy.linalg" in modules
-        assert not modules & {"scipy.interpolate", "scipy.special",
-                              "scipy.fft"}
+    if experiment == "wave":  # the banded Newton solve: LAPACK alone
+        assert "scipy.linalg._flapack" in modules
+        assert not modules & {"scipy.linalg", "scipy.interpolate",
+                              "scipy.special", "scipy.fft"}
     else:
         assert modules == set()
+
+
+#: solves one banded system with waves.spsolve and imports scipy.linalg in
+#: the order argv[1] names, then checks the solve against solve_banded and
+#: that both share one LAPACK module
+_SOLVE_AND_IMPORT = """
+import sys
+import numpy as np
+from frontlab import waves
+
+def solve():
+    band = np.random.default_rng(0).standard_normal((5, 8))
+    ab = np.zeros((7, 8), order="F")
+    ab[2:] = band
+    return band, waves.spsolve(ab, np.ones(8))
+
+if sys.argv[1] == "solve_first":
+    band, x = solve()
+    import scipy.linalg
+else:
+    import scipy.linalg
+    band, x = solve()
+print(np.array_equal(x, scipy.linalg.solve_banded((2, 2), band, np.ones(8)))
+      and scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"])
+"""
+
+
+@pytest.mark.parametrize("order", ["solve_first", "import_first"])
+def test_wave_solve_and_scipy_linalg_load_in_either_order(order):
+    assert _fresh_python(_SOLVE_AND_IMPORT, order) == "True"

@@ -174,6 +174,42 @@ class TestTwoLevelSolve:
         assert abs(c - tw_min.speed) <= 1e-12
 
 
+class TestSpsolve:
+    """waves.spsolve runs dgbsv, the routine scipy.linalg.solve_banded
+    calls for every half-bandwidth but 1."""
+
+    @staticmethod
+    def system(k, nrhs, n=400):
+        rng = np.random.default_rng(k)
+        band = rng.standard_normal((2 * k + 1, n))
+        rhs = rng.standard_normal((n, nrhs))
+        ab = np.zeros((3 * k + 1, n), order="F")
+        ab[k:] = band
+        return band, rhs, ab
+
+    @pytest.mark.parametrize("nrhs", [1, 2])
+    @pytest.mark.parametrize("k", [0, 2, 49, 98, 196])
+    def test_bitwise_equal_to_solve_banded(self, k, nrhs):
+        from scipy.linalg import solve_banded
+        band, rhs, ab = self.system(k, nrhs)
+        np.testing.assert_array_equal(
+            waves.spsolve(ab, rhs),
+            solve_banded((k, k), band, rhs, check_finite=False))
+
+    @pytest.mark.parametrize("nrhs", [1, 2])
+    def test_tridiagonal_agrees_with_solve_banded(self, nrhs):
+        # scipy solves k = 1 with gtsv, which rounds differently
+        from scipy.linalg import solve_banded
+        band, rhs, ab = self.system(1, nrhs)
+        ref = solve_banded((1, 1), band, rhs, check_finite=False)
+        x = waves.spsolve(ab, rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_band_is_a_wave_error(self):
+        with pytest.raises(WaveError, match="dgbsv info"):
+            waves.spsolve(np.zeros((7, 5), order="F"), np.ones(5))
+
+
 class TestValidation:
     def test_window_too_small(self, kernel, f):
         with pytest.raises(WaveError):
