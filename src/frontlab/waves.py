@@ -125,6 +125,17 @@ def spsolve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _band(rows: int, n: int) -> np.ndarray:
+    """An uninitialised Fortran-ordered (rows, n) band in its own anonymous
+    mapping, which goes back to the system as soon as the band is freed.
+    Bands of several megabytes from malloc raise glibc's mmap threshold
+    when freed, so later bands stay resident on the heap and a process's
+    peak memory depended on the order of its wave solves."""
+    import mmap  # off the CLI's launch, like the LAPACK module
+    return np.ndarray((rows, n), order="F",
+                      buffer=mmap.mmap(-1, rows * n * 8))
+
+
 def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c,
                    min_steps: int = 0):
     """Damped Newton from (phi, c): a step solves J y = -res and J z = phi',
@@ -134,10 +145,11 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c,
     h, k = grid.h, max(kernel.half_points, 1)  # room for c phi' at +-1
     i0 = int(np.argmin(np.abs(grid.x)))
     # J's weights are symmetric: diagonal d (row 2k - d) holds one weight
-    # in every column
-    base = np.zeros((3 * k + 1, grid.n), order="F")
+    # in every column, so one column of weights refills the whole band
+    stencil = np.zeros((3 * k + 1, 1))
     r = kernel.half_points
-    base[2 * k - r:2 * k + r + 1] = (kernel.weights * kernel.samples)[:, None]
+    stencil[2 * k - r:2 * k + r + 1, 0] = kernel.weights * kernel.samples
+    ab = _band(3 * k + 1, grid.n)
     phi = phi.copy()
     for steps in range(NEWTON_CAP):
         res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
@@ -145,7 +157,7 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c,
         res_norm = float(np.max(np.abs(res)))
         if steps >= min_steps and max(res_norm, abs(phase)) <= 0.05 * TOL:
             return phi, c, res_norm, steps
-        ab = base.copy(order="F")
+        ab[:] = stencil
         ab[2 * k] += f_hom.eval_du(0.0, phi) - 1.0
         ab[2 * k - 1] += c / (2 * h)
         ab[2 * k + 1] -= c / (2 * h)
