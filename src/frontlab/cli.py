@@ -29,8 +29,7 @@ from . import __version__
 from .evolve import TRANSIENT, EvolveError, build_approx_front
 from .fields import Grid, smoothed_step
 from .fronts import (check_steepness_bound, fit_exponential_tail,
-                     interface_width, locate_level, steepness,
-                     steepness_bound_constant)
+                     interface_width, steepness, steepness_bound_constant)
 from .kernels import _check_compatible, build_kernel, positive_decay_rate
 from .reactions import make_ignition, max_slice, min_slice, validate_hypotheses
 from .stability import (CADENCE, COMPARISON_CADENCE, INITIAL_SHAPES,
@@ -272,6 +271,7 @@ def _front_memo(problem: str):
                          f"{grid.x_max:g}] by time.t_end={tc['t_end']:g}")
     for snap in run.snapshots:  # shared by every caller of the memo
         snap.u.flags.writeable = snap.w.flags.writeable = False
+    run.track.flags.writeable = run.speeds.flags.writeable = False
     return wave, run
 
 
@@ -318,15 +318,14 @@ def exp_wave(cfg, art: Artifacts) -> dict:
 def exp_front(cfg, art: Artifacts) -> dict:
     wave_lo, run = _front_run(cfg)
     wave_hi = _wave(cfg, max_slice)
-    ts, xs = run.interface_track()
-    _, speeds = run.interface_speeds()
+    ts, xs, speeds = run.times, run.track, run.speeds
     widths = np.array([interface_width(s, WIDTH_LEVEL)
                        for s in run.snapshots])
     art.write_csv("front_track.csv", ["t", "x_theta", "speed", "width"],
                   [ts, xs, speeds, widths])
     art.plot("front_track.png", ts, {"x_theta": xs}, "t", "interface")
     art.plot("front_width.png", ts, {"width": widths}, "t", "width")
-    sel = np.asarray(ts) >= run.settled_from
+    sel = run.settled
     lo, hi = 0.98 * wave_lo.speed, 1.02 * wave_hi.speed
     summary = {"y_s": run.y_s, "speed_min": float(np.min(speeds[sel])),
                "speed_max": float(np.max(speeds[sel])),
@@ -345,8 +344,7 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     kern, f, _ = build_problem(cfg)
     _, run = _front_run(cfg)
     s = _num(cfg["time"], "s")
-    snaps = run.snapshots
-    ts, xs = run.interface_track()
+    snaps, ts, xs = run.snapshots, run.times, run.track
     late = [j for j, t in enumerate(ts) if t >= s + 5.0]
     ss = np.array([steepness(snaps[j], xs[j], 5.0) for j in late])
     art.write_csv("steepness.csv", ["t", "sup_w"], [ts[late], ss])
@@ -376,7 +374,7 @@ def exp_tails(cfg, art: Artifacts) -> dict:
     kern, _, _ = build_problem(cfg)
     _, run = _front_run(cfg)
     snap = run.snapshots[-1]
-    x_ref = locate_level(snap, run.level)
+    x_ref = run.track[-1]
     right = fit_exponential_tail(snap, "right", x_from=x_ref + 8.0,
                                  values=snap.w)
     left = fit_exponential_tail(snap, "left", x_to=x_ref - 8.0,

@@ -187,33 +187,32 @@ def _apply_window_policy(state: FieldState, lam: float):
 
 @dataclass
 class ApproxFrontRun:
-    """A front started from a shifted wave profile at a negative seed time."""
+    """A front started from a shifted wave profile at a negative seed time.
+
+    Built once per run: the snapshot times, the level crossing of each
+    snapshot, its central-difference speeds and the mask of the settled
+    (post-transient) snapshots, t >= s + TRANSIENT.
+    """
 
     s: float
     y_s: float
     level: float
     trajectory: Trajectory
+    times: np.ndarray = field(init=False)
+    track: np.ndarray = field(init=False)
+    speeds: np.ndarray = field(init=False)
+    settled: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.times = self.trajectory.times
+        self.track = np.array([locate_level(snap, self.level)
+                               for snap in self.snapshots])
+        self.speeds = np.gradient(self.track, self.times)
+        self.settled = self.times >= self.s + TRANSIENT
 
     @property
     def snapshots(self):
         return self.trajectory.snapshots
-
-    @property
-    def settled_from(self) -> float:
-        """Start of the post-transient part of the run."""
-        return self.s + TRANSIENT
-
-    def interface_track(self) -> tuple[np.ndarray, np.ndarray]:
-        ts = self.trajectory.times
-        xs = np.array([locate_level(snap, self.level)
-                       for snap in self.snapshots])
-        return ts, xs
-
-    def interface_speeds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Central-difference speeds of the level track."""
-        ts, xs = self.interface_track()
-        v = np.gradient(xs, ts)
-        return ts, v
 
 
 def seed_from_profile(grid: Grid, profile_fn, shift: float, t: float,

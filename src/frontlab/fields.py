@@ -71,11 +71,6 @@ class FieldState:
         return bool(np.all(np.diff(self.u) <= tol))
 
 
-def constant_field(grid: Grid, value: float) -> FieldState:
-    u = np.full(grid.n, float(value))
-    return FieldState(t=0.0, x=grid.x, u=u, u_left=value, u_right=value)
-
-
 def smoothed_step(grid: Grid, center: float = 0.0,
                   width: float = 2.0) -> FieldState:
     """Front-like datum at t = 0, decaying from 1 to 0 around `center`."""

@@ -53,6 +53,7 @@ class TailFit:
     r_squared: float
 
 
+#: the |v| of the points that a tail fit uses
 MAGNITUDE_BAND = (1e-12, 1e-2)
 
 
@@ -71,8 +72,7 @@ def fit_line(x, y) -> tuple:
 def fit_exponential_tail(field: FieldState, side: str,
                          x_from: float | None = None,
                          x_to: float | None = None,
-                         values: np.ndarray | None = None,
-                         band: tuple = MAGNITUDE_BAND) -> TailFit:
+                         values: np.ndarray | None = None) -> TailFit:
     """Least-squares exponential rate of a far-field tail.
 
     For the right side the model is A*exp(-rate*x); for the left side the
@@ -88,7 +88,7 @@ def fit_exponential_tail(field: FieldState, side: str,
     if x_to is not None:
         mask &= x <= x_to
     mag = np.abs(v)
-    mask &= (mag >= band[0]) & (mag <= band[1])
+    mask &= (mag >= MAGNITUDE_BAND[0]) & (mag <= MAGNITUDE_BAND[1])
     if np.count_nonzero(mask) < 8:
         raise FrontError("fewer than 8 usable points in the tail window")
     sgn = np.sign(v[mask])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -50,27 +51,15 @@ class GammaFunction:
         if self.M1 <= 0.0:
             raise StabilityError("M1 must be positive")
 
-    def _branches(self, x):
-        """(x, right-branch mask, blend mask); the rest is the left branch."""
-        x = np.asarray(x, dtype=float)
-        right = x >= self.M1 + 1.0
-        return x, right, (x > self.M1 - 1.0) & ~right
-
     def __call__(self, x):
         # exact outer branches, blend in between
-        x, right, blend = self._branches(x)
+        x = np.asarray(x, dtype=float)
+        right = x >= self.M1 + 1.0
+        blend = (x > self.M1 - 1.0) & ~right
         out = np.ones_like(x)
         out[right] = np.exp(-self.alpha * (x[right] - self.M1))
         out[blend] = np.exp(-0.25 * self.alpha
                             * (x[blend] - self.M1 + 1.0) ** 2)
-        return out
-
-    def deriv(self, x):
-        x, right, blend = self._branches(x)
-        g = self(x)
-        out = np.zeros_like(x)
-        out[right] = -self.alpha * g[right]
-        out[blend] = -0.5 * self.alpha * (x[blend] - self.M1 + 1.0) * g[blend]
         return out
 
 
@@ -126,8 +115,7 @@ def assemble_parameters(theta: float, theta_tilde: float, beta_tilde: float,
 
 def measured_c_min(run: ApproxFrontRun) -> float:
     """0.98 times the least interface speed once the run has settled."""
-    ts, speeds = run.interface_speeds()
-    return 0.98 * float(np.min(speeds[ts >= run.settled_from]))
+    return 0.98 * float(np.min(run.speeds[run.settled]))
 
 
 def measure_m1(run: ApproxFrontRun, f) -> float:
@@ -136,10 +124,7 @@ def measure_m1(run: ApproxFrontRun, f) -> float:
     hi = 0.5 * (1.0 + f.theta_tilde)
     lo = 0.5 * f.theta
     worst = 0.0
-    for snap in run.snapshots:
-        if snap.t < run.settled_from:
-            continue
-        x_ref = locate_level(snap, f.theta)
+    for snap, x_ref in compress(zip(run.snapshots, run.track), run.settled):
         worst = max(worst,
                     x_ref - locate_level(snap, hi),
                     locate_level(snap, lo) - x_ref)
@@ -173,10 +158,7 @@ def find_m2(kernel: Kernel, gamma: GammaFunction, c_min: float) -> float:
 
 def measure_c_steep(run: ApproxFrontRun, m2: float) -> float:
     worst = -np.inf
-    for snap in run.snapshots:
-        if snap.t < run.settled_from:
-            continue
-        x_ref = locate_level(snap, run.level)
+    for snap, x_ref in compress(zip(run.snapshots, run.track), run.settled):
         inside = (snap.x >= x_ref - m2) & (snap.x <= x_ref + m2)
         worst = max(worst, float(np.max(snap.w[inside])))
     if not np.isfinite(worst):
@@ -300,13 +282,9 @@ def subsupersolution_residual(snaps: list, x_track, params: StabilityParameters,
     sup_res, inf_res = -np.inf, np.inf
     for j in range(1, len(snaps) - 1):
         x = snaps[j].x
-        if j > 1 and np.array_equal(x, snaps[j - 1].x):
-            v_prev, v_here = v_here, v_next
-        else:
-            v_prev, v_here = build_v(j - 1, x), build_v(j, x)
-        v_next = build_v(j + 1, x)
-        dt2 = times[j + 1] - times[j - 1]
-        v_t = (v_next - v_prev) / dt2
+        v_t = ((build_v(j + 1, x) - build_v(j - 1, x))
+               / (times[j + 1] - times[j - 1]))
+        v_here = build_v(j, x)
         q_here = env.q(times[j])
         fld = FieldState(t=times[j], x=x, u=v_here,
                          u_left=1.0 + sign * q_here, u_right=0.0)
@@ -503,15 +481,14 @@ def best_shift(field: FieldState, ref: FieldState,
 
 def fit_log_decay(times: np.ndarray, dists: np.ndarray) -> tuple:
     """(rate, amplitude, r2) of C e^{-r t} fitted where d lies in
-    [1e-8, 1e-2].
+    [3e-8, 1e-2].
 
-    The trailing plateau (interpolation noise floor) is trimmed before the
-    fit: points within 3x of the observed minimum are dropped.
+    The band's floor leaves out an interpolation noise plateau below 3e-8;
+    a plateau above it stays in the fit and lowers the rate.
     """
     d = np.asarray(dists, dtype=float)
     t = np.asarray(times, dtype=float)
-    floor = max(1e-8, 3.0 * float(np.min(d[d > 0], initial=1e-8)))
-    sel = (d >= floor) & (d <= 1e-2)
+    sel = (d >= 3e-8) & (d <= 1e-2)
     if np.count_nonzero(sel) < 5:
         raise StabilityError("too few points inside the decay band")
     slope, intercept, r2 = fit_line(t[sel], np.log(d[sel]))

@@ -65,8 +65,7 @@ def sparams(front_run, kernel, f):
 @pytest.fixture(scope="session")
 def x_track(front_run):
     """The front run's theta crossing, linear in t between snapshots."""
-    ts, xs = front_run.interface_track()
-    return lambda t: float(np.interp(t, ts, xs))
+    return lambda t: float(np.interp(t, front_run.times, front_run.track))
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ per-process front memo, so the default front is built once.
 import dataclasses
 import json
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -158,9 +159,7 @@ def test_05_bounded_width(capsys, front_cli):
 
 def test_06_regularity(capsys, front_run):
     ts, sup_w, lip_w = [], [], []
-    for snap in front_run.snapshots:
-        if snap.t < front_run.settled_from:
-            continue
+    for snap in compress(front_run.snapshots, front_run.settled):
         ts.append(snap.t)
         sup_w.append(float(np.max(np.abs(snap.w))))
         lip_w.append(lipschitz_estimate(snap.w, snap.h))

@@ -1,9 +1,12 @@
 import functools
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -73,6 +76,7 @@ class TestFrontMemo:
         cli._front_memo.cache_clear()
         wave, run = cli._front_run(cfg)
         assert not wave.phi.flags.writeable
+        assert not (run.track.flags.writeable or run.speeds.flags.writeable)
         before = [(s.u.copy(), s.w.copy()) for s in run.snapshots]
         for name in ("front", "tails"):
             assert cli._run_experiment(name, cfg, tmp_path / name,
@@ -640,6 +644,15 @@ def _fresh_python(code, *args):
                          capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     return out.stdout.strip()
+
+
+def test_package_attributes_are_its_submodules():
+    # the package root binds no other name over a submodule's: a function
+    # `evolve` re-exported there hid the module frontlab.evolve
+    for info in pkgutil.iter_modules(frontlab.__path__):
+        module = importlib.import_module("frontlab." + info.name)
+        assert isinstance(module, types.ModuleType)
+        assert getattr(frontlab, info.name) is module, info.name
 
 
 def test_import_leaves_out_scipy_signal():

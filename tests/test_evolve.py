@@ -6,7 +6,7 @@ import pytest
 from frontlab.evolve import (EvolveError, EvolveInputError, Stepper,
                              _apply_window_policy, build_approx_front,
                              evolve)
-from frontlab.fields import FieldState, Grid, constant_field, smoothed_step
+from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import KernelError, _convolve_samples
 from trajectory_helpers import at_time
@@ -91,15 +91,16 @@ class TestStepper:
     def test_zero_and_one_are_equilibria(self, kernel, f):
         grid = Grid(-20.0, 20.0, 801)
         for value in (0.0, 1.0):
-            state = constant_field(grid, value)
-            state = state.with_(u_left=value, u_right=value)
+            state = FieldState(t=0.0, x=grid.x, u=np.full(grid.n, value),
+                               u_left=value, u_right=value)
             out = Stepper(kernel, f).step(state, DT)
             assert np.max(np.abs(out.u - value)) < 1e-14
 
     def test_subthreshold_constant_decays_nowhere(self, kernel, f):
         # below theta the reaction vanishes and J*u - u = 0 for constants
         grid = Grid(-20.0, 20.0, 801)
-        state = constant_field(grid, 0.2).with_(u_left=0.2, u_right=0.2)
+        state = FieldState(t=0.0, x=grid.x, u=np.full(grid.n, 0.2),
+                           u_left=0.2, u_right=0.2)
         out = Stepper(kernel, f).step(state, DT)
         assert np.max(np.abs(out.u - 0.2)) < 1e-14
 
@@ -184,7 +185,9 @@ class TestSingleRK4Path:
     def test_constant_state_follows_scalar_rk4(self, kernel, f, costate):
         # J*v - v = 0 on a constant, so u = v and both far fields follow
         # the scalar RK4 of v' = f(t, v) to round-off
-        state = constant_field(Grid(-20.0, 20.0, 801), 0.6)
+        grid = Grid(-20.0, 20.0, 801)
+        state = FieldState(t=0.0, x=grid.x, u=np.full(grid.n, 0.6),
+                           u_left=0.6, u_right=0.6)
         if costate:
             state = state.with_(w=np.zeros_like(state.u))
         stepper, v = Stepper(kernel, f), 0.6
@@ -314,8 +317,8 @@ class TestApproxFront:
         assert np.max(np.abs(fd[core] - snap.w[core])) < 2e-3
 
     def test_interface_moves_right(self, front_run):
-        ts, xs = front_run.interface_track()
-        sel = np.asarray(ts) >= -25.0
+        ts, xs = front_run.times, front_run.track
+        sel = ts >= -25.0
         assert np.all(np.diff(xs[sel]) > 0.0)
 
     def test_positive_seed_time_rejected(self, kernel, f, tw_min):
@@ -384,6 +387,13 @@ class TestTrajectory:
         assert np.array_equal(front_run.trajectory.times,
                               np.arange(-30.0, 61.0))
 
-    def test_interface_speeds_shape(self, front_run):
-        ts, speeds = front_run.interface_speeds()
-        assert len(ts) == len(speeds) == len(front_run.trajectory.times)
+    def test_track_is_each_snapshots_crossing(self, front_run, f):
+        assert np.array_equal(front_run.times, front_run.trajectory.times)
+        assert np.array_equal(front_run.track, [
+            locate_level(snap, f.theta) for snap in front_run.snapshots])
+        assert np.array_equal(front_run.speeds,
+                              np.gradient(front_run.track, front_run.times))
+
+    def test_settled_starts_after_the_transient(self, front_run):
+        # seeded at s = -30: settled from t = -10 on
+        assert np.array_equal(front_run.settled, front_run.times >= -10.0)

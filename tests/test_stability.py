@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontlab import stability
-from frontlab.evolve import _shift_window, evolve
-from frontlab.fields import FieldState, Grid, smoothed_step
+from frontlab.evolve import evolve
+from frontlab.fields import Grid, smoothed_step
 from frontlab.fronts import locate_level
-from frontlab.kernels import convolve, exponential_moment
+from frontlab.kernels import exponential_moment
 from frontlab.stability import (GammaFunction, InadmissibleAlpha,
                                 PerturbationEnvelope, StabilityError,
                                 assemble_parameters, best_shift,
@@ -35,20 +35,14 @@ class TestGammaFunction:
             math.exp(-0.05 / 4.0), rel=1e-14)
 
     def test_c1_gluing(self):
+        # one-sided difference quotients of g agree across each knot, so
+        # g has neither a jump nor a kink there
         g = GammaFunction(alpha=0.05, M1=6.0)
-        for knot in (5.0, 7.0):
-            left = np.array([knot - 1e-9])
-            right = np.array([knot + 1e-9])
-            assert g(left)[0] == pytest.approx(g(right)[0], abs=1e-9)
-            assert g.deriv(left)[0] == pytest.approx(g.deriv(right)[0],
-                                                     abs=1e-9)
-
-    def test_deriv_matches_finite_difference(self):
-        g = GammaFunction(alpha=0.1, M1=4.0)
-        xs = np.linspace(-2.0, 12.0, 400)
         h = 1e-6
-        fd = (g(xs + h) - g(xs - h)) / (2.0 * h)
-        assert np.max(np.abs(fd - g.deriv(xs))) < 1e-7
+        for knot in (5.0, 7.0):
+            left, mid, right = g(np.array([knot - h, knot, knot + h]))
+            assert (mid - left) / h == pytest.approx((right - mid) / h,
+                                                     abs=1e-7)
 
     @given(alpha=st.floats(0.01, 2.0), m1=st.floats(0.5, 20.0))
     @settings(max_examples=40, deadline=None)
@@ -58,7 +52,6 @@ class TestGammaFunction:
         vals = g(xs)
         assert np.all(np.diff(vals) <= 1e-15)
         assert np.all((vals > 0.0) & (vals <= 1.0))
-        assert np.all(g.deriv(xs) <= 0.0)
 
     def test_make_gamma_validation(self):
         with pytest.raises(StabilityError):
@@ -216,11 +209,13 @@ class TestFitLogDecay:
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_plateau_trimmed(self):
-        ts = np.linspace(0.0, 4000.0, 300)
-        ds = np.maximum(5e-3 * np.exp(-1.7e-3 * ts), 2e-7)
+        # the decay crosses 3e-8 near t = 7070 and flattens at 1e-8
+        ts = np.linspace(0.0, 10000.0, 300)
+        ds = np.maximum(5e-3 * np.exp(-1.7e-3 * ts), 1e-8)
+        assert np.count_nonzero(ds < 3e-8) > 50
         rate, _, r2 = fit_log_decay(ts, ds)
-        assert rate == pytest.approx(1.7e-3, rel=1e-3)
-        assert r2 > 0.999
+        assert rate == pytest.approx(1.7e-3, rel=1e-6)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_too_few_points(self):
         ts = np.linspace(0.0, 10.0, 20)
@@ -269,49 +264,7 @@ class TestSandwichMargins:
         assert inner <= 0.0
 
 
-def three_build_residual(snaps, x_track, params, env, sign, kernel, f):
-    """(sup, inf) of the residual, building v_j anew for each of its three
-    uses; the reference for subsupersolution_residual."""
-    times = np.array([s.t for s in snaps])
-    interps = [profile_interp(s) for s in snaps]
-
-    def build_v(j, x):
-        t = times[j]
-        z = env.zeta_minus(t) if sign < 0 else env.zeta_plus(t)
-        return (interps[j](x - z)
-                + sign * env.q(t) * params.gamma(x - z - x_track(t)))
-
-    sup_res, inf_res = -np.inf, np.inf
-    for j in range(1, len(snaps) - 1):
-        x = snaps[j].x
-        v_t = ((build_v(j + 1, x) - build_v(j - 1, x))
-               / (times[j + 1] - times[j - 1]))
-        v_here = build_v(j, x)
-        fld = FieldState(t=times[j], x=x, u=v_here,
-                         u_left=1.0 + sign * env.q(times[j]), u_right=0.0)
-        res = v_t - (convolve(kernel, fld) - v_here + f.eval(times[j], v_here))
-        sup_res = max(sup_res, float(np.max(res)))
-        inf_res = min(inf_res, float(np.min(res)))
-    return sup_res, inf_res
-
-
 class TestResiduals:
-    @pytest.mark.parametrize("shifted", [False, True])
-    def test_matches_three_build_reference(self, fine_traj, sparams, kernel,
-                                           f, x_track, shifted):
-        snaps = fine_traj.snapshots[:31]
-        if shifted:
-            # every other window moved by one node: grids differ pairwise
-            snaps = [_shift_window(s, j % 2) for j, s in enumerate(snaps)]
-        env = PerturbationEnvelope(t0=snaps[0].t, eps=sparams.eps0,
-                                   omega=sparams.omega, A=sparams.A)
-        for sign in (-1, +1):
-            series = subsupersolution_residual(snaps, x_track, sparams, env,
-                                               sign, kernel, f)
-            assert (series.sup_residual, series.inf_residual) == \
-                three_build_residual(snaps, x_track, sparams, env, sign,
-                                     kernel, f)
-
     def test_residuals_small_and_sabotage_detected(self, fine_traj, sparams,
                                                    kernel, f, x_track):
         snaps = fine_traj.snapshots[:61]   # t in [30, 36]
