@@ -1,10 +1,10 @@
 """Time integration of u_t = J*u - u + f(t,u) on a truncated moving window.
 
 The stepper is classical 4-stage Runge-Kutta on the semi-discrete system,
-one path over the state (u, w, u_left, u_right); the window relocates by
-whole grid steps when the tracked interface leaves its middle band, with
-far-field fill.  The spatial derivative co-evolves through the
-differentiated equation w_t = J'*u - w + f_u(t,u) w.
+one path over the packed y = [u_left | u | u_right] and the co-state w; the
+window relocates by whole grid steps when the tracked interface leaves its
+middle band, with far-field fill.  The spatial derivative co-evolves
+through the differentiated equation w_t = J'*u - w + f_u(t,u) w.
 """
 
 from __future__ import annotations
@@ -77,11 +77,12 @@ def _shift_window(state: FieldState, m: int) -> FieldState:
 class Stepper:
     """RK4 stepper bound to one kernel and one nonlinearity.
 
-    One RK4 advances the state (u, w, u_left, u_right); the co-state w is
-    optional.  The nonlocal term vanishes on constants, so the far fields
-    follow the reaction ODE v' = f(t, v): a left state above the ignition
-    threshold lifts toward 1 with the interior, and f = 0 holds 1 and 0
-    fixed.
+    Each step packs u and its far fields once, into y = [u_left | u |
+    u_right], and runs its four stages on y; the optional co-state w rides
+    beside it.  The nonlocal term vanishes on constants, so the far fields
+    follow the reaction ODE v' = f(t, v), in the reaction call on all of y:
+    a left state above the ignition threshold lifts toward 1 with the
+    interior, and f = 0 holds 1 and 0 fixed.
     """
 
     def __init__(self, kernel: Kernel, f):
@@ -91,43 +92,42 @@ class Stepper:
         self._wdj = kernel.weights * kernel.derivative_samples
         self.dt_max = f.dt_max()
 
-    def _rhs(self, t, y):
-        u, w, ul, ur = y
-        # one reaction call on the lane-wise [u_left, u, u_right]
-        r = self.f.eval(t, np.concatenate(
-            (np.asarray(ul)[..., None], u, np.asarray(ur)[..., None]), -1))
-        ku = _convolve_samples(self._wj, u, ul, ur) - u + r[..., 1:-1]
+    def _rhs(self, t, y, w):
+        """(dy/dt, dw/dt) at packed y and co-state w (None: no co-state)."""
+        u, ul, ur = y[..., 1:-1], y[..., 0], y[..., -1]
+        k, conv = self.f.eval(t, y), _convolve_samples(self._wj, u, ul, ur)
+        conv -= u
+        k[..., 1:-1] += conv
         kw = None
         if w is not None:
             kw = (_convolve_samples(self._wdj, u, ul, ur) - w
                   + self.f.eval_du(t, u) * w)
-        return ku, kw, r[..., 0], r[..., -1]
+        return k, kw
 
     def step(self, state: FieldState, dt: float) -> FieldState:
         if dt > self.dt_max * (1.0 + 1e-12):
             raise EvolveInputError(f"dt={dt} exceeds dt_max={self.dt_max}")
         _check_compatible(self.kernel, state)
-        t = state.t
-        y = (state.u, state.w, state.u_left, state.u_right)
-
-        def combine(ks, weight):
-            # y + weight * ks component-wise; an absent co-state stays None
-            return tuple(None if yi is None else yi + weight * ki
-                         for yi, ki in zip(y, ks))
-
-        k1 = self._rhs(t, y)
-        k2 = self._rhs(t + 0.5 * dt, combine(k1, 0.5 * dt))
-        k3 = self._rhs(t + 0.5 * dt, combine(k2, 0.5 * dt))
-        k4 = self._rhs(t + dt, combine(k3, dt))
-        incr = tuple(None if a is None else a + 2 * b + 2 * c + d
-                     for a, b, c, d in zip(k1, k2, k3, k4))
-        u_new, w_new, ul_new, ur_new = combine(incr, dt / 6.0)
+        t, u, w = state.t, state.u, state.w
+        y = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
+        y[..., 0], y[..., 1:-1], y[..., -1] = state.u_left, u, state.u_right
+        ks = [self._rhs(t, y, w)]
+        for c in (0.5 * dt, 0.5 * dt, dt):
+            k, kw = ks[-1]
+            ks.append(self._rhs(t + c, y + c * k,
+                                None if w is None else w + c * kw))
+        (k1, j1), (k2, j2), (k3, j3), (k4, j4) = ks
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if w is not None:
+            w = w + dt / 6.0 * (j1 + 2 * j2 + 2 * j3 + j4)
+        u, ul, ur = y[..., 1:-1], y[..., 0], y[..., -1]
         # the one range check, the range the cap assumes; a NaN fails it
-        if not (u_new.min() >= STATE_LO and u_new.max() <= STATE_HI):
+        if not (u.min() >= STATE_LO and u.max() <= STATE_HI):
             raise EvolveError(f"state left [{STATE_LO:g}, {STATE_HI:g}] "
                               f"at t={t + dt}")
-        return state.with_(t=t + dt, u=u_new, w=w_new,
-                           u_left=ul_new, u_right=ur_new)
+        if y.ndim == 1:  # a single lane's far fields come back as floats
+            ul, ur = float(ul), float(ur)
+        return state.with_(t=t + dt, u=u, w=w, u_left=ul, u_right=ur)
 
 
 def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,

@@ -60,7 +60,10 @@ class IgnitionNonlinearity:
     def f0(self, u):
         u = np.asarray(u, dtype=float)
         v = np.maximum(u - self.theta, 0.0)
-        return v * v * v * (1.0 - u)
+        out = v * v
+        out *= v
+        out *= 1.0 - u
+        return out
 
     def df0(self, u):
         u = np.asarray(u, dtype=float)
@@ -81,7 +84,9 @@ class IgnitionNonlinearity:
     # -- evaluators ---------------------------------------------------------
 
     def eval(self, t, u):
-        return self.a(t) * self.f0(u)
+        out = self.f0(u)
+        out *= self.a(t)
+        return out
 
     def eval_du(self, t, u):
         return self.a(t) * self.df0(u)

@@ -18,6 +18,7 @@ full steps.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from dataclasses import dataclass
 
@@ -98,10 +99,12 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
 @functools.cache
 def _gbsv():
     """LAPACK dgbsv from scipy.linalg._flapack, loaded from its own file so
-    that scipy.linalg's package __init__ (0.25 s of imports) never runs."""
+    that scipy.linalg's package __init__ (0.25 s of imports) never runs.
+    Its OpenBLAS gets one thread unless the caller set OPENBLAS_NUM_THREADS."""
     from importlib import machinery, util
     name = "scipy.linalg._flapack"
     if name not in sys.modules:  # else scipy.linalg has loaded it
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         folder = util.find_spec("scipy.linalg").submodule_search_locations[0]
         spec = machinery.FileFinder(folder, (
             machinery.ExtensionFileLoader,

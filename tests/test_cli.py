@@ -143,13 +143,14 @@ class TestDefaultStep:
         # forward Euler in place of RK4: its error halves with dt, where
         # RK4's falls 16-fold, and the check must see that
         def euler(self, state, dt):
-            y = (state.u, state.w, state.u_left, state.u_right)
-            ku, kw, gl, gr = self._rhs(state.t, y)
+            # one lane, packed as [u_left | u | u_right] like RK4's stages
+            y = np.concatenate(([state.u_left], state.u, [state.u_right]))
+            k, kw = self._rhs(state.t, y, state.w)
+            y = y + dt * k
             return state.with_(
-                t=state.t + dt, u=state.u + dt * ku,
+                t=state.t + dt, u=y[1:-1],
                 w=None if kw is None else state.w + dt * kw,
-                u_left=state.u_left + dt * gl,
-                u_right=state.u_right + dt * gr)
+                u_left=float(y[0]), u_right=float(y[-1]))
 
         monkeypatch.setattr(Stepper, "step", euler)
         # a memo of its own, so no Euler front outlives the test

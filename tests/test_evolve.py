@@ -170,6 +170,40 @@ class TestSingleRK4Path:
             assert (state.u_left, state.u_right) == (ref.u_left,
                                                      ref.u_right)
 
+    @pytest.mark.parametrize("costate", [False, True])
+    def test_lanes_match_three_branch_reference(self, kernel, f, costate):
+        # two lanes with far fields [0.6, 1.0]: each lane stepped on its
+        # own by the reference, bit for bit
+        base = _reference_states()["far_fields"]
+        singles = (base, smoothed_step(Grid(-20.0, 20.0, 801), center=3.0))
+        if costate:
+            singles = tuple(s.with_(w=np.gradient(s.u, s.x))
+                            for s in singles)
+        state = FieldState(
+            t=0.0, x=base.x, u=np.stack([s.u for s in singles]),
+            u_left=np.array([0.6, 1.0]), u_right=np.array([0.0, 0.0]),
+            w=np.stack([s.w for s in singles]) if costate else None)
+        stepper = Stepper(kernel, f)
+        for _ in range(20):
+            state = stepper.step(state, DT)
+            singles = tuple(three_branch_step(kernel, f, s, DT)
+                            for s in singles)
+            assert type(state.u_left) is np.ndarray
+            assert state.u_left.shape == state.u_right.shape == (2,)
+            for i, ref in enumerate(singles):
+                lane = state.lane(i)
+                assert np.array_equal(lane.u, ref.u)
+                if costate:
+                    assert np.array_equal(lane.w, ref.w)
+                assert (lane.u_left, lane.u_right) == (ref.u_left,
+                                                       ref.u_right)
+        assert state.u_left[0] > 0.6   # the reaction lifts lane 0's field
+
+    def test_single_lane_far_fields_are_floats(self, kernel, f):
+        state = Stepper(kernel, f).step(_reference_states()["far_fields"],
+                                        DT)
+        assert type(state.u_left) is float and type(state.u_right) is float
+
     def test_far_fields_drive_u_with_or_without_costate(self, kernel, f):
         # the co-state must not change how u and the far fields evolve
         state = _reference_states()["far_fields"]
