@@ -1,10 +1,10 @@
 """Time integration of u_t = J*u - u + f(t,u) on a truncated moving window.
 
-The stepper is classical 4-stage Runge-Kutta on the semi-discrete system,
-one path over the packed y = [u_left | u | u_right] and the co-state w; the
+The stepper is classical RK4 on the semi-discrete system, one path over the
+packed y = [u_left | u | u_right] and the u_x co-state w (w_t = J'*u - w +
+f_u(t,u) w), its stages of u run in work buffers kept per lane shape.  The
 window relocates by whole grid steps when the tracked interface leaves its
-middle band, with far-field fill.  The spatial derivative co-evolves
-through the differentiated equation w_t = J'*u - w + f_u(t,u) w.
+middle band, with far-field fill.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldState, Grid
-from .kernels import Kernel, _check_compatible, _convolve_samples
+from .kernels import (Kernel, _check_compatible, _convolve_samples,
+                      _fft_work)
 from .fronts import FrontError, locate_level
 from .reactions import STATE_HI, STATE_LO
 from .waves import TravelingWave
@@ -83,6 +84,9 @@ class Stepper:
     follow the reaction ODE v' = f(t, v), in the reaction call on all of y:
     a left state above the ignition threshold lifts toward 1 with the
     interior, and f = 0 holds 1 and 0 fixed.
+
+    The stages of u write into work buffers, one set per lane shape; the
+    RK4 sum builds up in the returned arrays, so no state aliases a buffer.
     """
 
     def __init__(self, kernel: Kernel, f):
@@ -91,16 +95,29 @@ class Stepper:
         self._wj = kernel.weights * kernel.samples
         self._wdj = kernel.weights * kernel.derivative_samples
         self.dt_max = f.dt_max()
+        self._work = {}
+
+    def _buffers(self, shape):
+        """(y, stage state, k, temporary, FFT arrays) for this y shape."""
+        if shape not in self._work:
+            self._work[shape] = (*np.empty((4,) + shape), _fft_work(
+                self._wj, shape[:-1] + (shape[-1] - 2,)))
+        return self._work[shape]
 
     def _rhs(self, t, y, w):
-        """(dy/dt, dw/dt) at packed y and co-state w (None: no co-state)."""
+        """(dy/dt in work buffer k, dw/dt or None) at packed y, co-state w."""
+        _, _, k, conv, fft = self._buffers(y.shape)
         u, ul, ur = y[..., 1:-1], y[..., 0], y[..., -1]
-        k, conv = self.f.eval(t, y), _convolve_samples(self._wj, u, ul, ur)
-        conv -= u
-        k[..., 1:-1] += conv
+        k = self.f.eval(t, y, out=k, work=conv)
+        # J*u - u packed like y, its ends -0.0 (k + -0.0 is k, bit for
+        # bit): one whole-array sum outruns one over each lane's interior
+        conv[..., 1:-1] = _convolve_samples(self._wj, u, ul, ur, work=fft)
+        conv -= y
+        conv[..., 0] = conv[..., -1] = -0.0
+        k += conv
         kw = None
         if w is not None:
-            kw = (_convolve_samples(self._wdj, u, ul, ur) - w
+            kw = (_convolve_samples(self._wdj, u, ul, ur, work=fft) - w
                   + self.f.eval_du(t, u) * w)
         return k, kw
 
@@ -109,17 +126,18 @@ class Stepper:
             raise EvolveInputError(f"dt={dt} exceeds dt_max={self.dt_max}")
         _check_compatible(self.kernel, state)
         t, u, w = state.t, state.u, state.w
-        y = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
+        y, ys, _, tmp, _ = self._buffers(u.shape[:-1] + (u.shape[-1] + 2,))
         y[..., 0], y[..., 1:-1], y[..., -1] = state.u_left, u, state.u_right
-        ks = [self._rhs(t, y, w)]
-        for c in (0.5 * dt, 0.5 * dt, dt):
-            k, kw = ks[-1]
-            ks.append(self._rhs(t + c, y + c * k,
-                                None if w is None else w + c * kw))
-        (k1, j1), (k2, j2), (k3, j3), (k4, j4) = ks
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k, kw = self._rhs(t, y, w)
+        acc, kws = k.copy(), [kw]  # k1 + 2*k2 + 2*k3 + k4, left to right
+        for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+            np.add(np.multiply(k, c, out=ys), y, out=ys)
+            k, kw = self._rhs(t + c, ys, None if w is None else w + c * kw)
+            acc += np.multiply(k, weight, out=tmp)
+            kws.append(kw)
+        y = np.add(y, np.multiply(acc, dt / 6.0, out=acc), out=acc)
         if w is not None:
-            w = w + dt / 6.0 * (j1 + 2 * j2 + 2 * j3 + j4)
+            w = w + dt / 6.0 * (kws[0] + 2 * kws[1] + 2 * kws[2] + kws[3])
         u, ul, ur = y[..., 1:-1], y[..., 0], y[..., -1]
         # the one range check, the range the cap assumes; a NaN fails it
         if not (u.min() >= STATE_LO and u.max() <= STATE_HI):

@@ -57,12 +57,13 @@ class IgnitionNonlinearity:
 
     # -- factors: f0 is C^2 in u --------------------------------------------
 
-    def f0(self, u):
+    def f0(self, u, out=None, work=None):
+        # out and work, arrays of u's shape, take the result and a temporary
         u = np.asarray(u, dtype=float)
-        v = np.maximum(u - self.theta, 0.0)
-        out = v * v
+        v = np.maximum(np.subtract(u, self.theta, out=work), 0.0, out=work)
+        out = np.multiply(v, v, out=out)
         out *= v
-        out *= 1.0 - u
+        out *= np.subtract(1.0, u, out=work)  # v is spent
         return out
 
     def df0(self, u):
@@ -83,10 +84,8 @@ class IgnitionNonlinearity:
 
     # -- evaluators ---------------------------------------------------------
 
-    def eval(self, t, u):
-        out = self.f0(u)
-        out *= self.a(t)
-        return out
+    def eval(self, t, u, out=None, work=None):
+        return np.multiply(self.f0(u, out, work), self.a(t), out=out)
 
     def eval_du(self, t, u):
         return self.a(t) * self.df0(u)
@@ -147,8 +146,9 @@ class AutonomousSlice:
     def theta(self) -> float:
         return self.parent.theta
 
-    def eval(self, t, u):
-        return self.amplitude * self.parent.f0(u)
+    def eval(self, t, u, out=None, work=None):
+        return np.multiply(self.parent.f0(u, out, work), self.amplitude,
+                           out=out)
 
     def eval_du(self, t, u):
         return self.amplitude * self.parent.df0(u)

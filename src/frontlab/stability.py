@@ -307,10 +307,11 @@ CADENCE = 2.0
 
 
 def _pair(ref: FieldState, sol: FieldState) -> FieldState:
-    """Two lanes on ref's window: lane 0 ref, lane 1 sol."""
-    return FieldState(t=ref.t, x=ref.x, u=np.stack([ref.u, sol.u]),
-                      u_left=np.array([ref.u_left, sol.u_left]),
-                      u_right=np.array([ref.u_right, sol.u_right]))
+    """The lanes of ref, then those of sol, on ref's window."""
+    return FieldState(t=ref.t, x=ref.x, u=np.concatenate(
+                          [np.atleast_2d(ref.u), np.atleast_2d(sol.u)]),
+                      u_left=np.append(ref.u_left, sol.u_left),
+                      u_right=np.append(ref.u_right, sol.u_right))
 
 
 def asymptotic_initial(ref0: FieldState, theta: float,
@@ -532,13 +533,16 @@ COMPARISON_CADENCE = 1.0
 
 
 def comparison_test(u0: FieldState, v0: FieldState, kernel: Kernel, f,
-                    t_end: float, dt: float) -> float:
-    """Evolve an ordered pair as two lanes of one evolve; the least
-    margin min(v - u) over snapshots COMPARISON_CADENCE apart."""
-    if (np.any(u0.u > v0.u) or u0.u_left > v0.u_left
-            or u0.u_right > v0.u_right):
+                    t_end: float, dt: float):
+    """Evolve ordered pairs as the lanes of one evolve; per pair the least
+    margin min(v - u) over snapshots COMPARISON_CADENCE apart: a float for
+    one lane, an array for B lanes (u of shape (B, n), far fields (B,))."""
+    if (np.any(u0.u > v0.u) or np.any(u0.u_left > v0.u_left)
+            or np.any(u0.u_right > v0.u_right)):
         raise StabilityInputError("initial data not ordered")
     traj = evolve(_pair(u0, v0), kernel, f, t_end, dt,
                   snapshot_every=COMPARISON_CADENCE)
-    return min(float(np.min(snap.u[1] - snap.u[0]))
-               for snap in traj.snapshots)
+    b = len(traj.snapshots[0].u) // 2
+    margins = np.min([np.min(snap.u[b:] - snap.u[:b], axis=-1)
+                      for snap in traj.snapshots], axis=0)
+    return margins if u0.u.ndim > 1 else float(margins[0])

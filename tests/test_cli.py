@@ -16,11 +16,12 @@ import yaml
 from click.testing import CliRunner
 
 import frontlab
-from frontlab import cli
+from frontlab import cli, stability
 from frontlab.cli import load_config, main
 from frontlab.evolve import Stepper
+from frontlab.fields import smoothed_step
 from frontlab.reactions import min_slice
-from frontlab.stability import StabilityReport
+from frontlab.stability import StabilityReport, comparison_test
 from frontlab.waves import WaveError
 
 
@@ -520,6 +521,66 @@ class TestStabilityGate:
         assert code == 1
         failure = json.loads((tmp_path / "summary.json").read_text())
         assert "sandwich violated" in failure["failure"]
+
+
+class TestComparisonBatches:
+    CONFIG = {"experiment": {"pairs": 11, "t_end": 1.0},
+              "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}}
+
+    def _run(self, runner, tmp_path):
+        """(the CLI's result at seed 5, the config it ran)."""
+        path = _write_cfg(tmp_path, self.CONFIG)
+        result = runner.invoke(main, ["comparison", "--config", path,
+                                      "--out", str(tmp_path / "out"),
+                                      "--seed", "5"])
+        return result, cli.load_config(path)
+
+    def test_batches_match_a_per_pair_loop(self, runner, tmp_path):
+        # 11 pairs: one full batch of COMPARISON_BATCH and a partial one
+        assert 11 % cli.COMPARISON_BATCH != 0
+        result, cfg = self._run(runner, tmp_path)
+        assert result.exit_code == 0, result.output
+        kern, f, grid = cli.build_problem(cfg)
+        rng = np.random.default_rng(5)
+        rows = ["pair,min_margin\n"]
+        for i in range(11):
+            center = rng.uniform(-5.0, 5.0)
+            width = rng.uniform(0.5, 4.0)
+            lo = smoothed_step(grid, center=center, width=width)
+            bump = rng.uniform(0.0, 0.3) * np.exp(
+                -((grid.x - rng.uniform(-10.0, 10.0)) / 4.0) ** 2)
+            hi = lo.with_(u=np.clip(lo.u + bump, 0.0, 1.0))
+            margin = comparison_test(lo, hi, kern, f,
+                                     cfg["experiment"]["t_end"],
+                                     cfg["time"]["dt"])
+            rows.append("%d,%.17g\n" % (i, margin))
+        assert ((tmp_path / "out" / "comparison.csv").read_text()
+                == "".join(rows))
+
+    def test_crossed_pairs_fail_the_gate(self, runner, tmp_path,
+                                         monkeypatch):
+        # each pair's lanes swapped, so the margin reads u - v
+        pair = stability._pair
+        monkeypatch.setattr(stability, "_pair",
+                            lambda ref, sol: pair(sol, ref))
+        result, _ = self._run(runner, tmp_path)
+        assert result.exit_code == 1, result.output
+        assert "comparison principle violated" in result.output
+
+
+class TestWriteCsv:
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        cols = [np.arange(-2, 4), np.array([3, -7, 2**60, 0, 1, -1]),
+                np.array([0.1, -0.0, np.nan, 1e300, -2.5e-310, 1 / 3]),
+                np.array([-0.0, 0.0, -np.nan, np.inf, -np.inf, -1.5]),
+                np.array([0.1, -0.0, 2.5, np.nan, 7.0, -3.25],
+                         dtype=np.float32)]
+        art = cli.Artifacts(tmp_path, {}, quiet=True)
+        art.write_csv("t.csv", ["a", "b", "c", "d", "e"], cols)
+        old = "a,b,c,d,e\n" + "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in zip(*cols))
+        assert (tmp_path / "t.csv").read_bytes() == old.encode()
+        assert b"-0," in (tmp_path / "t.csv").read_bytes()
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from frontlab.evolve import (EvolveError, EvolveInputError, Stepper,
 from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import KernelError, _convolve_samples
+from frontlab.reactions import AutonomousSlice, make_ignition
 from trajectory_helpers import at_time
 
 DT = 0.05
@@ -103,6 +104,14 @@ class TestStepper:
                            u_left=0.2, u_right=0.2)
         out = Stepper(kernel, f).step(state, DT)
         assert np.max(np.abs(out.u - 0.2)) < 1e-14
+
+    def test_frozen_slice_steps_like_constant_modulation(self, kernel, f):
+        # a slice a*f0 is an ordinary nonlinearity for the stepper: bit for
+        # bit the reaction with a(t) = a
+        state = smoothed_step(Grid(-20.0, 20.0, 801))
+        frozen = evolve(state, kernel, AutonomousSlice(1.5, f), 2.0, DT)
+        flat = evolve(state, kernel, make_ignition(a_amp=0.0), 2.0, DT)
+        assert np.array_equal(frozen.snapshots[-1].u, flat.snapshots[-1].u)
 
     def test_dt_cap_enforced(self, kernel, f):
         # the cap is 0.7355 at the defaults; one step of 1.0 exceeds it
@@ -237,6 +246,36 @@ class TestSingleRK4Path:
         coarse = smoothed_step(Grid(-20.0, 20.0, 401))   # h = 0.1
         with pytest.raises(KernelError):
             evolve(coarse, kernel, f, 1.0, DT)
+
+
+class TestWorkBuffers:
+    @pytest.mark.parametrize("lanes", ["one_lane", "two_lanes", "costate"])
+    def test_returned_state_survives_later_steps(self, kernel, f, lanes):
+        # the stepper reuses its work buffers; no state it returned may
+        # change when it steps on
+        states = _reference_states()
+        state = states["far_fields_and_w" if lanes == "costate"
+                       else "far_fields"]
+        if lanes == "two_lanes":
+            other = states["u_only"]
+            state = FieldState(t=0.0, x=state.x,
+                               u=np.stack([state.u, other.u]),
+                               u_left=np.array([0.6, 1.0]),
+                               u_right=np.array([0.0, 0.0]))
+        stepper = Stepper(kernel, f)
+        for _ in range(3):
+            state = stepper.step(state, DT)
+        kept = state
+        frozen = [np.copy(a) for a in (kept.u, kept.w, kept.u_left,
+                                       kept.u_right) if a is not None]
+        for _ in range(5):
+            state = stepper.step(state, DT)
+        after = [a for a in (kept.u, kept.w, kept.u_left, kept.u_right)
+                 if a is not None]
+        assert len(after) == (4 if lanes == "costate" else 3)
+        for old, new in zip(frozen, after, strict=True):
+            assert np.array_equal(old, new)
+        assert not np.array_equal(state.u, kept.u)
 
 
 class TestLanes:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from frontlab import stability
 from frontlab.evolve import evolve
-from frontlab.fields import Grid, smoothed_step
+from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import exponential_moment
 from frontlab.stability import (GammaFunction, InadmissibleAlpha,
@@ -346,3 +346,40 @@ class TestComparison:
         hi = smoothed_step(grid, center=-1.0)
         with pytest.raises(StabilityError):
             comparison_test(lo, hi, kernel, f, t_end=1.0, dt=DT)
+
+    @staticmethod
+    def _lane_batch(pairs):
+        """pairs ordered pairs on one window, as lanes of (lo, hi)."""
+        grid = Grid(-30.0, 30.0, 1201)
+        lo = [smoothed_step(grid, center=c, width=1.0 + 0.5 * i)
+              for i, c in enumerate(np.linspace(-4.0, 4.0, pairs))]
+        hi = [s.with_(u=np.clip(s.u + 0.2 * np.exp(-(grid.x - 3.0 * i)**2),
+                                0.0, 1.0)) for i, s in enumerate(lo)]
+        return lo, hi, *(FieldState(t=0.0, x=grid.x,
+                                    u=np.stack([s.u for s in side]),
+                                    u_left=np.ones(pairs),
+                                    u_right=np.zeros(pairs))
+                         for side in (lo, hi))
+
+    def test_lane_batch_margins_equal_single_pairs(self, kernel, f):
+        lo, hi, lo_lanes, hi_lanes = self._lane_batch(5)
+        margins = comparison_test(lo_lanes, hi_lanes, kernel, f, t_end=2.0,
+                                  dt=DT)
+        singles = [comparison_test(a, b, kernel, f, t_end=2.0, dt=DT)
+                   for a, b in zip(lo, hi)]
+        assert all(type(m) is float for m in singles)
+        assert margins.shape == (5,)
+        assert margins.tolist() == singles
+
+    @pytest.mark.parametrize("field", ["u", "u_left", "u_right"])
+    def test_unordered_lane_in_batch_rejected(self, kernel, f, field):
+        _, _, lo, hi = self._lane_batch(5)
+        # lane 3 of hi drops below lo in one node or one far field
+        value = getattr(hi, field).copy()
+        if field == "u":
+            value[3, 600] = lo.u[3, 600] - 1e-9
+        else:
+            value[3] = -1.0
+        with pytest.raises(StabilityError, match="not ordered"):
+            comparison_test(lo, hi.with_(**{field: value}), kernel, f,
+                            t_end=1.0, dt=DT)
