@@ -145,6 +145,15 @@ def build_problem(cfg: dict):
 # output plumbing
 
 
+@functools.cache
+def _versions() -> dict:
+    """The library versions of every manifest, read once per process."""
+    from importlib.metadata import version  # only the manifest reads it
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "scipy": version("scipy"), "click": version("click"),
+            "frontlab": __version__}
+
+
 class Artifacts:
     """Collects result files under one directory and writes the manifest."""
 
@@ -205,7 +214,6 @@ class Artifacts:
         self._register(path)
 
     def finish(self) -> None:
-        import importlib.metadata  # only the manifest reads it
         cfg_blob = json.dumps(self.cfg, sort_keys=True).encode()
         hashes = {}
         for name in self.files:
@@ -215,13 +223,7 @@ class Artifacts:
             "config_sha256": hashlib.sha256(cfg_blob).hexdigest(),
             "files": hashes,
             "wall_time_s": round(time.time() - self.t_start, 3),
-            "versions": {
-                "python": sys.version.split()[0],
-                "numpy": np.__version__,
-                "scipy": importlib.metadata.version("scipy"),
-                "click": importlib.metadata.version("click"),
-                "frontlab": __version__,
-            },
+            "versions": dict(_versions()),
         }
         (self.dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -4,15 +4,15 @@ Finds (c*, phi) with J*phi - phi + c* phi' + f(phi) = 0, phi(0) = theta,
 phi decreasing from 1 to 0, by damped Newton.  The co-moving Jacobian in phi
 is banded (half-bandwidth kernel.half_points); Keller's bordering (Keller
 1977) adds the speed column and the phase row phi(0) = theta (Beyn, IMA J.
-Numer. Anal. 10, 1990), so each step is one banded LU solve with two
-right-hand sides: LAPACK dgbsv on the band in its column-major storage
-(LAPACK Users' Guide, 3rd ed., 1999, sec. 5.3.3), from scipy's compiled
-LAPACK module without the scipy.linalg package.  The solve has two levels
-(nested iteration, Brandt 1977): the damped steps from the smoothed step of
-width 2 and the speed START_SPEED run on every other node with the
-subsampled kernel, where an LU costs about 1/8 as much; the fine grid then
-starts from the interpolated coarse wave and polishes it in at least two
-full steps.
+Numer. Anal. 10, 1990), so each step solves one band for two right-hand
+sides: LAPACK dgbtrf and dgbtrs in its column-major band storage (LAPACK
+Users' Guide, 3rd ed., 1999, sec. 5.3.3), loaded without scipy's packages.
+Nested iteration (Brandt 1977) runs on the grid, on every other node, and
+coarser while the subsampled stencil keeps MIN_COARSE_HALF_POINTS: damped
+steps on the coarsest from the smoothed step of width 2s at speed
+START_SPEED s (s the stencil's rms width), then at least two steps on each
+finer level from the interpolated wave.  After a full step that cut the
+residual 10x comes a chord step on the same factors (Kelley 2003).
 """
 
 from __future__ import annotations
@@ -36,10 +36,13 @@ class WaveInputError(WaveError, ValueError):
     """An argument outside the wave solver's domain."""
 
 
-#: Newton start speed, iteration cap and residual tolerance
+#: Newton start speed per unit of the stencil's rms width, iteration cap
+#: and residual tolerance
 START_SPEED = 0.1
 NEWTON_CAP = 40
 TOL = 1e-8
+#: half points a subsampled stencil keeps on a level below the top two
+MIN_COARSE_HALF_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class TravelingWave:
     residual_norm: float
     theta: float
     iterations: int          # fine-grid Newton steps
-    coarse_iterations: int   # Newton steps on the half-resolution grid
+    coarse_iterations: int   # Newton steps on every coarser level
 
     def profile_fn(self):
         return pchip_far_fields(self.x, self.phi, 1.0, 0.0)
@@ -74,18 +77,14 @@ def _stationary_residual(kernel: Kernel, f_hom, x, u, c) -> np.ndarray:
 
 
 def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
-    """Newton on the co-moving system: damped from the smoothed step on the
-    grid of spacing 2h, then polished on the grid itself."""
+    """Nested Newton from the coarsest level up to the grid itself."""
     if grid.x_max - grid.x_min < 80.0 - 1e-9:
         raise WaveInputError("wave window must span at least 80 length units")
-    m = (grid.n - 1) // 2  # one fine node short of x_max when n is even
-    coarse = Grid(grid.x_min, grid.x_min + 2.0 * grid.h * m, m + 1)
-    step = smoothed_step(coarse, center=0.0, width=2.0)
-    phi, c, _, coarse_iterations = _newton_polish(
-        subsample_kernel(kernel), f_hom, coarse, step.u, START_SPEED)
-    phi, c, residual_norm, iterations = _newton_polish(
-        kernel, f_hom, grid, np.interp(grid.x, coarse.x, phi), c,
-        min_steps=2)
+    # the stencil's rms width; a one-node stencil has none, so its spacing
+    s = float(np.sqrt(np.sum(kernel.weights * kernel.samples
+                             * kernel.offsets ** 2))) or kernel.spacing
+    phi, c, residual_norm, iterations, coarse_iterations = _nested(
+        kernel, f_hom, grid, s, depth=0)
     if c <= 0:
         raise WaveError("nonpositive wave speed")
     dphi = -(convolve(kernel, FieldState(0.0, grid.x, phi, 1.0, 0.0))
@@ -96,54 +95,76 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
                          coarse_iterations=coarse_iterations)
 
 
+def _nested(kernel: Kernel, f_hom, grid: Grid, s: float, depth: int):
+    """(phi, c, max|residual|, steps here, steps on all coarser levels);
+    below 2h, levels follow while a stencil keeps MIN_COARSE_HALF_POINTS."""
+    kern_2h = subsample_kernel(kernel)
+    if depth and kern_2h.half_points < MIN_COARSE_HALF_POINTS:
+        start = smoothed_step(grid, center=0.0, width=2.0 * s).u
+        return *_newton_polish(kernel, f_hom, grid, start, START_SPEED * s), 0
+    m = (grid.n - 1) // 2  # one node short of x_max when n is even
+    grid_2h = Grid(grid.x_min, grid.x_min + 2.0 * grid.h * m, m + 1)
+    phi, c, _, steps, below = _nested(kern_2h, f_hom, grid_2h, s, depth + 1)
+    return *_newton_polish(kernel, f_hom, grid,
+                           np.interp(grid.x, grid_2h.x, phi), c,
+                           min_steps=2), steps + below
+
+
 @functools.cache
-def _gbsv():
-    """LAPACK dgbsv from scipy.linalg._flapack, loaded from its own file so
-    that scipy.linalg's package __init__ (0.25 s of imports) never runs.
-    Its OpenBLAS gets one thread unless the caller set OPENBLAS_NUM_THREADS."""
+def _flapack():
+    """scipy.linalg._flapack from its own file, so that no scipy package
+    __init__ runs; one OpenBLAS thread unless OPENBLAS_NUM_THREADS is set."""
     from importlib import machinery, util
     name = "scipy.linalg._flapack"
     if name not in sys.modules:  # else scipy.linalg has loaded it
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-        folder = util.find_spec("scipy.linalg").submodule_search_locations[0]
-        spec = machinery.FileFinder(folder, (
+        folder = util.find_spec("scipy").submodule_search_locations[0]
+        spec = machinery.FileFinder(os.path.join(folder, "linalg"), (
             machinery.ExtensionFileLoader,
             machinery.EXTENSION_SUFFIXES)).find_spec(name)
         sys.modules[name] = util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].dgbsv
+    return sys.modules[name]
 
 
-def spsolve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Banded LU solve for each column of rhs: the one linear solve of a
-    Newton step.  ab is a Fortran-ordered (3k+1, n) band in dgbsv's storage
-    (row 2k - d holds diagonal d; rows 0..k-1 are room for the LU's fill-in)
-    and is overwritten.  It keeps the name of the sparse solve it replaced,
-    under which the benchmark times Newton steps.  Raises WaveError when the
-    band is singular."""
+def spsolve(ab: np.ndarray, rhs: np.ndarray, piv=None) -> np.ndarray:
+    """Banded LU (dgbtrf) of ab, a Fortran-ordered (3k+1, n) band in LAPACK's
+    storage (row 2k - d holds diagonal d; rows 0..k-1 are room for fill-in),
+    overwritten by the factors, and their row interchanges into piv if
+    given; then rhs solved on them.  Every factorization of the wave solve
+    goes through here, under the name the benchmark times.  Raises
+    WaveError when the band is singular."""
     k = (ab.shape[0] - 1) // 3
-    _, _, x, info = _gbsv()(k, k, ab, rhs, overwrite_ab=True)
+    _, ipiv, info = _flapack().dgbtrf(ab, k, k, overwrite_ab=True)
     if info != 0:
-        raise WaveError(f"banded LU failed (dgbsv info {info})")
-    return x
+        raise WaveError(f"banded LU failed (dgbtrf info {info})")
+    if piv is not None:
+        piv[:] = ipiv
+    return _backsolve(ab, ipiv, rhs)
+
+
+def _backsolve(ab: np.ndarray, piv: np.ndarray, rhs: np.ndarray):
+    """rhs solved with the factors that spsolve left in ab (dgbtrs)."""
+    k = (ab.shape[0] - 1) // 3
+    return _flapack().dgbtrs(ab, k, k, rhs, piv)[0]
 
 
 def _band(rows: int, n: int) -> np.ndarray:
-    """An uninitialised Fortran-ordered (rows, n) band in its own anonymous
-    mapping, which goes back to the system as soon as the band is freed.
-    Bands of several megabytes from malloc raise glibc's mmap threshold
-    when freed, so later bands stay resident on the heap and a process's
-    peak memory depended on the order of its wave solves."""
+    """An uninitialised Fortran-ordered (rows, n) band in a private anonymous
+    mapping, populated at once and unmapped when freed: bands from malloc
+    raised glibc's mmap threshold, so peak memory depended on solve order."""
     import mmap  # off the CLI's launch, like the LAPACK module
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
     return np.ndarray((rows, n), order="F",
-                      buffer=mmap.mmap(-1, rows * n * 8))
+                      buffer=mmap.mmap(-1, rows * n * 8, flags=flags))
 
 
 def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c,
                    min_steps: int = 0):
-    """Damped Newton from (phi, c): a step solves J y = -res and J z = phi',
-    borders dc = (y(0) + phase) / z(0), delta = y - dc z, and moves phi by
-    at most 0.2 anywhere.  Returns (phi, c, max|residual|, steps) once both
+    """Damped Newton from (phi, c): a step solves J y = -res, J z = phi' (on
+    J's last factors after a full step that cut the residual 10x), borders
+    dc = (y(0) + phase) / z(0), delta = y - dc z, and moves phi by at most
+    0.2 anywhere.  Returns (phi, c, max|residual|, steps) once both
     residuals are below 0.05 TOL after at least min_steps steps."""
     h, k = grid.h, max(kernel.half_points, 1)  # room for c phi' at +-1
     i0 = int(np.argmin(np.abs(grid.x)))
@@ -152,24 +173,26 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c,
     stencil = np.zeros((3 * k + 1, 1))
     r = kernel.half_points
     stencil[2 * k - r:2 * k + r + 1, 0] = kernel.weights * kernel.samples
-    ab = _band(3 * k + 1, grid.n)
-    phi = phi.copy()
+    ab, piv = _band(3 * k + 1, grid.n), np.empty(grid.n, np.int32)
+    phi, factor, last_norm = phi.copy(), True, np.inf
     for steps in range(NEWTON_CAP):
         res = _stationary_residual(kernel, f_hom, grid.x, phi, c)
         phase = phi[i0] - f_hom.theta
         res_norm = float(np.max(np.abs(res)))
         if steps >= min_steps and max(res_norm, abs(phase)) <= 0.05 * TOL:
             return phi, c, res_norm, steps
-        ab[:] = stencil
-        ab[2 * k] += f_hom.eval_du(0.0, phi) - 1.0
-        ab[2 * k - 1] += c / (2 * h)
-        ab[2 * k + 1] -= c / (2 * h)
-        y, z = spsolve(ab, np.stack([-res, _ghost_gradient(phi, h)], 1)).T
+        rhs = np.stack([-res, _ghost_gradient(phi, h)], 1)
+        if factor or res_norm > 0.1 * last_norm:
+            ab[:] = stencil
+            ab[2 * k] += f_hom.eval_du(0.0, phi) - 1.0
+            ab[2 * k - 1] += c / (2 * h)
+            ab[2 * k + 1] -= c / (2 * h)
+            y, z = spsolve(ab, rhs, piv).T
+        else:  # a chord step on the last factors
+            y, z = _backsolve(ab, piv, rhs).T
         dc = float((y[i0] + phase) / z[i0])
         delta = y - dc * z
-        step_size = 1.0
-        if np.max(np.abs(delta)) > 0.2:
-            step_size = 0.2 / float(np.max(np.abs(delta)))
-        phi = phi + step_size * delta
-        c = c + step_size * dc
+        step_size = 0.2 / max(0.2, float(np.max(np.abs(delta))))
+        phi, c = phi + step_size * delta, c + step_size * dc
+        factor, last_norm = step_size < 1.0, res_norm
     raise WaveError("Newton polish did not converge within the cap")

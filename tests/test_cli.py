@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import importlib
+import importlib.metadata
 import json
 import os
 import pkgutil
@@ -402,6 +403,26 @@ class TestExitCodes:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code in (0, 3), result.output
 
+    @pytest.mark.parametrize("kernel", [
+        {"family": "gaussian", "sigma": 0.1},
+        {"family": "gaussian", "sigma": 0.05},
+        {"family": "bump", "a": 0.5},
+        {"family": "bump", "a": 0.2},
+        {"family": "bump", "a": 0.15},
+    ], ids=["gaussian_0.1", "gaussian_0.05", "bump_0.5", "bump_0.2",
+            "bump_0.15"])
+    def test_narrow_kernel_solves_both_waves(self, runner, tmp_path, kernel):
+        # the Newton start scales with the stencil's rms width; from the
+        # width 2 and speed 0.1 fitted to sigma = 1, all but bump a = 0.5
+        # exited 3
+        cfg = _write_cfg(tmp_path, {"kernel": kernel})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["wave", "--config", cfg,
+                                      "--out", str(out), "--quiet"])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["c_star_max"] > summary["c_star_min"] > 0.0
+
     def test_programming_error_is_internal_error(self, runner, tmp_path,
                                                  monkeypatch):
         # exit 1 is kept for a failed theorem check
@@ -632,6 +653,25 @@ class TestManifest:
         assert manifest["versions"]["frontlab"] == frontlab.__version__
 
 
+    def test_versions_are_read_once_per_process(self, runner, tmp_path,
+                                                monkeypatch):
+        # importlib.metadata.version takes about 10 ms a call
+        calls, version = [], importlib.metadata.version
+        monkeypatch.setattr(importlib.metadata, "version",
+                            lambda name: calls.append(name) or version(name))
+        cli._versions.cache_clear()
+        cfg = _write_cfg(tmp_path, {"experiment": {"workers": 1, "cases": [
+            {"experiment": {"name": "validate"}}] * 2}})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--config", cfg,
+                                      "--out", str(out), "--quiet"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) <= 2, calls
+        versions = [json.loads((d / "manifest.json").read_text())["versions"]
+                    for d in (out, out / "case_000", out / "case_001")]
+        assert versions[0] == versions[1] == versions[2]
+
+
 class TestSweep:
     def test_runs_cases_in_subdirs(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {
@@ -750,6 +790,7 @@ def test_scipy_loads_only_for_the_wave_solve(tmp_path, experiment):
     modules = set(json.loads(_fresh_python(_SCIPY_PROBE, *args)))
     if experiment == "wave":  # the banded Newton solve: LAPACK alone
         assert "scipy.linalg._flapack" in modules
+        assert "scipy" not in modules  # nor scipy's package __init__
         assert not modules & {"scipy.linalg", "scipy.interpolate",
                               "scipy.special", "scipy.fft"}
     else:

@@ -93,10 +93,13 @@ class TestSolveTravelingWave:
 def test_newton_step_solves_the_bordered_system(kernel, f, wave_grid,
                                                 monkeypatch):
     # the first step from the smoothed step is damped and runs on the
-    # coarse grid (every other node, the subsampled kernel): phi and c move
-    # by s (delta, dc), and the phase row delta(0) = -phase gives s.  Then
-    # (delta, dc) must solve the linearized stationary system, which pins
-    # the band layout and the bordering, whatever solves them
+    # coarsest grid (every eighth node, the kernel subsampled three times,
+    # the last level whose stencil keeps MIN_COARSE_HALF_POINTS), from the
+    # step of width 2r at speed START_SPEED r, r the kernel's rms width:
+    # phi and c move by s (delta, dc), and the phase row delta(0) = -phase
+    # gives s.  Then (delta, dc) must solve the linearized stationary
+    # system, which pins the band layout and the bordering, whatever
+    # solves them
     f_hom = min_slice(f)
     residual, states = waves._stationary_residual, []
 
@@ -108,12 +111,18 @@ def test_newton_step_solves_the_bordered_system(kernel, f, wave_grid,
     monkeypatch.setattr(waves, "NEWTON_CAP", 2)
     with pytest.raises(WaveError):
         solve_traveling_wave(kernel, f_hom, wave_grid)
-    coarse = Grid(-60.0, 60.0, 1201)
-    coarse_kernel = subsample_kernel(kernel)
+    coarse = Grid(-60.0, 60.0, 301)
+    coarse_kernel = subsample_kernel(subsample_kernel(subsample_kernel(
+        kernel)))
+    assert (coarse_kernel.half_points >= waves.MIN_COARSE_HALF_POINTS
+            > subsample_kernel(coarse_kernel).half_points)
+    rms = np.sqrt(np.sum(kernel.weights * kernel.samples
+                         * kernel.offsets ** 2))
+    assert rms == pytest.approx(0.99998800, abs=1e-8)
     (phi0, c0), (phi1, c1) = states[:2]
     np.testing.assert_array_equal(
-        phi0, smoothed_step(coarse, center=0.0, width=2.0).u)
-    assert c0 == waves.START_SPEED
+        phi0, smoothed_step(coarse, center=0.0, width=2.0 * rms).u)
+    assert c0 == waves.START_SPEED * rms
     i0 = int(np.argmin(np.abs(coarse.x)))
     s = -(phi1[i0] - phi0[i0]) / (phi0[i0] - f_hom.theta)
     delta, dc = (phi1 - phi0) / s, (c1 - c0) / s
@@ -171,6 +180,32 @@ class TestTwoLevelSolve:
         assert tw.residual_norm <= 1e-8
         assert 0.0 < tw.speed < 1.0
 
+    def test_each_polish_factors_once(self, kernel, f, wave_grid,
+                                      monkeypatch):
+        # every level above the coarsest polishes the interpolated wave in
+        # one Newton step and one chord step on the same factors
+        factors, solves = [], []
+        spsolve, backsolve = waves.spsolve, waves._backsolve
+
+        def counted_spsolve(ab, rhs, piv=None):
+            factors.append(ab.shape[1])
+            return spsolve(ab, rhs, piv)
+
+        def counted_backsolve(ab, piv, rhs):
+            solves.append(ab.shape[1])
+            return backsolve(ab, piv, rhs)
+
+        monkeypatch.setattr(waves, "spsolve", counted_spsolve)
+        monkeypatch.setattr(waves, "_backsolve", counted_backsolve)
+        tw = solve_traveling_wave(kernel, min_slice(f), wave_grid)
+        assert tw.iterations == 2
+        for n in (2401, 1201, 601):
+            assert (factors.count(n), solves.count(n)) == (1, 2), n
+        assert set(factors) == {2401, 1201, 601, 301}
+        # two steps on each of 1201 and 601 nodes, and the coarsest level's,
+        # one back-solve each
+        assert tw.coarse_iterations == 4 + solves.count(301)
+
     def test_fine_polish_takes_two_steps(self, kernel, f, wave_grid,
                                          tw_min):
         # started at the converged wave, the polish still takes two steps
@@ -182,8 +217,8 @@ class TestTwoLevelSolve:
 
 
 class TestSpsolve:
-    """waves.spsolve runs dgbsv, the routine scipy.linalg.solve_banded
-    calls for every half-bandwidth but 1."""
+    """waves.spsolve runs dgbtrf and dgbtrs, the two halves of dgbsv, the
+    routine scipy.linalg.solve_banded calls for every half-bandwidth but 1."""
 
     @staticmethod
     def system(k, nrhs, n=400):
@@ -213,7 +248,7 @@ class TestSpsolve:
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_singular_band_is_a_wave_error(self):
-        with pytest.raises(WaveError, match="dgbsv info"):
+        with pytest.raises(WaveError, match="dgbtrf info"):
             waves.spsolve(np.zeros((7, 5), order="F"), np.ones(5))
 
 
