@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import glob
 import hashlib
 import json
 import sys
@@ -107,12 +108,13 @@ def _num(section: dict, key: str, default=None, kind=float):
                          f"{value!r}") from None
 
 
-def _check_whole_steps(key: str, span: float, dt: float) -> None:
+def _check_whole_steps(key: str, span: float, dt: float,
+                       unit: str = "time.dt") -> None:
     """Snapshots fall on whole steps: span must be a whole multiple of dt."""
     steps = span / dt
     if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
         raise ValueError(f"{key}={span:g} is not a whole multiple of "
-                         f"time.dt={dt:g}")
+                         f"{unit}={dt:g}")
 
 
 def build_problem(cfg: dict):
@@ -145,12 +147,23 @@ def build_problem(cfg: dict):
 # output plumbing
 
 
+def _dist_version(name: str) -> str:
+    """The version of the first <name>-<version>.dist-info directory on
+    sys.path, the one importlib.metadata finds; importlib.metadata itself
+    (20-30 ms to import) only when there is none."""
+    for entry in sys.path:
+        found = glob.glob(f"{name}-*.dist-info", root_dir=entry or ".")
+        if found:
+            return found[0][len(name) + 1:-len(".dist-info")]
+    from importlib.metadata import version
+    return version(name)
+
+
 @functools.cache
 def _versions() -> dict:
     """The library versions of every manifest, read once per process."""
-    from importlib.metadata import version  # only the manifest reads it
     return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "scipy": version("scipy"), "click": version("click"),
+            "scipy": _dist_version("scipy"), "click": _dist_version("click"),
             "frontlab": __version__}
 
 
@@ -264,6 +277,9 @@ def _front_memo(problem: str):
     cfg = json.loads(problem)
     kern, f, grid = build_problem(cfg)
     tc = cfg["time"]
+    # the run is normalized at t = 0, where its two legs meet
+    _check_whole_steps("-time.s", -_num(tc, "s"), _num(tc, "cadence"),
+                       "time.cadence")
     wave = _wave(cfg, min_slice)
     run = build_approx_front(kern, f, wave, grid, _num(tc, "s"),
                              _num(tc, "dt"), _num(tc, "t_end"),

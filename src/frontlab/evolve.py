@@ -2,7 +2,7 @@
 
 The stepper is classical RK4 on the semi-discrete system, one path over the
 packed y = [u_left | u | u_right] and the u_x co-state w (w_t = J'*u - w +
-f_u(t,u) w), its stages of u run in work buffers kept per lane shape.  The
+f_u(t,u) w), its stages run in work buffers kept per lane shape.  The
 window relocates by whole grid steps when the tracked interface leaves its
 middle band, with far-field fill.
 """
@@ -85,8 +85,10 @@ class Stepper:
     a left state above the ignition threshold lifts toward 1 with the
     interior, and f = 0 holds 1 and 0 fixed.
 
-    The stages of u write into work buffers, one set per lane shape; the
-    RK4 sum builds up in the returned arrays, so no state aliases a buffer.
+    The stages of u and of w write into work buffers, one set per lane
+    shape, and the co-state's J'*u reuses the transform of u that J*u
+    made; the RK4 sums build up in the returned arrays, so no state
+    aliases a buffer.
     """
 
     def __init__(self, kernel: Kernel, f):
@@ -104,8 +106,16 @@ class Stepper:
                 self._wj, shape[:-1] + (shape[-1] - 2,)))
         return self._work[shape]
 
+    def _costate_buffers(self, shape):
+        """(dw/dt, stage co-state, temporary, f_u work) for this w shape."""
+        key = ("w", shape)
+        if key not in self._work:
+            self._work[key] = tuple(np.empty((4,) + shape))
+        return self._work[key]
+
     def _rhs(self, t, y, w):
-        """(dy/dt in work buffer k, dw/dt or None) at packed y, co-state w."""
+        """(dy/dt in work buffer k, dw/dt in a work buffer or None) at
+        packed y, co-state w."""
         _, _, k, conv, fft = self._buffers(y.shape)
         u, ul, ur = y[..., 1:-1], y[..., 0], y[..., -1]
         k = self.f.eval(t, y, out=k, work=conv)
@@ -115,10 +125,14 @@ class Stepper:
         conv -= y
         conv[..., 0] = conv[..., -1] = -0.0
         k += conv
-        kw = None
-        if w is not None:
-            kw = (_convolve_samples(self._wdj, u, ul, ur, work=fft) - w
-                  + self.f.eval_du(t, u) * w)
+        if w is None:
+            return k, None
+        # J'*u - w + f_u w, J'*u from the transform of u that J*u left
+        kw, _, fw, fu_work = self._costate_buffers(w.shape)
+        np.subtract(_convolve_samples(self._wdj, u, ul, ur, work=fft,
+                                      transformed=True), w, out=kw)
+        kw += np.multiply(self.f.eval_du(t, u, out=fw, work=fu_work), w,
+                          out=fw)
         return k, kw
 
     def step(self, state: FieldState, dt: float) -> FieldState:
@@ -129,15 +143,21 @@ class Stepper:
         y, ys, _, tmp, _ = self._buffers(u.shape[:-1] + (u.shape[-1] + 2,))
         y[..., 0], y[..., 1:-1], y[..., -1] = state.u_left, u, state.u_right
         k, kw = self._rhs(t, y, w)
-        acc, kws = k.copy(), [kw]  # k1 + 2*k2 + 2*k3 + k4, left to right
+        # k1 + 2*k2 + 2*k3 + k4, left to right, for y and for w
+        acc, acc_w = k.copy(), None if w is None else kw.copy()
         for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
             np.add(np.multiply(k, c, out=ys), y, out=ys)
-            k, kw = self._rhs(t + c, ys, None if w is None else w + c * kw)
+            ws = None
+            if w is not None:
+                _, ws, tmp_w, _ = self._costate_buffers(w.shape)
+                np.add(np.multiply(kw, c, out=ws), w, out=ws)
+            k, kw = self._rhs(t + c, ys, ws)
             acc += np.multiply(k, weight, out=tmp)
-            kws.append(kw)
+            if w is not None:
+                acc_w += np.multiply(kw, weight, out=tmp_w)
         y = np.add(y, np.multiply(acc, dt / 6.0, out=acc), out=acc)
         if w is not None:
-            w = w + dt / 6.0 * (kws[0] + 2 * kws[1] + 2 * kws[2] + kws[3])
+            w = np.add(w, np.multiply(acc_w, dt / 6.0, out=acc_w), out=acc_w)
         u, ul, ur = y[..., 1:-1], y[..., 0], y[..., -1]
         # the one range check, the range the cap assumes; a NaN fails it
         if not (u.min() >= STATE_LO and u.max() <= STATE_HI):
@@ -240,43 +260,71 @@ def seed_from_profile(grid: Grid, profile_fn, shift: float, t: float,
     return FieldState(t=t, x=grid.x, u=u, u_left=1.0, u_right=0.0, w=w)
 
 
+def _local_cubic(field: FieldState, x0: float) -> np.ndarray:
+    """Coefficients, in powers of x - x0, of the cubic through the 4 nodes
+    around x0."""
+    j = int(np.clip(np.searchsorted(field.x, x0) - 2, 0, field.x.size - 4))
+    return np.polyfit(field.x[j:j + 4] - x0, field.u[j:j + 4], 3)
+
+
+def _cubic_crossing(field: FieldState, lam: float) -> float:
+    """The lam crossing of the local cubic around locate_level's linear
+    crossing, refined by Newton from that root."""
+    x0 = locate_level(field, lam)
+    cubic = _local_cubic(field, x0) - [0.0, 0.0, 0.0, lam]
+    slope, dx = np.polyder(cubic), 0.0
+    for _ in range(4):  # the linear root is within O(h^2) of the cubic's
+        dx -= np.polyval(cubic, dx) / np.polyval(slope, dx)
+    return x0 + dx
+
+
 def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
                        s: float, dt: float, t_end: float = 0.0,
                        snapshot_every: float = 1.0) -> ApproxFrontRun:
     """Seed the wave profile at time s < 0 so that the front satisfies
-    u(0,0;s) = theta.
+    u(0,0;s) = theta, and run it on to t_end >= 0.
 
     The equation is translation invariant in x: shifting the seed by dy
     moves the terminal theta-crossing X(0; y) by dy.  The seed shift y_s is
     the root of X(0; y): one step of slope 1 from y = 0, then secant steps
     (the slope leaves 1 once the window cuts the seed's tails), until
-    |u(0,0;s) - theta| <= SEED_HIT_TOL.  The trial runs evolve u alone;
-    the returned run carries the u_x co-state.
+    |u(0,0;s) - theta| <= SEED_HIT_TOL.  X and u(0,0;s) are read off
+    cubics through the 4 nodes around them, where a linear crossing's
+    X(0; y) - y would ripple with y's position in its cell.  Only the run
+    from y = 0 evolves u alone; every later run on [s, 0] is a first leg
+    of the front run, with the u_x co-state and the snapshots, and the
+    leg that hits goes on to t_end.  t = 0 must be a snapshot time: -s a
+    whole number of snapshot_every.
     """
-    if s >= 0:
-        raise EvolveInputError("seed time must be negative")
+    if not s < 0.0 <= t_end:
+        raise EvolveInputError("need seed time s < 0 <= t_end")
     theta, profile_fn = f.theta, wave.profile_fn()
+    derivative_fn = wave.derivative_fn()
     y_s, prev, slope = 0.0, None, 1.0
+    seed = seed_from_profile(grid, profile_fn, y_s, s)
     for _ in range(SEED_MAX_RUNS):
-        state = seed_from_profile(grid, profile_fn, y_s, s)
-        end = evolve(state, kernel, f, 0.0, dt).snapshots[-1]
-        if abs(float(np.interp(0.0, end.x, end.u)) - theta) <= SEED_HIT_TOL:
+        leg = evolve(seed, kernel, f, 0.0, dt, snapshot_every=snapshot_every)
+        end = leg.snapshots[-1]
+        if abs(_local_cubic(end, 0.0)[-1] - theta) > SEED_HIT_TOL:
+            try:
+                pos = _cubic_crossing(end, theta)
+            except FrontError as err:
+                raise EvolveError(f"seed shift lost the front ({err}); seed "
+                                  "time too negative for this window") from err
+            if prev is not None:
+                slope = (pos - prev[1]) / (y_s - prev[0])
+            if slope < SEED_MIN_SLOPE:
+                raise EvolveError("seed shift no longer moves the front; "
+                                  "seed time too negative for this window")
+            prev, y_s = (y_s, pos), y_s - pos / slope
+        elif end.w is not None:
             break
-        try:
-            pos = locate_level(end, theta)
-        except FrontError as err:
-            raise EvolveError(f"seed shift lost the front ({err}); seed "
-                              "time too negative for this window") from err
-        if prev is not None:
-            slope = (pos - prev[1]) / (y_s - prev[0])
-        if slope < SEED_MIN_SLOPE:
-            raise EvolveError("seed shift no longer moves the front; seed "
-                              "time too negative for this window")
-        prev, y_s = (y_s, pos), y_s - pos / slope
+        seed = seed_from_profile(grid, profile_fn, y_s, s, derivative_fn)
     else:
         raise EvolveError(f"seed shift missed theta in {SEED_MAX_RUNS} runs")
 
-    seed = seed_from_profile(grid, profile_fn, y_s, s, wave.derivative_fn())
-    traj = evolve(seed, kernel, f, t_end, dt, snapshot_every=snapshot_every)
+    traj = leg
+    if t_end > 0.0:
+        rest = evolve(end, kernel, f, t_end, dt, snapshot_every=snapshot_every)
+        traj = Trajectory(snapshots=leg.snapshots + rest.snapshots[1:])
     return ApproxFrontRun(s=s, y_s=y_s, level=theta, trajectory=traj)
-

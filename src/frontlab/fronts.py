@@ -54,7 +54,7 @@ class TailFit:
 
 
 #: the |v| of the points that a tail fit uses
-MAGNITUDE_BAND = (1e-12, 1e-2)
+MAGNITUDE_BAND = (1e-10, 1e-2)
 
 
 def fit_line(x, y) -> tuple:

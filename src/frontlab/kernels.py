@@ -206,25 +206,30 @@ def _spectrum(weighted: bytes, length: int) -> np.ndarray:
 
 
 def _fft_work(weighted: np.ndarray, shape: tuple) -> tuple:
-    """(padded, spectrum, output) of _convolve_samples on u of this shape."""
+    """(padded, its transform, product, output) of _convolve_samples on u
+    of this shape."""
     length = _next_fast_len(shape[-1] + 2 * (weighted.size - 1))
-    return (np.zeros(shape[:-1] + (length,)),
-            np.empty(shape[:-1] + (length // 2 + 1,), dtype=complex),
-            np.empty(shape[:-1] + (length,)))
+    half = shape[:-1] + (length // 2 + 1,)
+    return (np.zeros(shape[:-1] + (length,)), np.empty(half, dtype=complex),
+            np.empty(half, dtype=complex), np.empty(shape[:-1] + (length,)))
 
 
 def _convolve_samples(weighted: np.ndarray, u: np.ndarray,
-                      u_left, u_right, work=None) -> np.ndarray:
+                      u_left, u_right, work=None,
+                      transformed: bool = False) -> np.ndarray:
     # u has shape (..., n), the far fields are scalars or of shape (...);
     # work, from _fft_work, is reused (padded stays zero past the far
-    # fields), and the result is a view into it
+    # fields), and the result is a view into it.  transformed=True reuses
+    # the transform of u that the previous call on this work left there
     k, n = (weighted.size - 1) // 2, u.shape[-1]
-    padded, spec, full = work or _fft_work(weighted, u.shape)
-    padded[..., :k] = np.asarray(u_left)[..., None]
-    padded[..., k:k + n] = u
-    padded[..., k + n:n + 2 * k] = np.asarray(u_right)[..., None]
-    np.fft.rfft(padded, out=spec)
-    spec *= _spectrum(weighted.tobytes(), full.shape[-1])
+    padded, forward, spec, full = work or _fft_work(weighted, u.shape)
+    if not transformed:
+        padded[..., :k] = np.asarray(u_left)[..., None]
+        padded[..., k:k + n] = u
+        padded[..., k + n:n + 2 * k] = np.asarray(u_right)[..., None]
+        np.fft.rfft(padded, out=forward)
+    np.multiply(forward, _spectrum(weighted.tobytes(), full.shape[-1]),
+                out=spec)
     np.fft.irfft(spec, full.shape[-1], out=full)
     return full[..., 2 * k:2 * k + n]
 

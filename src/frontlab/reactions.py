@@ -66,10 +66,15 @@ class IgnitionNonlinearity:
         out *= np.subtract(1.0, u, out=work)  # v is spent
         return out
 
-    def df0(self, u):
+    def df0(self, u, out=None, work=None):
+        # out and work as in f0; the products of v*v*(3(1-u) - v), reordered
         u = np.asarray(u, dtype=float)
-        v = np.maximum(u - self.theta, 0.0)
-        return v * v * (3.0 * (1.0 - u) - v)
+        v = np.maximum(np.subtract(u, self.theta, out=work), 0.0, out=work)
+        out = np.subtract(1.0, u, out=out)
+        out *= 3.0
+        out -= v
+        out *= np.multiply(v, v, out=work)  # v is spent
+        return out
 
     def d2f0(self, u):
         u = np.asarray(u, dtype=float)
@@ -87,8 +92,8 @@ class IgnitionNonlinearity:
     def eval(self, t, u, out=None, work=None):
         return np.multiply(self.f0(u, out, work), self.a(t), out=out)
 
-    def eval_du(self, t, u):
-        return self.a(t) * self.df0(u)
+    def eval_du(self, t, u, out=None, work=None):
+        return np.multiply(self.df0(u, out, work), self.a(t), out=out)
 
     def eval_dt(self, t, u):
         return self.da(t) * self.f0(u)
@@ -150,8 +155,9 @@ class AutonomousSlice:
         return np.multiply(self.parent.f0(u, out, work), self.amplitude,
                            out=out)
 
-    def eval_du(self, t, u):
-        return self.amplitude * self.parent.df0(u)
+    def eval_du(self, t, u, out=None, work=None):
+        return np.multiply(self.parent.df0(u, out, work), self.amplitude,
+                           out=out)
 
     def dt_max(self) -> float:
         return _dt_max(self.amplitude * self.parent.sup_df0())

@@ -263,6 +263,9 @@ class TestExitCodes:
          "time.t_end - time.s=30.01 is not a whole multiple of time.dt=0.2"),
         ("front", {"s": -10.0, "t_end": 5.0},
          "time.t_end=5 lies before time.s + 20"),
+        # the front is normalized at t = 0, which must be a snapshot time
+        ("front", {"s": -10.5, "t_end": 19.5},
+         "-time.s=10.5 is not a whole multiple of time.cadence=1"),
         # time.cadence 0.99 is 33 steps; the paired snapshot interval 2 is
         # not a whole number of them
         ("stability", {"s": -10.0, "t_end": 11.0, "dt": 0.03,
@@ -273,7 +276,7 @@ class TestExitCodes:
                         "cadence": 0.99},
          "the stability snapshot interval=2 is not a whole multiple of "
          "time.dt=0.03"),
-    ], ids=["off_cadence", "off_step_run", "short_run",
+    ], ids=["off_cadence", "off_step_run", "short_run", "off_cadence_seed",
             "stability_off_step_pairs", "asymptotic_off_step_pairs"])
     def test_time_section_is_checked_before_any_solve(
             self, runner, tmp_path, monkeypatch, experiment, time, message):
@@ -652,6 +655,16 @@ class TestManifest:
                                              "click", "frontlab"}
         assert manifest["versions"]["frontlab"] == frontlab.__version__
 
+
+    def test_versions_match_importlib_metadata(self, tmp_path, monkeypatch):
+        # read off the dist-info directory names on sys.path
+        for name in ("scipy", "click"):
+            assert cli._dist_version(name) == importlib.metadata.version(name)
+        # with no dist-info directory there, importlib.metadata answers
+        monkeypatch.setattr(sys, "path", [str(tmp_path)])
+        monkeypatch.setattr(importlib.metadata, "version",
+                            lambda name: "from metadata")
+        assert cli._dist_version("scipy") == "from metadata"
 
     def test_versions_are_read_once_per_process(self, runner, tmp_path,
                                                 monkeypatch):

@@ -3,9 +3,10 @@ import importlib
 import numpy as np
 import pytest
 
+from frontlab import cli
 from frontlab.evolve import (EvolveError, EvolveInputError, Stepper,
-                             _apply_window_policy, build_approx_front,
-                             evolve)
+                             _apply_window_policy, _cubic_crossing,
+                             build_approx_front, evolve, seed_from_profile)
 from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import KernelError, _convolve_samples
@@ -207,6 +208,21 @@ class TestSingleRK4Path:
                 assert (lane.u_left, lane.u_right) == (ref.u_left,
                                                        ref.u_right)
         assert state.u_left[0] > 0.6   # the reaction lifts lane 0's field
+
+    def test_costate_reuses_the_transform_bit_for_bit(self, kernel, f,
+                                                       monkeypatch):
+        # J'*u from the transform that J*u left, against two fresh
+        # convolutions per co-state stage
+        state = _reference_states()["far_fields_and_w"]
+        reused = Stepper(kernel, f).step(state, DT)
+        module = importlib.import_module("frontlab.evolve")
+        monkeypatch.setattr(
+            module, "_convolve_samples",
+            lambda weighted, u, ul, ur, work=None, transformed=False:
+            _convolve_samples(weighted, u, ul, ur))
+        fresh = Stepper(kernel, f).step(state, DT)
+        assert np.array_equal(reused.u, fresh.u)
+        assert np.array_equal(reused.w, fresh.w)
 
     def test_single_lane_far_fields_are_floats(self, kernel, f):
         state = Stepper(kernel, f).step(_reference_states()["far_fields"],
@@ -414,7 +430,8 @@ class TestApproxFront:
     def test_seed_shift_by_translation(self, kernel, f, tw_min,
                                        monkeypatch):
         """Shifting the seed by the terminal crossing hits theta within
-        2.5e-7 in at most three trial runs plus the final run."""
+        2.5e-7 in at most four runs on [s, 0]: the u-only trial, then
+        co-state runs, the last of which is the front run."""
         module = importlib.import_module("frontlab.evolve")
         real_evolve = module.evolve
         calls = []
@@ -429,6 +446,58 @@ class TestApproxFront:
         end = at_time(run.trajectory, 0.0)
         assert abs(float(np.interp(0.0, end.x, end.u)) - f.theta) <= 2.5e-7
         assert len(calls) <= 4
+
+    @pytest.mark.parametrize("crossing, legs", [
+        ("cubic", [False, True, True]),
+        # sabotage: the linear crossing ripples with the seed's position in
+        # its cell, so the slope-1 step misses and a second leg is needed
+        ("linear", [False, True, True, True])])
+    def test_default_front_build(self, tw_min, monkeypatch, crossing, legs):
+        """One u-only trial of 150 steps, then the co-state run whose first
+        leg, [s, 0], hits theta and goes on to t_end."""
+        module = importlib.import_module("frontlab.evolve")
+        real_evolve, real_step = module.evolve, Stepper.step
+        costate, u_only_steps = [], []
+
+        def counting_evolve(state, *args, **kwargs):
+            costate.append(state.w is not None)
+            return real_evolve(state, *args, **kwargs)
+
+        def counting_step(self, state, dt):
+            if state.w is None:
+                u_only_steps.append(1)
+            return real_step(self, state, dt)
+
+        monkeypatch.setattr(module, "evolve", counting_evolve)
+        monkeypatch.setattr(Stepper, "step", counting_step)
+        if crossing == "linear":
+            monkeypatch.setattr(module, "_cubic_crossing", locate_level)
+        cfg = cli.load_config(None)
+        kern, f, grid = cli.build_problem(cfg)
+        tc = cfg["time"]
+        run = build_approx_front(kern, f, tw_min, grid, tc["s"], tc["dt"],
+                                 tc["t_end"], tc["cadence"])
+        assert costate == legs
+        assert len(u_only_steps) == 150
+        end = at_time(run.trajectory, 0.0)
+        assert abs(float(np.interp(0.0, end.x, end.u)) - f.theta) <= 2.5e-7
+        assert np.array_equal(run.times, np.arange(-30.0, 61.0))
+
+    def test_cubic_crossing_translates_with_the_seed(self, tw_min):
+        """X(0; y) - y over sub-grid seed shifts y at the defaults: the
+        cubic crossing holds it to 1e-6, where the linear one ripples by
+        about 7e-5."""
+        cfg = cli.load_config(None)
+        kern, f, grid = cli.build_problem(cfg)
+        fn = tw_min.profile_fn()
+        cubic, linear = [], []
+        for y in np.arange(8) * grid.h / 8:
+            seed = seed_from_profile(grid, fn, y, -30.0)
+            end = evolve(seed, kern, f, 0.0, 0.2).snapshots[-1]
+            cubic.append(_cubic_crossing(end, f.theta) - y)
+            linear.append(locate_level(end, f.theta) - y)
+        assert np.ptp(cubic) <= 1e-6
+        assert np.ptp(linear) >= 1e-5
 
     def test_seed_shift_in_tight_window(self, kernel, f, tw_min):
         """The window cuts the seed's tails, so a seed shift of dy moves

@@ -137,9 +137,9 @@ class TestTailFit:
         u = np.exp(-0.5 * grid.x)
         field = FieldState(t=0.0, x=grid.x, u=u, u_left=1.0, u_right=0.0)
         fit = fit_exponential_tail(field, "right")
-        # default band (1e-12, 1e-2): x in [ln(100)/0.5, ln(1e12)/0.5]
+        # default band (1e-10, 1e-2): x in [ln(100)/0.5, ln(1e10)/0.5]
         assert fit.window[0] >= np.log(1e2) / 0.5 - grid.h
-        assert fit.window[1] <= np.log(1e12) / 0.5 + grid.h
+        assert fit.window[1] <= np.log(1e10) / 0.5 + grid.h
 
     def test_rejects_sign_changes(self):
         grid = Grid(0.0, 40.0, 401)
@@ -165,7 +165,7 @@ class TestTailFit:
     def test_noisy_tail_low_r2_not_accepted(self):
         rng = np.random.default_rng(7)
         grid = Grid(0.0, 40.0, 401)
-        # every point inside the fitted band [1e-12, 1e-2]
+        # every point inside the fitted band [1e-10, 1e-2]
         u = 1e-6 * np.exp(rng.normal(0.0, 1.5, grid.n))
         field = FieldState(t=0.0, x=grid.x, u=u, u_left=1e-6, u_right=0.0)
         fit = fit_exponential_tail(field, "right")

@@ -255,6 +255,20 @@ class TestScipyParity:
         got = _convolve_samples(weighted, u, left, right)
         assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("lanes", [(), (2,)])
+    def test_reused_transform_bit_for_bit(self, kernel, rng, lanes):
+        # J'*u from the transform of u that J*u left in the work arrays
+        # equals J'*u convolved afresh
+        wj = kernel.weights * kernel.samples
+        wdj = kernel.weights * kernel.derivative_samples
+        u = rng.random(lanes + (1201,))
+        left, right = rng.random(lanes), rng.random(lanes)
+        work = kernels._fft_work(wj, u.shape)
+        _convolve_samples(wj, u, left, right, work=work)
+        reused = _convolve_samples(wdj, u, left, right, work=work,
+                                   transformed=True)
+        assert np.array_equal(reused, _convolve_samples(wdj, u, left, right))
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
     def test_gaussian_tails_match_ndtr(self, sigma, tol):
