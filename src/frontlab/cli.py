@@ -346,11 +346,13 @@ def exp_front(cfg, art: Artifacts) -> dict:
     art.plot("front_width.png", ts, {"width": widths}, "t", "width")
     sel = run.settled
     lo, hi = 0.98 * wave_lo.speed, 1.02 * wave_hi.speed
+    settled = np.sort(widths[sel])  # np.median imports numpy.ma
+    middle = settled[(settled.size - 1) // 2:settled.size // 2 + 1]
     summary = {"y_s": run.y_s, "speed_min": float(np.min(speeds[sel])),
                "speed_max": float(np.max(speeds[sel])),
                "envelope_lo": lo, "envelope_hi": hi,
-               "width_max": float(np.max(widths[sel])),
-               "width_median": float(np.median(widths[sel]))}
+               "width_max": float(settled[-1]),
+               "width_median": float(np.mean(middle))}
     if summary["speed_min"] < lo or summary["speed_max"] > hi:
         raise CheckFailure("interface speed left the envelope "
                            f"[{lo:.4f}, {hi:.4f}]")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldState, Grid
+from .fields import FieldState, Grid, profile_interp
 from .kernels import (Kernel, _check_compatible, _convolve_samples,
                       _fft_work)
 from .fronts import FrontError, locate_level
@@ -260,24 +260,6 @@ def seed_from_profile(grid: Grid, profile_fn, shift: float, t: float,
     return FieldState(t=t, x=grid.x, u=u, u_left=1.0, u_right=0.0, w=w)
 
 
-def _local_cubic(field: FieldState, x0: float) -> np.ndarray:
-    """Coefficients, in powers of x - x0, of the cubic through the 4 nodes
-    around x0."""
-    j = int(np.clip(np.searchsorted(field.x, x0) - 2, 0, field.x.size - 4))
-    return np.polyfit(field.x[j:j + 4] - x0, field.u[j:j + 4], 3)
-
-
-def _cubic_crossing(field: FieldState, lam: float) -> float:
-    """The lam crossing of the local cubic around locate_level's linear
-    crossing, refined by Newton from that root."""
-    x0 = locate_level(field, lam)
-    cubic = _local_cubic(field, x0) - [0.0, 0.0, 0.0, lam]
-    slope, dx = np.polyder(cubic), 0.0
-    for _ in range(4):  # the linear root is within O(h^2) of the cubic's
-        dx -= np.polyval(cubic, dx) / np.polyval(slope, dx)
-    return x0 + dx
-
-
 def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
                        s: float, dt: float, t_end: float = 0.0,
                        snapshot_every: float = 1.0) -> ApproxFrontRun:
@@ -288,13 +270,13 @@ def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
     moves the terminal theta-crossing X(0; y) by dy.  The seed shift y_s is
     the root of X(0; y): one step of slope 1 from y = 0, then secant steps
     (the slope leaves 1 once the window cuts the seed's tails), until
-    |u(0,0;s) - theta| <= SEED_HIT_TOL.  X and u(0,0;s) are read off
-    cubics through the 4 nodes around them, where a linear crossing's
-    X(0; y) - y would ripple with y's position in its cell.  Only the run
-    from y = 0 evolves u alone; every later run on [s, 0] is a first leg
-    of the front run, with the u_x co-state and the snapshots, and the
-    leg that hits goes on to t_end.  t = 0 must be a snapshot time: -s a
-    whole number of snapshot_every.
+    |u(0,0;s) - theta| <= SEED_HIT_TOL.  X and u(0,0;s) are read off the
+    profile's PCHIP interpolant, where a linear crossing's X(0; y) - y
+    would ripple with y's position in its cell.  Only the run from y = 0
+    evolves u alone; every later run on [s, 0] is a first leg of the front
+    run, with the u_x co-state and the snapshots, and the leg that hits
+    goes on to t_end.  t = 0 must be a snapshot time: -s a whole number of
+    snapshot_every.
     """
     if not s < 0.0 <= t_end:
         raise EvolveInputError("need seed time s < 0 <= t_end")
@@ -305,9 +287,9 @@ def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
     for _ in range(SEED_MAX_RUNS):
         leg = evolve(seed, kernel, f, 0.0, dt, snapshot_every=snapshot_every)
         end = leg.snapshots[-1]
-        if abs(_local_cubic(end, 0.0)[-1] - theta) > SEED_HIT_TOL:
+        if abs(profile_interp(end)(0.0) - theta) > SEED_HIT_TOL:
             try:
-                pos = _cubic_crossing(end, theta)
+                pos = locate_level(end, theta)
             except FrontError as err:
                 raise EvolveError(f"seed shift lost the front ({err}); seed "
                                   "time too negative for this window") from err

@@ -88,23 +88,27 @@ def _end_slope(h0, h1, m0, m1):
     return d
 
 
-def pchip_far_fields(x: np.ndarray, y: np.ndarray, left: float,
-                     right: float):
-    """Monotone (PCHIP, Fritsch & Carlson 1980) interpolant of samples y(x),
-    equal to the constant `left` below x[0] and `right` above x[-1].  The
-    slopes and the order of the sums are those of scipy's
-    PchipInterpolator, so the two agree bit for bit."""
-    h = np.diff(x)
-    m = np.diff(y) / h
+def pchip_cells(x: np.ndarray, y: np.ndarray):
+    """Monotone PCHIP (Fritsch & Carlson 1980) of samples y(x), bit for bit
+    scipy's PchipInterpolator: slopes d and coefficients c1, c0 with
+    y[i] + d[i] s + c1[i] s^2 + c0[i] s^3 on cell i, s = x - x[i].  An
+    interior slope reads only the two cells beside its node."""
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
     w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.empty(x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    d = np.concatenate([[_end_slope(h[0], h[1], m[0], m[1])],
-                        np.where(flat, 0.0, inner),
-                        [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d[1:-1][np.sign(m[:-1]) * np.sign(m[1:]) <= 0] = 0.0  # extremum, flat
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
     t = (d[:-1] + d[1:] - 2 * m) / h
-    c0, c1 = t / h, (m - d[:-1]) / h - t
+    return d, (m - d[:-1]) / h - t, t / h
+
+
+def pchip_far_fields(x: np.ndarray, y: np.ndarray, left: float, right: float):
+    """PCHIP of samples y(x), the constant `left` below x[0], `right` above."""
+    d, c1, c0 = pchip_cells(x, y)
 
     def fn(xq):
         xq = np.asarray(xq, dtype=float)
@@ -115,3 +119,8 @@ def pchip_far_fields(x: np.ndarray, y: np.ndarray, left: float,
         return np.where(xq < x[0], left, np.where(xq > x[-1], right, cubic))
 
     return fn
+
+
+def profile_interp(snap: FieldState):
+    """A snapshot's PCHIP interpolant with its far fields."""
+    return pchip_far_fields(snap.x, snap.u, snap.u_left, snap.u_right)

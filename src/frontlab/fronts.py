@@ -1,6 +1,6 @@
 """Interface tracking and front diagnostics.
 
-Level crossings are located by monotone piecewise-linear interpolation,
+Level crossings are roots of the monotone PCHIP profile interpolant,
 which keeps the crossing map order-preserving.  Tail rates come from
 least-squares lines on the log-magnitude of the far field.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldState
+from .fields import FieldState, pchip_cells
 from .kernels import Kernel
 
 
@@ -21,21 +21,36 @@ class FrontError(ValueError):
 
 
 def locate_level(field: FieldState, lam: float, strict: bool = True) -> float:
-    """Crossing position of a front profile by piecewise-linear interpolation.
+    """Crossing position of a front profile: the root of its PCHIP
+    interpolant, monotone there, in the first cell that brackets lam.
 
     With strict=True the field must be monotone nonincreasing and the
     crossing is unique; strict=False returns the first downward crossing
     (used for window steering of transiently perturbed profiles).
     """
-    u = field.u
+    u, x = field.u, field.x
     if not (field.u_left > lam > field.u_right) or u[0] <= lam or u[-1] >= lam:
         raise FrontError(f"level {lam} not bracketed by the field")
     if strict and not field.is_monotone(tol=1e-8):
         raise FrontError("field is not monotone nonincreasing")
-    # u decreasing: first index where u < lam
-    j = int(np.argmax(u < lam))
-    frac = (u[j - 1] - lam) / (u[j - 1] - u[j])
-    return float(field.x[j - 1] + frac * (field.x[j] - field.x[j - 1]))
+    j = int(np.argmax(u < lam))  # u[j-1] >= lam > u[j]
+    # nodes j-2..j+1 give cell j-1 the slopes of the whole field's build
+    lo = max(j - 2, 0)
+    d, c1, c0 = (float(c[j - 1 - lo])
+                 for c in pchip_cells(x[lo:j + 2], u[lo:j + 2]))
+    p0, h = float(u[j - 1] - lam), float(x[j] - x[j - 1])
+    # Newton from the chord's root, bisecting when a step leaves [a, b]
+    a, b, s = 0.0, h, h * p0 / (p0 - float(u[j] - lam))
+    for _ in range(100):
+        p = p0 + s * (d + s * (c1 + s * c0))
+        a, b = (s, b) if p > 0.0 else (a, s)
+        slope = d + s * (2.0 * c1 + 3.0 * c0 * s)
+        nxt = s - p / slope if slope < 0.0 else a
+        nxt = nxt if a < nxt < b else 0.5 * (a + b)
+        if p == 0.0 or nxt == s:
+            break
+        s = nxt
+    return float(x[j - 1] + s)
 
 
 def interface_width(field: FieldState, eps: float) -> float:

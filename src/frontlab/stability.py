@@ -15,7 +15,7 @@ from itertools import compress
 
 import numpy as np
 
-from .fields import FieldState, Grid, pchip_far_fields, smoothed_step
+from .fields import FieldState, Grid, profile_interp, smoothed_step
 from .kernels import Kernel, convolve, exponential_moment
 from .evolve import ApproxFrontRun, evolve
 from .fronts import fit_line, locate_level
@@ -225,15 +225,6 @@ class PerturbationEnvelope:
     def eval(self, t):
         return (float(self.zeta_minus(t)), float(self.zeta_plus(t)),
                 float(self.q(t)))
-
-
-# ---------------------------------------------------------------------------
-# shifted-front evaluation helpers
-
-
-def profile_interp(snap: FieldState):
-    """Monotone interpolant of a snapshot with far-field extension."""
-    return pchip_far_fields(snap.x, snap.u, snap.u_left, snap.u_right)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +439,10 @@ def run_stability_experiment(ref0: FieldState, kernel: Kernel, f,
 def best_shift(field: FieldState, ref: FieldState,
                bracket: tuple | None = None) -> tuple[float, float]:
     """Golden-section minimizer of sup|field - shifted reference|, to a
-    bracket of 1e-4."""
+    bracket of 1e-5."""
     ref_fn = profile_interp(ref)
     x, u = field.x, field.u
-    tol = 1e-4
+    tol = 1e-5
 
     def dist(z):
         return float(np.max(np.abs(u - ref_fn(x - z))))

@@ -17,13 +17,14 @@ import yaml
 from click.testing import CliRunner
 
 import frontlab
-from frontlab import cli, stability
+from frontlab import cli, evolve, fronts, stability
 from frontlab.cli import load_config, main
-from frontlab.evolve import Stepper
+from frontlab.evolve import TRANSIENT, Stepper
 from frontlab.fields import smoothed_step
 from frontlab.reactions import min_slice
 from frontlab.stability import StabilityReport, comparison_test
 from frontlab.waves import WaveError
+from trajectory_helpers import linear_crossing
 
 
 @pytest.fixture()
@@ -114,27 +115,46 @@ class TestFrontMemo:
 STEP_BUDGET = 1e-4
 
 
-def _front_margins(out_dir, dt):
-    """How far each gate of `front` at the default config, with the given
-    time.dt, stands from failing."""
+def _front_summary(out_dir, *edits):
+    """`front` summary at the default config with each (section, key,
+    value) of edits set."""
     cfg = load_config(None)
-    cfg["time"]["dt"] = dt
+    for section, key, value in edits:
+        cfg[section][key] = value
     assert cli._run_experiment("front", cfg, out_dir, quiet=True) == 0
-    s = json.loads((out_dir / "summary.json").read_text())
-    return {"speed_min": s["speed_min"] - s["envelope_lo"],
-            "speed_max": s["envelope_hi"] - s["speed_max"],
+    return json.loads((out_dir / "summary.json").read_text())
+
+
+def _margins(s, envelope=None):
+    """How far each gate of the `front` summary s stands from failing,
+    against the speed envelope (lo, hi), by default the summary's own."""
+    lo, hi = envelope or (s["envelope_lo"], s["envelope_hi"])
+    return {"speed_min": s["speed_min"] - lo,
+            "speed_max": hi - s["speed_max"],
             "width_max": 2.0 * s["width_median"] - s["width_max"]}
 
 
-def _unconverged_gates(tmp_path):
-    """The `front` gates whose margin moves by more than STEP_BUDGET of
-    itself when the default time.dt halves."""
-    dt = load_config(None)["time"]["dt"]
-    coarse = _front_margins(tmp_path / "dt", dt)
-    fine = _front_margins(tmp_path / "half_dt", 0.5 * dt)
+def _moved_gates(coarse, fine):
+    """The gates whose margin moves by more than STEP_BUDGET of itself
+    from the coarse margins to the fine ones."""
     return {gate: (margin, abs(margin - fine[gate]))
             for gate, margin in coarse.items()
             if abs(margin - fine[gate]) > STEP_BUDGET * margin}
+
+
+def _unconverged_gates(tmp_path):
+    """The `front` gates that move when the default time.dt halves."""
+    dt = load_config(None)["time"]["dt"]
+    return _moved_gates(
+        _margins(_front_summary(tmp_path / "dt", ("time", "dt", dt))),
+        _margins(_front_summary(tmp_path / "half_dt",
+                                ("time", "dt", 0.5 * dt))))
+
+
+def _private_front_memo(monkeypatch):
+    """A front memo of the test's own, so no sabotaged front outlives it."""
+    monkeypatch.setattr(cli, "_front_memo", functools.lru_cache(
+        maxsize=4)(cli._front_memo.__wrapped__))
 
 
 class TestDefaultStep:
@@ -155,10 +175,41 @@ class TestDefaultStep:
                 u_left=float(y[0]), u_right=float(y[-1]))
 
         monkeypatch.setattr(Stepper, "step", euler)
-        # a memo of its own, so no Euler front outlives the test
-        monkeypatch.setattr(cli, "_front_memo", functools.lru_cache(
-            maxsize=4)(cli._front_memo.__wrapped__))
+        _private_front_memo(monkeypatch)
         unconverged = _unconverged_gates(tmp_path)
+        assert {"speed_min", "speed_max"} <= unconverged.keys()
+
+
+def _grid_unconverged_gates(tmp_path):
+    """The `front` gates that move when the default grid spacing (kernel
+    spacing 0.05, 2001 nodes) halves on the same window; the h/2 front is
+    the one that TestSteepnessGrid reads through the memo.
+
+    Both runs are measured against the coarse run's speed envelope.  The
+    envelope is 0.98 c*(f_min) and 1.02 c*(f_max) from the wave solves,
+    whose own O(h^2) error moves c*(f_max) by 1.4e-5 of itself at this
+    halving (1.2e-4 of the speed_max margin): that is the waves' grid
+    convergence, not the front's.
+    """
+    coarse = _front_summary(tmp_path / "h", ("kernel", "spacing", 0.05),
+                            ("grid", "n", 2001))
+    fine = _front_summary(tmp_path / "half_h", ("kernel", "spacing", 0.025),
+                          ("grid", "n", 4001))
+    envelope = (coarse["envelope_lo"], coarse["envelope_hi"])
+    return _moved_gates(_margins(coarse), _margins(fine, envelope))
+
+
+class TestGridHalving:
+    def test_default_grid_is_converged(self, tmp_path):
+        assert _grid_unconverged_gates(tmp_path) == {}
+
+    def test_linear_crossing_is_not_converged(self, tmp_path, monkeypatch):
+        # the chord's root ripples by O(h) with the front's place in its
+        # cell, where the PCHIP root's error falls at least like h^2
+        for module in (evolve, fronts):
+            monkeypatch.setattr(module, "locate_level", linear_crossing)
+        _private_front_memo(monkeypatch)
+        unconverged = _grid_unconverged_gates(tmp_path)
         assert {"speed_min", "speed_max"} <= unconverged.keys()
 
 
@@ -777,8 +828,8 @@ def test_import_leaves_out_scipy_signal():
 
 
 #: runs frontlab with the given arguments (none: import only), then prints
-#: the scipy modules it loaded
-_SCIPY_PROBE = """
+#: the modules it loaded
+_MODULES_PROBE = """
 import json, sys
 from frontlab import cli
 if sys.argv[1:]:
@@ -786,8 +837,12 @@ if sys.argv[1:]:
         cli.main(sys.argv[1:])
     except SystemExit as exit_:
         assert exit_.code == 0, exit_.code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(json.dumps(sorted(sys.modules)))
 """
+
+
+def _loaded_modules(*args):
+    return set(json.loads(_fresh_python(_MODULES_PROBE, *args)))
 
 
 @pytest.mark.parametrize("experiment", [None, "comparison", "wave"])
@@ -800,7 +855,7 @@ def test_scipy_loads_only_for_the_wave_solve(tmp_path, experiment):
             if experiment == "comparison" else {})
         args = [experiment, "--config", cfg, "--out", str(tmp_path / "out"),
                 "--quiet"]
-    modules = set(json.loads(_fresh_python(_SCIPY_PROBE, *args)))
+    modules = {m for m in _loaded_modules(*args) if m.startswith("scipy")}
     if experiment == "wave":  # the banded Newton solve: LAPACK alone
         assert "scipy.linalg._flapack" in modules
         assert "scipy" not in modules  # nor scipy's package __init__
@@ -808,6 +863,18 @@ def test_scipy_loads_only_for_the_wave_solve(tmp_path, experiment):
                               "scipy.special", "scipy.fft"}
     else:
         assert modules == set()
+
+
+def test_front_leaves_out_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 11 ms of each
+    # `front` launch; the width median is taken without it, to the bit
+    out = tmp_path / "out"
+    modules = _loaded_modules("front", "--out", str(out), "--quiet")
+    assert "frontlab.evolve" in modules and "numpy.ma" not in modules
+    track = np.loadtxt(out / "front_track.csv", delimiter=",", skiprows=1)
+    summary = json.loads((out / "summary.json").read_text())
+    settled = track[:, 0] >= load_config(None)["time"]["s"] + TRANSIENT
+    assert summary["width_median"] == np.median(track[settled, 3])
 
 
 #: solves one banded system with waves.spsolve and imports scipy.linalg in

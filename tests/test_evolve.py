@@ -5,13 +5,13 @@ import pytest
 
 from frontlab import cli
 from frontlab.evolve import (EvolveError, EvolveInputError, Stepper,
-                             _apply_window_policy, _cubic_crossing,
-                             build_approx_front, evolve, seed_from_profile)
+                             _apply_window_policy, build_approx_front,
+                             evolve, seed_from_profile)
 from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import KernelError, _convolve_samples
 from frontlab.reactions import AutonomousSlice, make_ignition
-from trajectory_helpers import at_time
+from trajectory_helpers import at_time, linear_crossing
 
 DT = 0.05
 
@@ -471,7 +471,7 @@ class TestApproxFront:
         monkeypatch.setattr(module, "evolve", counting_evolve)
         monkeypatch.setattr(Stepper, "step", counting_step)
         if crossing == "linear":
-            monkeypatch.setattr(module, "_cubic_crossing", locate_level)
+            monkeypatch.setattr(module, "locate_level", linear_crossing)
         cfg = cli.load_config(None)
         kern, f, grid = cli.build_problem(cfg)
         tc = cfg["time"]
@@ -485,7 +485,7 @@ class TestApproxFront:
 
     def test_cubic_crossing_translates_with_the_seed(self, tw_min):
         """X(0; y) - y over sub-grid seed shifts y at the defaults: the
-        cubic crossing holds it to 1e-6, where the linear one ripples by
+        PCHIP crossing holds it to 1e-6, where the linear one ripples by
         about 7e-5."""
         cfg = cli.load_config(None)
         kern, f, grid = cli.build_problem(cfg)
@@ -494,8 +494,8 @@ class TestApproxFront:
         for y in np.arange(8) * grid.h / 8:
             seed = seed_from_profile(grid, fn, y, -30.0)
             end = evolve(seed, kern, f, 0.0, 0.2).snapshots[-1]
-            cubic.append(_cubic_crossing(end, f.theta) - y)
-            linear.append(locate_level(end, f.theta) - y)
+            cubic.append(locate_level(end, f.theta) - y)
+            linear.append(linear_crossing(end, f.theta) - y)
         assert np.ptp(cubic) <= 1e-6
         assert np.ptp(linear) >= 1e-5
 

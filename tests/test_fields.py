@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from frontlab.fields import pchip_far_fields
+from frontlab.fields import pchip_cells, pchip_far_fields
 
 
 def reference(x, y, left, right, xq):
@@ -37,6 +37,21 @@ class TestPchipMatchesScipy:
         xq = np.concatenate([rng.uniform(x[0] - 3.0, x[-1] + 3.0, 2000), x])
         got = pchip_far_fields(x, y, -2.0, 7.0)(xq)
         assert np.array_equal(got, reference(x, y, -2.0, 7.0, xq))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_slices_give_the_full_cells(self, seed):
+        # locate_level builds cell j-1 from nodes j-2..j+1 alone: its two
+        # slopes are interior there, or end slopes of the whole field
+        rng = np.random.default_rng(seed)
+        y = np.cumsum(rng.integers(-1, 2, 12)).astype(float)
+        x = np.cumsum(rng.uniform(0.2, 2.0, 12))
+        full = pchip_cells(x, y)
+        for j in range(1, x.size):
+            lo = max(j - 2, 0)
+            cut = pchip_cells(x[lo:j + 2], y[lo:j + 2])
+            i = j - 1 - lo
+            assert list(cut[0][i:i + 2]) == list(full[0][j - 1:j + 1])
+            assert (cut[1][i], cut[2][i]) == (full[1][j - 1], full[2][j - 1])
 
     def test_far_fields_outside_the_window(self, tw_min):
         fn = pchip_far_fields(tw_min.x, tw_min.phi, 1.0, 0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontlab.fields import FieldState, Grid
+from frontlab.fields import FieldState, Grid, pchip_far_fields
 from frontlab.fronts import (FrontError, check_steepness_bound,
                              fit_exponential_tail, interface_width,
                              lipschitz_estimate, locate_level, on_interval,
@@ -40,7 +40,7 @@ def _tanh_front(grid, center=0.0, width=2.0):
 
 class TestLocateLevel:
     def test_exact_for_linear_ramp(self):
-        # piecewise-linear interpolation is exact on a linear profile
+        # PCHIP reproduces a linear profile, so its crossing is exact
         grid = Grid(-10.0, 10.0, 101)
         u = np.clip(0.5 - grid.x / 20.0, 0.0, 1.0)
         field = FieldState(t=0.0, x=grid.x, u=u)
@@ -55,6 +55,15 @@ class TestLocateLevel:
         for lam in (0.2, 0.3, 0.5, 0.8):
             exact = 1.5 + 2.0 * np.arctanh(1.0 - 2.0 * lam)
             assert locate_level(field, lam) == pytest.approx(exact, abs=1e-5)
+
+    def test_crossing_is_a_root_of_the_profile_interpolant(self, front_run,
+                                                           f):
+        # the one PCHIP interpolant that shifts profiles also locates
+        # every level, so each crossing maps back onto its level
+        for snap in front_run.snapshots:
+            fn = pchip_far_fields(snap.x, snap.u, 1.0, 0.0)
+            for lam in (0.05, f.theta, 0.5, 0.95):
+                assert abs(fn(locate_level(snap, lam)) - lam) <= 1e-14
 
     def test_unbracketed_raises(self):
         grid = Grid(-10.0, 10.0, 101)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from frontlab import stability
 from frontlab.evolve import evolve
-from frontlab.fields import FieldState, Grid, smoothed_step
+from frontlab.fields import FieldState, Grid, profile_interp, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import exponential_moment
 from frontlab.stability import (GammaFunction, InadmissibleAlpha,
@@ -16,8 +16,8 @@ from frontlab.stability import (GammaFunction, InadmissibleAlpha,
                                 assemble_parameters, best_shift,
                                 comparison_test, find_m2, fit_log_decay,
                                 gamma_convolution, make_perturbed_initial,
-                                profile_interp, run_stability_experiment,
-                                sandwich_margins, subsupersolution_residual)
+                                run_stability_experiment, sandwich_margins,
+                                subsupersolution_residual)
 from trajectory_helpers import at_time
 
 DT = 0.05
