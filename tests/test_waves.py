@@ -182,13 +182,15 @@ class TestTwoLevelSolve:
 
     def test_each_polish_factors_once(self, kernel, f, wave_grid,
                                       monkeypatch):
-        # every level above the coarsest polishes the interpolated wave in
-        # one Newton step and one chord step on the same factors
+        # the levels below the grid polish the interpolated wave in one
+        # Newton step and one chord step on the same factors; the grid
+        # factors no band of J's width, only the smoother's, and each
+        # two-grid cycle solves once on it and once on the 2h factors
         factors, solves = [], []
         spsolve, backsolve = waves.spsolve, waves._backsolve
 
         def counted_spsolve(ab, rhs, piv=None):
-            factors.append(ab.shape[1])
+            factors.append(ab.shape)
             return spsolve(ab, rhs, piv)
 
         def counted_backsolve(ab, piv, rhs):
@@ -198,22 +200,55 @@ class TestTwoLevelSolve:
         monkeypatch.setattr(waves, "spsolve", counted_spsolve)
         monkeypatch.setattr(waves, "_backsolve", counted_backsolve)
         tw = solve_traveling_wave(kernel, min_slice(f), wave_grid)
-        assert tw.iterations == 2
-        for n in (2401, 1201, 601):
-            assert (factors.count(n), solves.count(n)) == (1, 2), n
-        assert set(factors) == {2401, 1201, 601, 301}
+        cycles = 4
+        assert tw.iterations == cycles
+        assert (3 * kernel.half_points + 1, 2401) not in factors
+        assert [shape for shape in factors if shape[1] == 2401] == [
+            (3 * waves.SMOOTH_HALF + 1, 2401)]
+        for n in (1201, 601):
+            assert [shape[1] for shape in factors].count(n) == 1, n
+        assert {shape[1] for shape in factors} == {2401, 1201, 601, 301}
+        assert (solves.count(2401), solves.count(1201),
+                solves.count(601)) == (cycles, 2 + cycles, 2)
         # two steps on each of 1201 and 601 nodes, and the coarsest level's,
         # one back-solve each
         assert tw.coarse_iterations == 4 + solves.count(301)
 
+    def test_smoother_alone_does_not_converge(self, kernel, f, wave_grid,
+                                              monkeypatch):
+        # with the coarse correction zeroed, the banded smoother does not
+        # reach the tolerance within NEWTON_CAP cycles
+        monkeypatch.setattr(
+            waves, "_coarse_correction",
+            lambda kernel, f_hom, x, *_: (np.zeros(x.size), 0.0))
+        with pytest.raises(WaveError, match="within the cap"):
+            solve_traveling_wave(kernel, min_slice(f), wave_grid)
+
     def test_fine_polish_takes_two_steps(self, kernel, f, wave_grid,
                                          tw_min):
         # started at the converged wave, the polish still takes two steps
-        phi, c, res, steps = waves._newton_polish(
+        phi, c, res, steps, _ = waves._newton_polish(
             kernel, min_slice(f), wave_grid, tw_min.phi, tw_min.speed,
             min_steps=2)
         assert steps == 2 and res <= 0.05 * waves.TOL
         assert abs(c - tw_min.speed) <= 1e-12
+
+    @pytest.mark.parametrize("family, params", [
+        ("gaussian", {"sigma": 1.0}), ("gaussian", {"sigma": 0.05}),
+        ("gaussian", {"sigma": 3.0}), ("bump", {"a": 0.15})],
+        ids=["gaussian_1", "gaussian_0.05", "gaussian_3", "bump_0.15"])
+    def test_cycles_solve_the_grids_own_problem(self, f, family, params):
+        # a full Newton step on the grid's own Jacobian barely moves the
+        # two-grid wave: it solves the grid's discrete problem, not 2h's
+        kern = build_kernel(family, spacing=0.05, tail_tolerance=1e-6,
+                            **params)
+        grid = Grid(-50.0, 50.0, 2001)
+        tw = solve_traveling_wave(kern, min_slice(f), grid)
+        phi, c, _, steps, _ = waves._newton_polish(
+            kern, min_slice(f), grid, tw.phi, tw.speed, min_steps=1)
+        assert steps == 1
+        assert abs(c - tw.speed) <= 1e-11
+        assert np.max(np.abs(phi - tw.phi)) <= 1e-9
 
 
 class TestSpsolve:
