@@ -353,27 +353,40 @@ def exp_front(cfg, art: Artifacts) -> dict:
                "envelope_lo": lo, "envelope_hi": hi,
                "width_max": float(settled[-1]),
                "width_median": float(np.mean(middle))}
-    if summary["speed_min"] < lo or summary["speed_max"] > hi:
-        raise CheckFailure("interface speed left the envelope "
-                           f"[{lo:.4f}, {hi:.4f}]")
+    envelope = f"the envelope [{lo:.4f}, {hi:.4f}]"
+    if summary["speed_min"] < lo:
+        raise CheckFailure(f"interface speed fell below {envelope}")
+    if summary["speed_max"] > hi:
+        raise CheckFailure(f"interface speed rose above {envelope}")
     if summary["width_max"] > 2.0 * summary["width_median"]:
         raise CheckFailure("interface width is not uniformly bounded")
     return summary
 
 
+#: steepness reads the snapshots from time.s + STEEP_FROM on
+STEEP_FROM = 5.0
+
+
 def exp_steepness(cfg, art: Artifacts) -> dict:
     kern, f, _ = build_problem(cfg)
+    tc = cfg["time"]
+    s, t_end, cadence = _num(tc, "s"), _num(tc, "t_end"), _num(tc, "cadence")
+    # the bound pairs each read snapshot with the next: besides the one at
+    # time.t_end, one on the cadence must be read
+    if s + cadence * np.ceil(STEEP_FROM / cadence) >= t_end:
+        raise ValueError(f"steepness needs two snapshots at t >= time.s + "
+                         f"{STEEP_FROM:g}; time.cadence={cadence:g} and "
+                         f"time.t_end={t_end:g} give one")
     _, run = _front_run(cfg)
-    s = _num(cfg["time"], "s")
     snaps, ts, xs = run.snapshots, run.times, run.track
-    late = [j for j, t in enumerate(ts) if t >= s + 5.0]
+    late = [j for j, t in enumerate(ts) if t >= s + STEEP_FROM]
     ss = np.array([steepness(snaps[j], xs[j], 5.0) for j in late])
     art.write_csv("steepness.csv", ["t", "sup_w"], [ts[late], ss])
     art.plot("steepness.png", ts[late], {"sup_w": ss}, "t",
              "sup w near front")
     alpha_m = -float(np.max(ss))
     const, _ = steepness_bound_constant(kern, f.lipschitz_bound(),
-                                        dt=_num(cfg["time"], "cadence"))
+                                        dt=cadence)
     margins = []
     for j in late[:-1]:  # the last snapshot has no successor
         for delta in (-2.0, 0.0, 2.0):
@@ -381,7 +394,7 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
             lhs, rhs = check_steepness_bound(snaps[j], snaps[j + 1], const,
                                              x)
             margins.append(rhs - lhs)
-    worst = float(np.min(margins)) if margins else float("nan")
+    worst = float(np.min(margins))
     summary = {"alpha_m": alpha_m, "bound_constant": const,
                "bound_margin_min": worst}
     if alpha_m <= 0:

@@ -1,10 +1,10 @@
 """Time integration of u_t = J*u - u + f(t,u) on a truncated moving window.
 
-The stepper is classical RK4 on the semi-discrete system, one path over the
-packed y = [u_left | u | u_right] and the u_x co-state w (w_t = J'*u - w +
-f_u(t,u) w), its stages run in work buffers kept per lane shape.  The
-window relocates by whole grid steps when the tracked interface leaves its
-middle band, with far-field fill.
+The stepper is classical RK4 on the semi-discrete system, one path over one
+packed array: the row [u_left | u | u_right] and, with the u_x co-state w
+(w_t = J'*u - w + f_u(t,u) w), the row [0 | w | 0]; its stages run in work
+buffers kept per packed shape.  The window relocates by whole grid steps
+when the tracked interface leaves its middle band, with far-field fill.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .waves import TravelingWave
 
 class EvolveError(RuntimeError):
     pass
-
-
-class EvolveInputError(EvolveError, ValueError):
-    """An argument outside the integrator's domain."""
 
 
 #: |u(0,0;s) - theta| accepted for the seed shift of an approximating front
@@ -78,17 +74,17 @@ def _shift_window(state: FieldState, m: int) -> FieldState:
 class Stepper:
     """RK4 stepper bound to one kernel and one nonlinearity.
 
-    Each step packs u and its far fields once, into y = [u_left | u |
-    u_right], and runs its four stages on y; the optional co-state w rides
-    beside it.  The nonlocal term vanishes on constants, so the far fields
-    follow the reaction ODE v' = f(t, v), in the reaction call on all of y:
-    a left state above the ignition threshold lifts toward 1 with the
-    interior, and f = 0 holds 1 and 0 fixed.
+    Each step packs the state once into one array y of rows: row 0 is
+    [u_left | u | u_right], and a co-state w adds row 1, [0 | w | 0].  The
+    four stages and the RK4 sums run once on all of y.  The nonlocal term
+    vanishes on constants, so the far fields follow the reaction ODE v' =
+    f(t, v), in the reaction call on all of row 0: a left state above the
+    ignition threshold lifts toward 1 with the interior, and f = 0 holds 1
+    and 0 fixed.
 
-    The stages of u and of w write into work buffers, one set per lane
-    shape, and the co-state's J'*u reuses the transform of u that J*u
-    made; the RK4 sums build up in the returned arrays, so no state
-    aliases a buffer.
+    The stages write into work buffers, one set per packed shape, and the
+    co-state's J'*u reuses the transform of u that J*u made; the RK4 sums
+    build up in the returned array, so no state aliases a buffer.
     """
 
     def __init__(self, kernel: Kernel, f):
@@ -100,71 +96,66 @@ class Stepper:
         self._work = {}
 
     def _buffers(self, shape):
-        """(y, stage state, k, temporary, FFT arrays) for this y shape."""
+        """(y, stage state, k, temporary, FFT arrays) for this packed shape;
+        the ends of row 1 stay 0 in y and k, so in every stage and sum."""
         if shape not in self._work:
-            self._work[shape] = (*np.empty((4,) + shape), _fft_work(
-                self._wj, shape[:-1] + (shape[-1] - 2,)))
+            self._work[shape] = (*np.zeros((4,) + shape), _fft_work(
+                self._wj, shape[:-2] + (shape[-1] - 2,)))
         return self._work[shape]
 
-    def _costate_buffers(self, shape):
-        """(dw/dt, stage co-state, temporary, f_u work) for this w shape."""
-        key = ("w", shape)
-        if key not in self._work:
-            self._work[key] = tuple(np.empty((4,) + shape))
-        return self._work[key]
+    def _pack(self, state: FieldState) -> np.ndarray:
+        """The state's rows, written into the work buffer y."""
+        u, w = state.u, state.w
+        rows = 1 if w is None else 2
+        y = self._buffers(u.shape[:-1] + (rows, u.shape[-1] + 2))[0]
+        y[..., 0, 0], y[..., 0, 1:-1], y[..., 0, -1] = (state.u_left, u,
+                                                        state.u_right)
+        if w is not None:
+            y[..., 1, 1:-1] = w
+        return y
 
-    def _rhs(self, t, y, w):
-        """(dy/dt in work buffer k, dw/dt in a work buffer or None) at
-        packed y, co-state w."""
+    def _rhs(self, t, y):
+        """dy/dt at packed y, in work buffer k."""
         _, _, k, conv, fft = self._buffers(y.shape)
-        u, ul, ur = y[..., 1:-1], y[..., 0], y[..., -1]
-        k = self.f.eval(t, y, out=k, work=conv)
-        # J*u - u packed like y, its ends -0.0 (k + -0.0 is k, bit for
-        # bit): one whole-array sum outruns one over each lane's interior
-        conv[..., 1:-1] = _convolve_samples(self._wj, u, ul, ur, work=fft)
-        conv -= y
-        conv[..., 0] = conv[..., -1] = -0.0
-        k += conv
-        if w is None:
-            return k, None
-        # J'*u - w + f_u w, J'*u from the transform of u that J*u left
-        kw, _, fw, fu_work = self._costate_buffers(w.shape)
-        np.subtract(_convolve_samples(self._wdj, u, ul, ur, work=fft,
-                                      transformed=True), w, out=kw)
-        kw += np.multiply(self.f.eval_du(t, u, out=fw, work=fu_work), w,
-                          out=fw)
-        return k, kw
+        y0, k0, c0 = y[..., 0, :], k[..., 0, :], conv[..., 0, :]
+        u, ul, ur = y0[..., 1:-1], y0[..., 0], y0[..., -1]
+        self.f.eval(t, y0, out=k0, work=c0)
+        # J*u - u packed like row 0, its ends -0.0 (k + -0.0 is k, bit for
+        # bit): one whole-row sum outruns one over each lane's interior
+        c0[..., 1:-1] = _convolve_samples(self._wj, u, ul, ur, work=fft)
+        c0 -= y0
+        c0[..., 0] = c0[..., -1] = -0.0
+        k0 += c0
+        if y.shape[-2] > 1:
+            # f_u w + (J'*u - w), bit for bit the sum in the other order;
+            # J'*u from the transform of u that J*u left
+            w, kw, cw = y[..., 1, 1:-1], k[..., 1, 1:-1], conv[..., 1, 1:-1]
+            np.multiply(self.f.eval_du(t, u, out=kw, work=cw), w, out=kw)
+            kw += np.subtract(_convolve_samples(
+                self._wdj, u, ul, ur, work=fft, transformed=True), w, out=cw)
+        return k
 
     def step(self, state: FieldState, dt: float) -> FieldState:
         if dt > self.dt_max * (1.0 + 1e-12):
-            raise EvolveInputError(f"dt={dt} exceeds dt_max={self.dt_max}")
+            raise ValueError(f"dt={dt} exceeds dt_max={self.dt_max}")
         _check_compatible(self.kernel, state)
-        t, u, w = state.t, state.u, state.w
-        y, ys, _, tmp, _ = self._buffers(u.shape[:-1] + (u.shape[-1] + 2,))
-        y[..., 0], y[..., 1:-1], y[..., -1] = state.u_left, u, state.u_right
-        k, kw = self._rhs(t, y, w)
-        # k1 + 2*k2 + 2*k3 + k4, left to right, for y and for w
-        acc, acc_w = k.copy(), None if w is None else kw.copy()
+        t, y = state.t, self._pack(state)
+        _, ys, _, tmp, _ = self._buffers(y.shape)
+        k = self._rhs(t, y)
+        acc = k.copy()  # k1 + 2*k2 + 2*k3 + k4, left to right
         for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
             np.add(np.multiply(k, c, out=ys), y, out=ys)
-            ws = None
-            if w is not None:
-                _, ws, tmp_w, _ = self._costate_buffers(w.shape)
-                np.add(np.multiply(kw, c, out=ws), w, out=ws)
-            k, kw = self._rhs(t + c, ys, ws)
+            k = self._rhs(t + c, ys)
             acc += np.multiply(k, weight, out=tmp)
-            if w is not None:
-                acc_w += np.multiply(kw, weight, out=tmp_w)
         y = np.add(y, np.multiply(acc, dt / 6.0, out=acc), out=acc)
-        if w is not None:
-            w = np.add(w, np.multiply(acc_w, dt / 6.0, out=acc_w), out=acc_w)
-        u, ul, ur = y[..., 1:-1], y[..., 0], y[..., -1]
+        u, ul, ur = y[..., 0, 1:-1], y[..., 0, 0], y[..., 0, -1]
         # the one range check, the range the cap assumes; a NaN fails it
         if not (u.min() >= STATE_LO and u.max() <= STATE_HI):
             raise EvolveError(f"state left [{STATE_LO:g}, {STATE_HI:g}] "
                               f"at t={t + dt}")
-        if y.ndim == 1:  # a single lane's far fields come back as floats
+        if y.ndim == 2:  # a single lane's far fields come back as floats
             ul, ur = float(ul), float(ur)
+        w = y[..., 1, 1:-1] if y.shape[-2] > 1 else None
         return state.with_(t=t + dt, u=u, w=w, u_left=ul, u_right=ur)
 
 
@@ -176,8 +167,7 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
     With track_front=True the window follows lane 0's theta crossing.
     """
     if not t_end > state.t:
-        raise EvolveInputError(f"t_end={t_end} does not lie after "
-                               f"t={state.t}")
+        raise ValueError(f"t_end={t_end} does not lie after t={state.t}")
     stepper = Stepper(kernel, f)
     n_steps = max(1, int(round((t_end - state.t) / dt)))
     dt_eff = (t_end - state.t) / n_steps
@@ -186,8 +176,8 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
         ratio = snapshot_every / dt_eff
         snap_stride = int(round(ratio))
         if snap_stride < 1 or abs(ratio - snap_stride) > 1e-9 * snap_stride:
-            raise EvolveInputError(f"snapshot_every={snapshot_every} is not "
-                                   f"a whole number of steps of {dt_eff:g}")
+            raise ValueError(f"snapshot_every={snapshot_every} is not a "
+                             f"whole number of steps of {dt_eff:g}")
     check_stride = max(1, int(round(1.0 / dt_eff)))
 
     snapshots = [state]
@@ -279,7 +269,7 @@ def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
     snapshot_every.
     """
     if not s < 0.0 <= t_end:
-        raise EvolveInputError("need seed time s < 0 <= t_end")
+        raise ValueError("need seed time s < 0 <= t_end")
     theta, profile_fn = f.theta, wave.profile_fn()
     derivative_fn = wave.derivative_fn()
     y_s, prev, slope = 0.0, None, 1.0

@@ -139,14 +139,6 @@ def steepness(field: FieldState, center: float, half_width: float) -> float:
     return float(np.max(on_interval(field.x, field.w, lo, hi)[1]))
 
 
-def lipschitz_estimate(values: np.ndarray, h: float) -> float:
-    """Max |difference quotient| over consecutive uniform-grid samples."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise FrontError("need at least 2 samples")
-    return float(np.max(np.abs(np.diff(values))) / h)
-
-
 #: cap on the kernel self-convolution order N
 ITERATION_CAP = 32
 

@@ -124,15 +124,12 @@ class IgnitionNonlinearity:
 
 def make_ignition(theta: float = 0.3, theta_tilde: float = 0.9,
                   a_mean: float = 1.5, a_amp: float = 0.5,
-                  omega_t: float = 1.0,
-                  declared_a_lo: float | None = None,
-                  declared_a_hi: float | None = None) -> IgnitionNonlinearity:
-    """Cubic-contact ignition family with sinusoidal modulation."""
-    a_lo = a_mean - a_amp if declared_a_lo is None else declared_a_lo
-    a_hi = a_mean + a_amp if declared_a_hi is None else declared_a_hi
+                  omega_t: float = 1.0) -> IgnitionNonlinearity:
+    """Cubic-contact ignition family with sinusoidal modulation, its bounds
+    a_lo, a_hi the exact extremes a_mean -/+ a_amp."""
     return IgnitionNonlinearity(
-        theta=theta, theta_tilde=theta_tilde, a_lo=a_lo, a_hi=a_hi,
-        a_mean=a_mean, a_amp=a_amp, omega_t=omega_t)
+        theta=theta, theta_tilde=theta_tilde, a_lo=a_mean - a_amp,
+        a_hi=a_mean + a_amp, a_mean=a_mean, a_amp=a_amp, omega_t=omega_t)
 
 
 def make_default_ignition() -> IgnitionNonlinearity:

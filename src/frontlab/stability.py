@@ -1,5 +1,5 @@
-"""Stability machinery: Gamma envelopes, sub/super-solution residuals,
-perturbation sandwiches, and asymptotic-rate experiments.
+"""Stability machinery: Gamma envelopes, perturbation sandwiches, and
+asymptotic-rate experiments.
 
 The envelope function Gamma decays like e^{-alpha(x-M1)} far to the right
 and equals 1 far to the left; the stability parameters (A, eps0, omega)
@@ -16,7 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .fields import FieldState, Grid, profile_interp, smoothed_step
-from .kernels import Kernel, convolve, exponential_moment
+from .kernels import Kernel, exponential_moment
 from .evolve import ApproxFrontRun, evolve
 from .fronts import fit_line, locate_level
 
@@ -25,11 +25,7 @@ class StabilityError(RuntimeError):
     pass
 
 
-class StabilityInputError(StabilityError, ValueError):
-    """An argument outside the domain of a stability computation."""
-
-
-class InadmissibleAlpha(StabilityInputError):
+class InadmissibleAlpha(ValueError):
     pass
 
 
@@ -228,65 +224,6 @@ class PerturbationEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# sub/super-solution residual checker
-
-
-@dataclass
-class ResidualSeries:
-    sup_residual: float  # max over (t,x) of the signed residual
-    inf_residual: float
-
-
-def subsupersolution_residual(snaps: list, x_track, params: StabilityParameters,
-                              env: PerturbationEnvelope, sign: int,
-                              kernel: Kernel, f) -> ResidualSeries:
-    """Operator residual of v = u(t, x-zeta(t)) -/+ q(t) Gamma(...) built
-    from stored snapshots; v_t by centered time differences.
-
-    sign=-1 builds the sub-solution candidate, sign=+1 the super-solution.
-    """
-    if env.eps > params.eps0 + 1e-15:
-        raise StabilityInputError("eps exceeds eps0")
-    if sign not in (-1, +1):
-        raise StabilityInputError("sign must be -1 or +1")
-    times = np.array([s.t for s in snaps])
-    if times.size < 3:
-        raise StabilityInputError("need at least 3 snapshots")
-    cadence = float(np.max(np.diff(times)))
-    if params.omega > 0 and cadence > 0.1 / params.omega + 1e-9:
-        raise StabilityInputError("snapshot cadence too sparse for the "
-                                  "time difference")
-    gamma = params.gamma
-
-    def zeta(t):
-        return env.zeta_minus(t) if sign < 0 else env.zeta_plus(t)
-
-    interps = [profile_interp(s) for s in snaps]
-
-    def build_v(j, x):
-        t = times[j]
-        z = zeta(t)
-        u_sh = interps[j](x - z)
-        g = gamma(x - z - x_track(t))
-        return u_sh + sign * env.q(t) * g
-
-    sup_res, inf_res = -np.inf, np.inf
-    for j in range(1, len(snaps) - 1):
-        x = snaps[j].x
-        v_t = ((build_v(j + 1, x) - build_v(j - 1, x))
-               / (times[j + 1] - times[j - 1]))
-        v_here = build_v(j, x)
-        q_here = env.q(times[j])
-        fld = FieldState(t=times[j], x=x, u=v_here,
-                         u_left=1.0 + sign * q_here, u_right=0.0)
-        rhs = convolve(kernel, fld) - v_here + f.eval(times[j], v_here)
-        res = v_t - rhs
-        sup_res = max(sup_res, float(np.max(res)))
-        inf_res = min(inf_res, float(np.min(res)))
-    return ResidualSeries(sup_residual=sup_res, inf_residual=inf_res)
-
-
-# ---------------------------------------------------------------------------
 # experiments: initial data and paired evolution
 
 #: left plateau of the "liminf_above_theta" initial data
@@ -315,7 +252,7 @@ def asymptotic_initial(ref0: FieldState, theta: float,
     the plateau and its far field toward 1.
     """
     if shape not in INITIAL_SHAPES:
-        raise StabilityInputError(f"unknown initial shape {shape!r}")
+        raise ValueError(f"unknown initial shape {shape!r}")
     base = smoothed_step(Grid(ref0.x[0], ref0.x[-1], ref0.x.size),
                          center=locate_level(ref0, theta), width=2.0)
     if shape == "liminf_above_theta":
@@ -530,7 +467,7 @@ def comparison_test(u0: FieldState, v0: FieldState, kernel: Kernel, f,
     one lane, an array for B lanes (u of shape (B, n), far fields (B,))."""
     if (np.any(u0.u > v0.u) or np.any(u0.u_left > v0.u_left)
             or np.any(u0.u_right > v0.u_right)):
-        raise StabilityInputError("initial data not ordered")
+        raise ValueError("initial data not ordered")
     traj = evolve(_pair(u0, v0), kernel, f, t_end, dt,
                   snapshot_every=COMPARISON_CADENCE)
     b = len(traj.snapshots[0].u) // 2

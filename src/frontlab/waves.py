@@ -35,10 +35,6 @@ class WaveError(RuntimeError):
     pass
 
 
-class WaveInputError(WaveError, ValueError):
-    """An argument outside the wave solver's domain."""
-
-
 #: Newton start speed per unit of the stencil's rms width, iteration cap
 #: and residual tolerance
 START_SPEED = 0.1
@@ -88,7 +84,7 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
     """Nested Newton from the coarsest level up to 2h, then two-grid cycles
     on the grid itself."""
     if grid.x_max - grid.x_min < 80.0 - 1e-9:
-        raise WaveInputError("wave window must span at least 80 length units")
+        raise ValueError("wave window must span at least 80 length units")
     # the stencil's rms width; a one-node stencil has none, so its spacing
     s = float(np.sqrt(np.sum(kernel.weights * kernel.samples
                              * kernel.offsets ** 2))) or kernel.spacing

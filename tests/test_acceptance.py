@@ -20,13 +20,13 @@ import pytest
 from frontlab import cli
 from frontlab.evolve import evolve
 from frontlab.fields import FieldState, Grid, smoothed_step
-from frontlab.fronts import lipschitz_estimate, locate_level
+from frontlab.fronts import locate_level
 from frontlab.kernels import build_kernel, convolve, exponential_moment
 from frontlab.reactions import make_ignition, max_slice, min_slice, \
     validate_hypotheses
-from frontlab.stability import (PerturbationEnvelope, gamma_convolution,
-                                subsupersolution_residual)
+from frontlab.stability import PerturbationEnvelope, gamma_convolution
 from kernel_helpers import with_samples
+from theorem_helpers import lipschitz_estimate, subsupersolution_residual
 
 DT = 0.05
 
@@ -80,8 +80,8 @@ def test_01_hypothesis_gate(capsys, kernel, f):
     low = validate_hypotheses(kernel, make_ignition(theta_tilde=0.7))
     ok &= not low.verdicts["H4_decay_slope"] and low.verdicts["H1_symmetry"]
 
-    env = validate_hypotheses(kernel, make_ignition(declared_a_lo=1.2,
-                                                    declared_a_hi=1.8))
+    env = validate_hypotheses(kernel, dataclasses.replace(f, a_lo=1.2,
+                                                          a_hi=1.8))
     ok &= not env.verdicts["H2_envelope"] and env.verdicts["H1_symmetry"]
 
     _report(capsys, 1, "hypothesis gate", ok,

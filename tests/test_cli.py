@@ -20,9 +20,11 @@ import frontlab
 from frontlab import cli, evolve, fronts, stability
 from frontlab.cli import load_config, main
 from frontlab.evolve import TRANSIENT, Stepper
-from frontlab.fields import smoothed_step
+from frontlab.fields import profile_interp, smoothed_step
+from frontlab.fronts import locate_level
 from frontlab.reactions import min_slice
-from frontlab.stability import StabilityReport, comparison_test
+from frontlab.stability import (AsymptoticReport, StabilityReport,
+                                comparison_test)
 from frontlab.waves import WaveError
 from trajectory_helpers import linear_crossing
 
@@ -165,14 +167,14 @@ class TestDefaultStep:
         # forward Euler in place of RK4: its error halves with dt, where
         # RK4's falls 16-fold, and the check must see that
         def euler(self, state, dt):
-            # one lane, packed as [u_left | u | u_right] like RK4's stages
-            y = np.concatenate(([state.u_left], state.u, [state.u_right]))
-            k, kw = self._rhs(state.t, y, state.w)
-            y = y + dt * k
+            # one lane, packed in rows [u_left | u | u_right] and, with the
+            # co-state, [0 | w | 0] like RK4's stages
+            y = self._pack(state)
+            y = y + dt * self._rhs(state.t, y)
             return state.with_(
-                t=state.t + dt, u=y[1:-1],
-                w=None if kw is None else state.w + dt * kw,
-                u_left=float(y[0]), u_right=float(y[-1]))
+                t=state.t + dt, u=y[0, 1:-1],
+                w=None if state.w is None else y[1, 1:-1],
+                u_left=float(y[0, 0]), u_right=float(y[0, -1]))
 
         monkeypatch.setattr(Stepper, "step", euler)
         _private_front_memo(monkeypatch)
@@ -235,15 +237,21 @@ class TestSteepnessGrid:
                     <= STEP_BUDGET * coarse[gate]), gate
 
 
-def _steepness_of_edited_front(runner, tmp_path, monkeypatch, edit):
-    """`frontlab steepness` at the defaults on the default front, with its
-    snapshots passed through edit(snapshots, s)."""
+def _serve_edited_front(monkeypatch, edit):
+    """Serve the CLI the memoized default front with its snapshots passed
+    through edit(snapshots, s)."""
     cfg = load_config(None)
     wave, run = cli._front_run(cfg)
     snaps = edit(run.snapshots, cfg["time"]["s"])
     edited = replace(run, trajectory=replace(run.trajectory,
                                              snapshots=snaps))
     monkeypatch.setattr(cli, "_front_run", lambda cfg: (wave, edited))
+
+
+def _steepness_of_edited_front(runner, tmp_path, monkeypatch, edit):
+    """`frontlab steepness` at the defaults on the default front, with its
+    snapshots passed through edit(snapshots, s)."""
+    _serve_edited_front(monkeypatch, edit)
     return runner.invoke(main, ["steepness", "--out", str(tmp_path)])
 
 
@@ -271,6 +279,91 @@ class TestSteepnessGates:
                                             flatten_last)
         assert result.exit_code == 1, result.output
         assert "pointwise steepness bound violated" in result.output
+
+
+THETA = cli.DEFAULTS["reaction"]["theta"]
+
+
+def _on_last(edit):
+    """A snapshot edit that passes the last snapshot through edit."""
+    return lambda snaps, s: snaps[:-1] + [edit(snaps[-1])]
+
+
+def _shifted(dx):
+    """The last snapshot's profile moved right by dx: its one-sided speed
+    changes by dx per time unit."""
+    return _on_last(lambda snap: snap.with_(
+        u=profile_interp(snap)(snap.x - dx)))
+
+
+def _stretched(snap):
+    """The profile three times wider about its theta crossing."""
+    x0 = locate_level(snap, THETA)
+    return snap.with_(u=profile_interp(snap)(x0 + (snap.x - x0) / 3.0))
+
+
+def _grown_tail(side):
+    """The last snapshot's w, beyond 8 of its crossing on one side, made a
+    tail that grows outward (inside the fitted magnitude band)."""
+    def edit(snap):
+        d = snap.x - locate_level(snap, THETA)
+        beyond = d >= 8.0 if side == "right" else d <= -8.0
+        return snap.with_(w=np.where(beyond, -1e-4 * np.exp(0.01 * abs(d)),
+                                     snap.w))
+    return _on_last(edit)
+
+
+def _crafted_decay(rate, r_squared, spread):
+    """A stand-in for the asymptotic run: a report with this fitted rate,
+    R^2, and spread of its last five best shifts."""
+    def run(pair0, *args, **kwargs):
+        return AsymptoticReport(
+            times=pair0.t + np.arange(5.0), sup_distances=np.full(5, 1e-3),
+            shift_series=np.linspace(0.0, spread, 5), zeta_star=spread,
+            fitted_rate=rate, r_squared=r_squared)
+    return run
+
+
+#: a sabotage per gate that no other test trips: (experiment, patch, the
+#: gate's message), where patch(monkeypatch) edits the memoized default
+#: front or stands in for the asymptotic run, so no row evolves anew.
+#: distance_at_3_over_omega has none: it reads 0.0 at the defaults, where
+#: the shifted band has drifted about 19 units by then
+GATE_SABOTAGES = {
+    "speed_min": ("front", lambda mp: _serve_edited_front(
+        mp, _shifted(-0.1)), "interface speed fell below the envelope"),
+    "speed_max": ("front", lambda mp: _serve_edited_front(
+        mp, _shifted(0.1)), "interface speed rose above the envelope"),
+    "width_max": ("front", lambda mp: _serve_edited_front(
+        mp, _on_last(_stretched)),
+        "interface width is not uniformly bounded"),
+    "right_rate": ("tails", lambda mp: _serve_edited_front(
+        mp, _grown_tail("right")),
+        "right tail decays slower than the kernel bound"),
+    "left_rate": ("tails", lambda mp: _serve_edited_front(
+        mp, _grown_tail("left")),
+        "left tail of the derivative does not decay"),
+    "rate": ("asymptotic", lambda mp: mp.setattr(
+        cli, "run_asymptotic_experiment", _crafted_decay(None, None, 0.0)),
+        "best-shift distance does not decay"),
+    "r_squared": ("asymptotic", lambda mp: mp.setattr(
+        cli, "run_asymptotic_experiment", _crafted_decay(0.01, 0.5, 0.0)),
+        "decay is not log-linear"),
+    "zeta_star_spread": ("asymptotic", lambda mp: mp.setattr(
+        cli, "run_asymptotic_experiment", _crafted_decay(0.01, 0.999, 0.1)),
+        "best shift has not settled"),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_SABOTAGES))
+def test_every_gate_can_fail(tmp_path, monkeypatch, gate):
+    experiment, sabotage, message = GATE_SABOTAGES[gate]
+    sabotage(monkeypatch)
+    code = cli._run_experiment(experiment, load_config(None), tmp_path,
+                               quiet=True)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert code == 1 and summary["passed"] == 0
+    assert summary["failure"].startswith(message), summary["failure"]
 
 
 class TestExitCodes:
@@ -327,8 +420,14 @@ class TestExitCodes:
                         "cadence": 0.99},
          "the stability snapshot interval=2 is not a whole multiple of "
          "time.dt=0.03"),
+        # one snapshot at t >= s + 5, t = 0: the pointwise bound had no
+        # pair, and its NaN margin passed the gate
+        ("steepness", {"s": -20.0, "t_end": 0.0, "cadence": 20.0},
+         "steepness needs two snapshots at t >= time.s + 5; "
+         "time.cadence=20 and time.t_end=0 give one"),
     ], ids=["off_cadence", "off_step_run", "short_run", "off_cadence_seed",
-            "stability_off_step_pairs", "asymptotic_off_step_pairs"])
+            "stability_off_step_pairs", "asymptotic_off_step_pairs",
+            "steepness_one_late_snapshot"])
     def test_time_section_is_checked_before_any_solve(
             self, runner, tmp_path, monkeypatch, experiment, time, message):
         def solve(*args, **kwargs):

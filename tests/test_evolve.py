@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from frontlab import cli
-from frontlab.evolve import (EvolveError, EvolveInputError, Stepper,
-                             _apply_window_policy, build_approx_front,
-                             evolve, seed_from_profile)
+from frontlab.evolve import (EvolveError, Stepper, _apply_window_policy,
+                             build_approx_front, evolve, seed_from_profile)
 from frontlab.fields import FieldState, Grid, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.kernels import KernelError, _convolve_samples
@@ -118,7 +117,7 @@ class TestStepper:
         # the cap is 0.7355 at the defaults; one step of 1.0 exceeds it
         grid = Grid(-20.0, 20.0, 801)
         state = smoothed_step(grid)
-        with pytest.raises(EvolveInputError, match="exceeds dt_max"):
+        with pytest.raises(ValueError, match="exceeds dt_max"):
             evolve(state, kernel, f, 1.0, 1.0)
 
     @pytest.mark.parametrize("value", [10.0, np.nan, 1.2, -0.1])
@@ -134,7 +133,7 @@ class TestStepper:
     def test_snapshot_every_off_the_steps_rejected(self, kernel, f):
         # 1.0 / 0.03 is not whole: rounding would space snapshots 0.99 apart
         state = smoothed_step(Grid(-20.0, 20.0, 801))
-        with pytest.raises(EvolveInputError, match="whole number of steps"):
+        with pytest.raises(ValueError, match="whole number of steps"):
             evolve(state, kernel, f, 3.0, 0.03, snapshot_every=1.0)
         times = evolve(state, kernel, f, 3.0, 0.03, snapshot_every=0.99).times
         assert times == pytest.approx([0.0, 0.99, 1.98, 2.97, 3.0])
@@ -411,7 +410,7 @@ class TestApproxFront:
         assert np.all(np.diff(xs[sel]) > 0.0)
 
     def test_positive_seed_time_rejected(self, kernel, f, tw_min):
-        with pytest.raises(EvolveError):
+        with pytest.raises(ValueError, match="seed time s < 0"):
             build_approx_front(kernel, f, tw_min, Grid(-50, 50, 2001),
                                s=1.0, dt=DT)
 

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -41,11 +41,11 @@ SABOTAGES = {
     # must fail it
     "H2_zero_at_one": lambda k, f: (k, sabotaged(
         "eval", lambda v, u: np.where(u == 1.0, np.nan, v))),
-    "H2_envelope": lambda k, f: (k, make_ignition(declared_a_lo=1.2,
-                                                  declared_a_hi=1.8)),
+    # bounds declared tighter than a(t)'s range [1, 2]
+    "H2_envelope": lambda k, f: (k, replace(f, a_lo=1.2, a_hi=1.8)),
     # a(t) = 0.2 + 0.5 sin t changes sign, so f turns positive above 1
-    "H2_negative_above_one": lambda k, f: (k, make_ignition(
-        a_mean=0.2, a_amp=0.5, declared_a_lo=0.01, declared_a_hi=0.7)),
+    "H2_negative_above_one": lambda k, f: (k, replace(
+        f, a_mean=0.2, a_lo=0.01, a_hi=0.7)),
     "H3_bounded_fuu": lambda k, f: (k, sabotaged(
         "eval_duu", lambda v, u: np.where(u > 1.5, np.inf, v))),
     "H4_decay_slope": lambda k, f: (k, make_ignition(theta_tilde=0.7)),
@@ -153,7 +153,7 @@ class TestValidateHypotheses:
         assert report.verdicts["H1_symmetry"]
 
     def test_envelope_violation_fails_h2(self, kernel, f):
-        bad = make_ignition(declared_a_lo=1.2, declared_a_hi=1.8)
+        bad = replace(f, a_lo=1.2, a_hi=1.8)
         report = validate_hypotheses(kernel, bad)
         assert not report.verdicts["H2_envelope"]
         assert any(v[0] == "H2_envelope" for v in report.violations)
@@ -180,7 +180,7 @@ class TestConstruction:
         with pytest.raises(ReactionError):
             make_ignition(theta=0.5, theta_tilde=0.4)
         with pytest.raises(ReactionError):
-            make_ignition(declared_a_lo=-1.0)
+            replace(make_default_ignition(), a_lo=-1.0)
         with pytest.raises(ReactionError):   # period 2 pi / omega_t
             make_ignition(omega_t=0.0)
 

@@ -320,7 +320,7 @@ def test_peak_memory_does_not_depend_on_the_order_of_solves():
 
 class TestValidation:
     def test_window_too_small(self, kernel, f):
-        with pytest.raises(WaveError):
+        with pytest.raises(ValueError, match="at least 80"):
             solve_traveling_wave(kernel, min_slice(f), Grid(-30.0, 30.0, 1201))
 
     def test_newton_cap_reached(self, kernel, f, wave_grid, monkeypatch):
