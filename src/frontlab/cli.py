@@ -27,16 +27,17 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .evolve import TRANSIENT, EvolveError, build_approx_front
+from .evolve import (SNAPSHOT_EVERY, TRANSIENT, EvolveError,
+                     build_approx_front, whole_steps)
 from .fields import FieldState, Grid, smoothed_step
 from .fronts import (check_steepness_bound, fit_exponential_tail,
                      interface_width, steepness, steepness_bound_constant)
 from .kernels import _check_compatible, build_kernel, positive_decay_rate
 from .reactions import make_ignition, max_slice, min_slice, validate_hypotheses
-from .stability import (CADENCE, COMPARISON_CADENCE, INITIAL_SHAPES,
-                        StabilityError, asymptotic_initial, comparison_test,
-                        measured_c_min, run_asymptotic_experiment,
-                        run_stability_experiment, select_alpha)
+from .stability import (INITIAL_SHAPES, StabilityError, asymptotic_initial,
+                        comparison_test, measured_c_min,
+                        run_asymptotic_experiment, run_stability_experiment,
+                        select_alpha)
 from .waves import WaveError, solve_traveling_wave
 
 EXIT_OK = 0
@@ -59,87 +60,99 @@ class CheckFailure(Exception):
 # configuration
 
 DEFAULTS = {
-    "kernel": {"family": "gaussian", "sigma": 1.0, "spacing": 0.05,
-               "tail_tolerance": 1e-6},
+    "kernel": {"family": "gaussian", "spacing": 0.05, "tail_tolerance": 1e-6},
     "reaction": {"theta": 0.3, "theta_tilde": 0.9, "a_mean": 1.5,
                  "a_amp": 0.5, "omega_t": 1.0},
     "grid": {"x_min": -50.0, "x_max": 50.0, "n": 2001},
-    "time": {"s": -30.0, "t_end": 60.0, "dt": 0.2, "cadence": 1.0},
+    "time": {"s": -30.0, "t_end": 60.0, "dt": 0.2},
     "experiment": {},
     "output": {"dir": "out"},
     "seed": 0,
 }
 
+#: each experiment's keys besides ``name``, with their defaults
+EXPERIMENT_KEYS = {
+    "asymptotic": {"initial": "mollified_step"},
+    "comparison": {"pairs": 100, "t_end": 3.0},
+    "sweep": {"cases": [], "workers": 2},
+}
 
-def _deep_update(base: dict, extra: dict) -> dict:
+
+def _as_kind(where: str, value, default):
+    """value as a value of default's kind: a list, a string or a number."""
+    kind = type(default)
+    if value is None:
+        raise ValueError(f"config value {where!r} is null")
+    if kind is list and not isinstance(value, list):
+        raise ValueError(f"config value {where!r} is not a list: {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"config value {where!r} is not an integer: "
+                         f"{value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config value {where!r} is not a number: "
+                         f"{value!r}") from None
+
+
+def _deep_update(base: dict, extra: dict, path: str = "") -> dict:
+    """base updated by extra, each value as the kind of the one it replaces.
+    A key base does not name is an error, but in two open sections: the
+    kernel's (a family's parameter, a number, which build_kernel checks)
+    and the experiment's, empty in DEFAULTS (_with_experiment checks it)."""
     out = copy.deepcopy(base)
-    for key, val in (extra or {}).items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_update(out[key], val)
-        elif val is None:
-            raise ValueError(f"config value {key!r} is null")
-        elif isinstance(out.get(key), dict):
-            raise ValueError(f"config section {key!r} is not a mapping")
+    for key, val in extra.items():
+        where = f"{path}{key}"
+        if key not in out and path != "kernel.":
+            raise ValueError(f"unknown config key {where!r}")
+        default = out.get(key, 1.0)
+        if not isinstance(default, dict):
+            out[key] = _as_kind(where, val, default)
+        elif not isinstance(val, dict):
+            raise ValueError(f"config section {where!r} is not a mapping")
         else:
-            out[key] = val
+            out[key] = (_deep_update(default, val, f"{where}.") if default
+                        else copy.deepcopy(val))
     return out
 
 
+def _with_experiment(cfg: dict, experiment: str) -> dict:
+    """cfg with its experiment section merged over the experiment's keys."""
+    keys = {"name": experiment, **EXPERIMENT_KEYS.get(experiment, {})}
+    return _deep_update({**cfg, "experiment": keys},
+                        {"experiment": cfg["experiment"]})
+
+
 def load_config(path: str | None) -> dict:
-    cfg = copy.deepcopy(DEFAULTS)
+    """DEFAULTS updated by the YAML mapping at path, if any."""
+    loaded = {}
     if path is not None:
         with open(path) as fh:
             loaded = yaml.safe_load(fh) or {}
         if not isinstance(loaded, dict):
             raise ValueError("config root must be a mapping")
-        cfg = _deep_update(cfg, loaded)
-    return cfg
-
-
-def _num(section: dict, key: str, default=None, kind=float):
-    """section[key], or the default, as a number of the given kind."""
-    value = section.get(key, default)
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"config value {key!r} is not an integer: {value!r}")
-    try:
-        return kind(value)
-    except TypeError:
-        raise ValueError(f"config value {key!r} is not a number: "
-                         f"{value!r}") from None
-
-
-def _check_whole_steps(key: str, span: float, dt: float,
-                       unit: str = "time.dt") -> None:
-    """Snapshots fall on whole steps: span must be a whole multiple of dt."""
-    steps = span / dt
-    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
-        raise ValueError(f"{key}={span:g} is not a whole multiple of "
-                         f"{unit}={dt:g}")
+    return _deep_update(DEFAULTS, loaded)
 
 
 def build_problem(cfg: dict):
     """(kernel, nonlinearity, grid) from the shared config sections."""
-    kc = dict(cfg["kernel"])
-    family = kc.pop("family")
-    kern = build_kernel(family, **{key: _num(kc, key) for key in kc})
-    try:
-        f = make_ignition(**cfg["reaction"])
-    except TypeError as err:  # an unknown or mistyped reaction key
-        raise ValueError(f"reaction: {err}") from err
+    kern = build_kernel(**cfg["kernel"])
+    f = make_ignition(**cfg["reaction"])
     gc = cfg["grid"]
-    grid = Grid(_num(gc, "x_min"), _num(gc, "x_max"), _num(gc, "n", kind=int))
+    grid = Grid(gc["x_min"], gc["x_max"], gc["n"])
     _check_compatible(kern, grid)
     tc = cfg["time"]
-    dt = _num(tc, "dt")
+    s, t_end, dt = tc["s"], tc["t_end"], tc["dt"]
     if not 0.0 < dt <= f.dt_max() + 1e-12:
         raise ValueError(f"dt={dt} lies outside (0, {f.dt_max():.4f}], "
                          "the stability cap")
-    s, t_end = _num(tc, "s"), _num(tc, "t_end")
     if t_end < s + TRANSIENT:
         raise ValueError(f"time.t_end={t_end:g} lies before time.s + "
                          f"{TRANSIENT:g}, where the front has settled")
-    _check_whole_steps("time.cadence", _num(tc, "cadence"), dt)
-    _check_whole_steps("time.t_end - time.s", t_end - s, dt)
+    # every run snapshots on whole time units: a front every
+    # SNAPSHOT_EVERY = 1, the stability pairs every 2, the comparison every 1
+    whole_steps(SNAPSHOT_EVERY, dt, "the snapshot interval", "time.dt")
+    whole_steps(t_end - s, dt, "time.t_end - time.s", "time.dt")
     return kern, f, grid
 
 
@@ -254,8 +267,8 @@ _WAVES = {}
 def _wave(cfg, slice_fn):
     """The wave of slice_fn(f) (min_slice or max_slice) on [-60, 60],
     solved once per kernel and reaction."""
-    key = (json.dumps([cfg["kernel"], cfg["reaction"]], sort_keys=True,
-                      default=str), slice_fn)
+    key = (json.dumps([cfg["kernel"], cfg["reaction"]], sort_keys=True),
+           slice_fn)
     if key not in _WAVES:
         kern, f, _ = build_problem(cfg)
         grid = Grid(-60.0, 60.0, round(120.0 / kern.spacing) + 1)
@@ -269,7 +282,7 @@ def _wave(cfg, slice_fn):
 def _front_run(cfg):
     """(min wave, front with the u_x co-state), built once per problem."""
     problem = {key: cfg[key] for key in ("kernel", "reaction", "grid", "time")}
-    return _front_memo(json.dumps(problem, sort_keys=True, default=str))
+    return _front_memo(json.dumps(problem, sort_keys=True))
 
 
 @functools.lru_cache(maxsize=4)
@@ -278,12 +291,10 @@ def _front_memo(problem: str):
     kern, f, grid = build_problem(cfg)
     tc = cfg["time"]
     # the run is normalized at t = 0, where its two legs meet
-    _check_whole_steps("-time.s", -_num(tc, "s"), _num(tc, "cadence"),
-                       "time.cadence")
+    whole_steps(-tc["s"], SNAPSHOT_EVERY, "-time.s", "the snapshot interval")
     wave = _wave(cfg, min_slice)
-    run = build_approx_front(kern, f, wave, grid, _num(tc, "s"),
-                             _num(tc, "dt"), _num(tc, "t_end"),
-                             _num(tc, "cadence"))
+    run = build_approx_front(kern, f, wave, grid, tc["s"], tc["dt"],
+                             tc["t_end"])
     u = run.snapshots[-1].u  # the front moves right in a fixed window
     if not (u[0] > 1.0 - WIDTH_LEVEL and u[-1] < WIDTH_LEVEL):
         raise ValueError(f"the front leaves grid [{grid.x_min:g}, "
@@ -369,24 +380,16 @@ STEEP_FROM = 5.0
 
 def exp_steepness(cfg, art: Artifacts) -> dict:
     kern, f, _ = build_problem(cfg)
-    tc = cfg["time"]
-    s, t_end, cadence = _num(tc, "s"), _num(tc, "t_end"), _num(tc, "cadence")
-    # the bound pairs each read snapshot with the next: besides the one at
-    # time.t_end, one on the cadence must be read
-    if s + cadence * np.ceil(STEEP_FROM / cadence) >= t_end:
-        raise ValueError(f"steepness needs two snapshots at t >= time.s + "
-                         f"{STEEP_FROM:g}; time.cadence={cadence:g} and "
-                         f"time.t_end={t_end:g} give one")
     _, run = _front_run(cfg)
     snaps, ts, xs = run.snapshots, run.times, run.track
-    late = [j for j, t in enumerate(ts) if t >= s + STEEP_FROM]
+    late = [j for j, t in enumerate(ts) if t >= cfg["time"]["s"] + STEEP_FROM]
     ss = np.array([steepness(snaps[j], xs[j], 5.0) for j in late])
     art.write_csv("steepness.csv", ["t", "sup_w"], [ts[late], ss])
     art.plot("steepness.png", ts[late], {"sup_w": ss}, "t",
              "sup w near front")
     alpha_m = -float(np.max(ss))
     const, _ = steepness_bound_constant(kern, f.lipschitz_bound(),
-                                        dt=cadence)
+                                        dt=SNAPSHOT_EVERY)
     margins = []
     for j in late[:-1]:  # the last snapshot has no successor
         for delta in (-2.0, 0.0, 2.0):
@@ -429,8 +432,7 @@ def exp_tails(cfg, art: Artifacts) -> dict:
 
 def exp_stability(cfg, art: Artifacts) -> dict:
     kern, f, _ = build_problem(cfg)
-    dt = _num(cfg["time"], "dt")
-    _check_whole_steps("the stability snapshot interval", CADENCE, dt)
+    dt = cfg["time"]["dt"]
     _, run = _front_run(cfg)
     params = select_alpha(run, kern, f)
     horizon = round(5.0 / params.omega / dt) * dt
@@ -464,12 +466,11 @@ def exp_stability(cfg, art: Artifacts) -> dict:
 
 
 def exp_asymptotic(cfg, art: Artifacts) -> dict:
-    shape = cfg["experiment"].get("initial", "mollified_step")
+    shape = cfg["experiment"]["initial"]
     if shape not in INITIAL_SHAPES:
         raise ValueError(f"unknown initial shape {shape!r}")
     kern, f, _ = build_problem(cfg)
-    dt = _num(cfg["time"], "dt")
-    _check_whole_steps("the stability snapshot interval", CADENCE, dt)
+    dt = cfg["time"]["dt"]
     _, run = _front_run(cfg)
     ref0 = run.snapshots[-1].with_(w=None)  # t0 is time.t_end
     pair0 = asymptotic_initial(ref0, f.theta, shape)
@@ -499,19 +500,15 @@ COMPARISON_BATCH = 8
 
 def exp_comparison(cfg, art: Artifacts) -> dict:
     kern, f, grid = build_problem(cfg)
-    ec = cfg["experiment"]
-    n_pairs = _num(ec, "pairs", 100, kind=int)
-    t_end = _num(ec, "t_end", 3.0)
-    dt = _num(cfg["time"], "dt")
+    n_pairs, t_end = cfg["experiment"]["pairs"], cfg["experiment"]["t_end"]
+    dt = cfg["time"]["dt"]
     if n_pairs < 1:
         raise ValueError(f"experiment.pairs={n_pairs} must be at least 1")
     if t_end <= 0.0:  # the pairs start at t = 0
         raise ValueError(f"experiment.t_end={t_end:g} does not lie after "
                          "t=0")
-    _check_whole_steps("experiment.t_end", t_end, dt)
-    _check_whole_steps("the comparison's snapshot interval",
-                       COMPARISON_CADENCE, dt)
-    rng = np.random.default_rng(_num(cfg, "seed", kind=int))
+    whole_steps(t_end, dt, "experiment.t_end", "time.dt")
+    rng = np.random.default_rng(cfg["seed"])
     margins = []
     for first in range(0, n_pairs, COMPARISON_BATCH):
         lo, hi = [], []  # drawn pair by pair, just before the batch runs
@@ -543,11 +540,9 @@ def _sweep_worker(args):
 
 
 def exp_sweep(cfg, art: Artifacts) -> dict:
-    ec = cfg["experiment"]
-    cases = ec.get("cases")
-    if not cases or not isinstance(cases, list):
-        raise ValueError("sweep requires experiment.cases, a list")
-    workers = _num(ec, "workers", 2, kind=int)
+    cases, workers = cfg["experiment"]["cases"], cfg["experiment"]["workers"]
+    if not cases:
+        raise ValueError("sweep requires experiment.cases, a non-empty list")
     jobs = []
     for i, case in enumerate(cases):  # every case is checked before any runs
         try:
@@ -557,6 +552,7 @@ def exp_sweep(cfg, art: Artifacts) -> dict:
             name = sub_cfg["experiment"].get("name")
             if name not in [e for e in EXPERIMENTS if e != "sweep"]:
                 raise ValueError(f"{name!r} is not a non-sweep experiment")
+            sub_cfg = _with_experiment(sub_cfg, name)
         except ValueError as err:
             raise ValueError(f"sweep case {i}: {err}") from None
         sub_dir = art.dir / f"case_{i:03d}"
@@ -590,23 +586,13 @@ EXPERIMENTS = {
     "sweep": exp_sweep,
 }
 
-#: the ``experiment`` keys each experiment reads, besides ``name``
-EXPERIMENT_KEYS = {
-    "asymptotic": {"initial"},
-    "comparison": {"pairs", "t_end"},
-    "sweep": {"cases", "workers"},
-}
-
 
 def _run_experiment(experiment: str, cfg: dict, out_dir: Path,
                     quiet: bool) -> int:
     art = Artifacts(out_dir, cfg, quiet)
     try:
-        unread = sorted(set(cfg["experiment"]) - {"name"}
-                        - EXPERIMENT_KEYS.get(experiment, set()))
-        if unread:  # a stale or misspelt key fails before any solve
-            raise ValueError(f"{experiment} reads no experiment key "
-                             + ", ".join(map(repr, unread)))
+        # a stale or misspelt experiment key fails before any solve
+        art.cfg = cfg = _with_experiment(cfg, experiment)
         summary = EXPERIMENTS[experiment](cfg, art)
     except CheckFailure as err:
         art.write_summary({"passed": 0, "failure": str(err)})
@@ -643,15 +629,12 @@ def _run_experiment(experiment: str, cfg: dict, out_dir: Path,
 def main(experiment, config_path, out_dir, seed, quiet):
     """Run one named front-propagation experiment."""
     try:
-        if config_path is not None and not Path(config_path).exists():
-            raise FileNotFoundError(f"config not found: {config_path}")
         cfg = load_config(config_path)
         if seed is not None:
-            cfg["seed"] = int(seed)
-        cfg.setdefault("experiment", {})
+            cfg["seed"] = seed
         cfg["experiment"]["name"] = experiment
         target = Path(out_dir) if out_dir else Path(cfg["output"]["dir"])
-    except (OSError, yaml.YAMLError, ValueError, KeyError) as err:
+    except (OSError, yaml.YAMLError, ValueError) as err:
         click.echo(f"configuration error: {err}", err=True)
         sys.exit(EXIT_CONFIG)
     sys.exit(_run_experiment(experiment, cfg, target, quiet))

@@ -33,6 +33,8 @@ SEED_MAX_RUNS = 10
 SEED_MIN_SLOPE = 0.1
 #: time after the seed time s from which an approximating front has settled
 TRANSIENT = 20.0
+#: time between the snapshots of an approximating front
+SNAPSHOT_EVERY = 1.0
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,17 @@ class Stepper:
         return state.with_(t=t + dt, u=u, w=w, u_left=ul, u_right=ur)
 
 
+def whole_steps(span: float, dt: float, name: str = "snapshot_every",
+                unit: str = "dt") -> int:
+    """span / dt, which must be a whole number >= 1 to 1e-9 of itself."""
+    ratio = span / dt
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+        raise ValueError(f"{name}={span:g} is not a whole multiple of "
+                         f"{unit}={dt:g}")
+    return steps
+
+
 def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
            track_front: bool = False,
            snapshot_every: float | None = None) -> Trajectory:
@@ -171,13 +184,8 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
     stepper = Stepper(kernel, f)
     n_steps = max(1, int(round((t_end - state.t) / dt)))
     dt_eff = (t_end - state.t) / n_steps
-    snap_stride = n_steps
-    if snapshot_every is not None:
-        ratio = snapshot_every / dt_eff
-        snap_stride = int(round(ratio))
-        if snap_stride < 1 or abs(ratio - snap_stride) > 1e-9 * snap_stride:
-            raise ValueError(f"snapshot_every={snapshot_every} is not a "
-                             f"whole number of steps of {dt_eff:g}")
+    snap_stride = (n_steps if snapshot_every is None
+                   else whole_steps(snapshot_every, dt_eff))
     check_stride = max(1, int(round(1.0 / dt_eff)))
 
     snapshots = [state]
@@ -252,7 +260,8 @@ def seed_from_profile(grid: Grid, profile_fn, shift: float, t: float,
 
 def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
                        s: float, dt: float, t_end: float = 0.0,
-                       snapshot_every: float = 1.0) -> ApproxFrontRun:
+                       snapshot_every: float = SNAPSHOT_EVERY
+                       ) -> ApproxFrontRun:
     """Seed the wave profile at time s < 0 so that the front satisfies
     u(0,0;s) = theta, and run it on to t_end >= 0.
 

@@ -112,17 +112,19 @@ def _bump_density(a):
 
 
 def _family_closures(family: str, params: dict):
+    own = {"gaussian": "sigma", "bump": "a"}.get(family)
+    if own is None:
+        raise KernelError(f"unsupported kernel family: {family!r}")
+    unknown = sorted(set(params) - {own})
+    if unknown:
+        raise KernelError(f"the {family} kernel takes {own!r} alone, not "
+                          f"kernel.{unknown[0]}")
+    width = float(params.get(own, 1.0))  # sigma, or the bump's half-width
+    if width <= 0:
+        raise KernelError(f"{family} kernel {own} must be positive")
     if family == "gaussian":
-        sigma = float(params.get("sigma", 1.0))
-        if sigma <= 0:
-            raise KernelError("gaussian width must be positive")
-        return _gaussian_density(sigma) + (4.0 / sigma,)
-    if family == "bump":
-        a = float(params.get("a", 1.0))
-        if a <= 0:
-            raise KernelError("bump half-width must be positive")
-        return _bump_density(a) + (20.0,)
-    raise KernelError(f"unsupported kernel family: {family!r}")
+        return _gaussian_density(width) + (4.0 / width,)
+    return _bump_density(width) + (20.0,)
 
 
 def build_kernel(family: str, spacing: float, tail_tolerance: float,

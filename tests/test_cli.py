@@ -59,6 +59,86 @@ class TestConfig:
             load_config(str(path))
 
 
+def _misspelt_keys():
+    """The params (experiment, config, dotted path) of every key the config
+    schema names, each with an x appended at the place its default sits:
+    every section and value of DEFAULTS, and each experiment's keys (name
+    among them) under the experiment that reads them."""
+    keys = [("front", key, val) for key, val in cli.DEFAULTS.items()]
+    keys += [("front", f"{section}.{key}", val)
+             for section, vals in cli.DEFAULTS.items()
+             if isinstance(vals, dict) for key, val in vals.items()]
+    keys.append(("front", "experiment.name", "front"))
+    keys += [(experiment, f"experiment.{key}", val)
+             for experiment, vals in cli.EXPERIMENT_KEYS.items()
+             for key, val in vals.items()]
+    rows = []
+    for experiment, path, val in keys:
+        *sections, key = path.split(".")
+        config = {f"{key}x": val}
+        for section in reversed(sections):
+            config = {section: config}
+        rows.append(pytest.param(experiment, config, f"{path}x",
+                                 id=f"{path}x"))
+    return rows
+
+
+class TestSchema:
+    @pytest.mark.parametrize("experiment, config, path", _misspelt_keys() + [
+        # misspellings that an open schema runs silently on the defaults
+        pytest.param("validate", {"time": {"cadance": 2.0}}, "time.cadance",
+                     id="cadance"),
+        pytest.param("validate", {"time": {"cadence": 1.0}}, "time.cadence",
+                     id="cadence"),
+        pytest.param("validate", {"kernel": {"sigmaa": 2.0}},
+                     "kernel.sigmaa", id="sigmaa"),
+        pytest.param("validate", {"grid": {"nn": 5}}, "grid.nn", id="nn"),
+        pytest.param("validate", {"kernel": {"family": "bump",
+                                             "sigma": 2.0}},
+                     "kernel.sigma", id="bump_sigma"),
+        pytest.param("validate", {"outputt": {"dir": "x"}}, "outputt",
+                     id="outputt"),
+        pytest.param("sweep", {"experiment": {"workers": 1, "cases": [
+            {"experiment": {"name": "validate"}, "grid": {"nn": 5}}]}},
+                     "sweep case 0: unknown config key 'grid.nn'",
+                     id="sweep_case_nn"),
+    ])
+    def test_unnamed_key_is_config_error(self, runner, tmp_path,
+                                         monkeypatch, experiment, config,
+                                         path):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr(cli, "_WAVES", {})  # no memoized wave to reuse
+        for name in ("solve_traveling_wave", "build_approx_front",
+                     "comparison_test"):
+            monkeypatch.setattr(cli, name, solve)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [experiment, "--config",
+                                      _write_cfg(tmp_path, config),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert path in result.output
+        assert not list(out.glob("**/summary.json"))
+
+    @pytest.mark.parametrize("text", [
+        yaml.safe_dump({**cli.DEFAULTS, "kernel": {**cli.DEFAULTS["kernel"],
+                                                   "sigma": 1.0}}),
+        "kernel: {family: bump, a: 0.2}\n",
+        # PyYAML reads 1e-7 (no dot) as a string, which is a number here
+        "kernel: {tail_tolerance: 1e-7}\n",
+    ], ids=["spelled_out_defaults", "bump_a", "string_tail_tolerance"])
+    def test_named_keys_run(self, runner, tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        result = runner.invoke(main, ["validate", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        kernel = {**cli.DEFAULTS["kernel"], **yaml.safe_load(text)["kernel"]}
+        kernel["tail_tolerance"] = float(kernel["tail_tolerance"])
+        assert load_config(str(path))["kernel"] == kernel
+
+
 class TestFrontMemo:
     def test_front_and_tails_share_one_build(self, tmp_path, monkeypatch):
         cfg = load_config(None)
@@ -401,30 +481,26 @@ class TestExitCodes:
         assert "dt=0.0 lies outside" in result.output
 
     @pytest.mark.parametrize("experiment, time, message", [
+        # every run snapshots on whole time units
         ("steepness", {"dt": 0.03},
-         "time.cadence=1 is not a whole multiple of time.dt=0.03"),
+         "the snapshot interval=1 is not a whole multiple of time.dt=0.03"),
         ("front", {"s": -10.01, "t_end": 20.0},
          "time.t_end - time.s=30.01 is not a whole multiple of time.dt=0.2"),
         ("front", {"s": -10.0, "t_end": 5.0},
          "time.t_end=5 lies before time.s + 20"),
         # the front is normalized at t = 0, which must be a snapshot time
         ("front", {"s": -10.5, "t_end": 19.5},
-         "-time.s=10.5 is not a whole multiple of time.cadence=1"),
-        # time.cadence 0.99 is 33 steps; the paired snapshot interval 2 is
-        # not a whole number of them
-        ("stability", {"s": -10.0, "t_end": 11.0, "dt": 0.03,
-                       "cadence": 0.99},
-         "the stability snapshot interval=2 is not a whole multiple of "
-         "time.dt=0.03"),
-        ("asymptotic", {"s": -10.0, "t_end": 11.0, "dt": 0.03,
-                        "cadence": 0.99},
-         "the stability snapshot interval=2 is not a whole multiple of "
-         "time.dt=0.03"),
-        # one snapshot at t >= s + 5, t = 0: the pointwise bound had no
-        # pair, and its NaN margin passed the gate
-        ("steepness", {"s": -20.0, "t_end": 0.0, "cadence": 20.0},
-         "steepness needs two snapshots at t >= time.s + 5; "
-         "time.cadence=20 and time.t_end=0 give one"),
+         "-time.s=10.5 is not a whole multiple of the snapshot interval=1"),
+        # the paired snapshots, 2 apart, fall on whole steps of a time.dt
+        # that divides 1
+        ("stability", {"s": -10.0, "t_end": 11.0, "dt": 0.03},
+         "the snapshot interval=1 is not a whole multiple of time.dt=0.03"),
+        ("asymptotic", {"s": -10.0, "t_end": 11.0, "dt": 0.03},
+         "the snapshot interval=1 is not a whole multiple of time.dt=0.03"),
+        # the bound pairs each snapshot at t >= s + 5 with the next: the
+        # settled run, t_end >= s + 20, gives at least 16 of them
+        ("steepness", {"s": -20.0, "t_end": -1.0},
+         "time.t_end=-1 lies before time.s + 20"),
     ], ids=["off_cadence", "off_step_run", "short_run", "off_cadence_seed",
             "stability_off_step_pairs", "asymptotic_off_step_pairs",
             "steepness_one_late_snapshot"])
@@ -471,8 +547,7 @@ class TestExitCodes:
         result = runner.invoke(main, [experiment, "--config", cfg,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
-        assert f"{experiment} reads no experiment key {key!r}" \
-            in result.output
+        assert f"unknown config key 'experiment.{key}'" in result.output
 
     def test_narrow_wave_window_is_config_error(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {
@@ -644,10 +719,9 @@ class TestExitCodes:
          "experiment.pairs=0 must be at least 1"),
         ({"experiment": {"t_end": 3.01}},
          "experiment.t_end=3.01 is not a whole multiple of time.dt=0.2"),
-        # t_end and time.cadence are whole steps, the comparison's snapshots
-        # one time unit apart are not
-        ({"experiment": {"pairs": 2, "t_end": 3.0},
-          "time": {"dt": 0.03, "cadence": 0.99}},
+        # t_end is a whole number of steps, the comparison's snapshots one
+        # time unit apart are not
+        ({"experiment": {"pairs": 2, "t_end": 3.0}, "time": {"dt": 0.03}},
          "snapshot interval=1 is not a whole multiple of time.dt=0.03"),
     ], ids=["no_pairs", "off_step_t_end", "off_step_snapshots"])
     def test_comparison_keys_are_checked_before_any_pair(
@@ -868,7 +942,7 @@ class TestSweep:
         ([5], "sweep case 0: 5 is not a mapping"),
         ([{"experiment": "validate"}],
          "sweep case 0: config section 'experiment' is not a mapping"),
-        ({"a": 1}, "experiment.cases, a list"),
+        ({"a": 1}, "config value 'experiment.cases' is not a list"),
     ], ids=["unknown_name", "nested_sweep", "number", "flat_experiment",
             "mapping"])
     def test_cases_are_checked_before_any_runs(self, runner, tmp_path,

@@ -133,7 +133,7 @@ class TestStepper:
     def test_snapshot_every_off_the_steps_rejected(self, kernel, f):
         # 1.0 / 0.03 is not whole: rounding would space snapshots 0.99 apart
         state = smoothed_step(Grid(-20.0, 20.0, 801))
-        with pytest.raises(ValueError, match="whole number of steps"):
+        with pytest.raises(ValueError, match="not a whole multiple of dt"):
             evolve(state, kernel, f, 3.0, 0.03, snapshot_every=1.0)
         times = evolve(state, kernel, f, 3.0, 0.03, snapshot_every=0.99).times
         assert times == pytest.approx([0.0, 0.99, 1.98, 2.97, 3.0])
@@ -475,7 +475,7 @@ class TestApproxFront:
         kern, f, grid = cli.build_problem(cfg)
         tc = cfg["time"]
         run = build_approx_front(kern, f, tw_min, grid, tc["s"], tc["dt"],
-                                 tc["t_end"], tc["cadence"])
+                                 tc["t_end"])
         assert costate == legs
         assert len(u_only_steps) == 150
         end = at_time(run.trajectory, 0.0)

@@ -38,26 +38,25 @@ def subsupersolution_residual(snaps: list, x_track,
     if params.omega > 0 and cadence > 0.1 / params.omega + 1e-9:
         raise ValueError("snapshot cadence too sparse for the time "
                          "difference")
+    x = snaps[0].x
+    if not all(np.array_equal(s.x, x) for s in snaps):
+        raise ValueError("snapshots must share one window")
     gamma = params.gamma
 
     def zeta(t):
         return env.zeta_minus(t) if sign < 0 else env.zeta_plus(t)
 
-    interps = [profile_interp(s) for s in snaps]
+    def build_v(snap):
+        z = zeta(snap.t)
+        u_sh = profile_interp(snap)(x - z)
+        g = gamma(x - z - x_track(snap.t))
+        return u_sh + sign * env.q(snap.t) * g
 
-    def build_v(j, x):
-        t = times[j]
-        z = zeta(t)
-        u_sh = interps[j](x - z)
-        g = gamma(x - z - x_track(t))
-        return u_sh + sign * env.q(t) * g
-
+    vs = [build_v(s) for s in snaps]  # each candidate once
     sup_res, inf_res = -np.inf, np.inf
     for j in range(1, len(snaps) - 1):
-        x = snaps[j].x
-        v_t = ((build_v(j + 1, x) - build_v(j - 1, x))
-               / (times[j + 1] - times[j - 1]))
-        v_here = build_v(j, x)
+        v_t = (vs[j + 1] - vs[j - 1]) / (times[j + 1] - times[j - 1])
+        v_here = vs[j]
         q_here = env.q(times[j])
         fld = FieldState(t=times[j], x=x, u=v_here,
                          u_left=1.0 + sign * q_here, u_right=0.0)
