@@ -17,6 +17,7 @@ import functools
 import glob
 import hashlib
 import json
+import os
 import sys
 import time
 import traceback
@@ -388,17 +389,20 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     art.plot("steepness.png", ts[late], {"sup_w": ss}, "t",
              "sup w near front")
     alpha_m = -float(np.max(ss))
-    const, _ = steepness_bound_constant(kern, f.lipschitz_bound(),
-                                        dt=SNAPSHOT_EVERY)
+    # each pair is held to the constant of its own spacing: a fractional
+    # time.t_end leaves a last pair closer than SNAPSHOT_EVERY
+    gaps = np.diff(ts[late]).tolist()
+    consts = {gap: steepness_bound_constant(kern, f.lipschitz_bound(),
+                                            dt=gap)[0] for gap in set(gaps)}
     margins = []
-    for j in late[:-1]:  # the last snapshot has no successor
+    for j, gap in zip(late, gaps):  # the last snapshot has no successor
         for delta in (-2.0, 0.0, 2.0):
             x = xs[j + 1] + delta
-            lhs, rhs = check_steepness_bound(snaps[j], snaps[j + 1], const,
-                                             x)
+            lhs, rhs = check_steepness_bound(snaps[j], snaps[j + 1],
+                                             consts[gap], x)
             margins.append(rhs - lhs)
     worst = float(np.min(margins))
-    summary = {"alpha_m": alpha_m, "bound_constant": const,
+    summary = {"alpha_m": alpha_m, "bound_constant": min(consts.values()),
                "bound_margin_min": worst}
     if alpha_m <= 0:
         raise CheckFailure("front is not uniformly steep (alpha_m <= 0)")
@@ -494,12 +498,47 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
     return summary
 
 
+def _pool_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], in up to workers forked processes
+    when there are several items, the platform forks and this process is
+    not itself a pool worker (whose pool would put more processes than
+    CPUs to work); in this process otherwise.  Forked, not spawned, the
+    workers skip the package import and inherit this process's module
+    state; an exception in one is raised here."""
+    workers = min(workers, len(items))
+    if workers > 1:
+        import multiprocessing
+        if (multiprocessing.parent_process() is None
+                and "fork" in multiprocessing.get_all_start_methods()):
+            from concurrent.futures import ProcessPoolExecutor
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 #: ordered pairs per evolve (16 lanes), for fewer and larger array calls
 COMPARISON_BATCH = 8
 
 
+def _comparison_batch(problem, t_end, dt, draws):
+    """The margins of one batch of pairs, each drawn as (center, width,
+    amplitude, bump position): the lower lane a smoothed step, the upper
+    one that step plus a Gaussian bump, clipped to [0, 1]."""
+    kern, f, grid = problem
+    lo, hi = [], []
+    for center, width, amplitude, position in draws:
+        lo.append(smoothed_step(grid, center=center, width=width).u)
+        bump = amplitude * np.exp(-((grid.x - position) / 4.0) ** 2)
+        hi.append(np.clip(lo[-1] + bump, 0.0, 1.0))
+    lanes = FieldState(t=0.0, x=grid.x, u=np.stack(lo),
+                       u_left=np.ones(len(lo)), u_right=np.zeros(len(lo)))
+    return comparison_test(lanes, lanes.with_(u=np.stack(hi)), kern, f,
+                           t_end, dt)
+
+
 def exp_comparison(cfg, art: Artifacts) -> dict:
-    kern, f, grid = build_problem(cfg)
+    problem = build_problem(cfg)
     n_pairs, t_end = cfg["experiment"]["pairs"], cfg["experiment"]["t_end"]
     dt = cfg["time"]["dt"]
     if n_pairs < 1:
@@ -509,20 +548,15 @@ def exp_comparison(cfg, art: Artifacts) -> dict:
                          "t=0")
     whole_steps(t_end, dt, "experiment.t_end", "time.dt")
     rng = np.random.default_rng(cfg["seed"])
-    margins = []
-    for first in range(0, n_pairs, COMPARISON_BATCH):
-        lo, hi = [], []  # drawn pair by pair, just before the batch runs
-        for _ in range(min(COMPARISON_BATCH, n_pairs - first)):
-            lo.append(smoothed_step(grid, center=rng.uniform(-5.0, 5.0),
-                                    width=rng.uniform(0.5, 4.0)).u)
-            bump = rng.uniform(0.0, 0.3) * np.exp(
-                -((grid.x - rng.uniform(-10.0, 10.0)) / 4.0) ** 2)
-            hi.append(np.clip(lo[-1] + bump, 0.0, 1.0))
-        lanes = FieldState(t=0.0, x=grid.x, u=np.stack(lo),
-                           u_left=np.ones(len(lo)), u_right=np.zeros(len(lo)))
-        margins.extend(comparison_test(lanes, lanes.with_(u=np.stack(hi)),
-                                       kern, f, t_end, dt))
-    margins = np.array(margins)
+    draws = [(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 4.0),
+              rng.uniform(0.0, 0.3), rng.uniform(-10.0, 10.0))
+             for _ in range(n_pairs)]
+    batches = [draws[first:first + COMPARISON_BATCH]
+               for first in range(0, n_pairs, COMPARISON_BATCH)]
+    # a worker per CPU this process may run on
+    margins = np.concatenate(_pool_map(
+        functools.partial(_comparison_batch, problem, t_end, dt), batches,
+        len(os.sched_getaffinity(0))))
     art.write_csv("comparison.csv", ["pair", "min_margin"],
                   [np.arange(n_pairs), margins])
     summary = {"pairs": n_pairs, "min_margin": float(np.min(margins))}
@@ -532,11 +566,10 @@ def exp_comparison(cfg, art: Artifacts) -> dict:
     return summary
 
 
-def _sweep_worker(args):
-    sub_cfg, sub_dir, quiet = args
-    code = _run_experiment(sub_cfg["experiment"]["name"], sub_cfg,
-                           Path(sub_dir), quiet)
-    return sub_dir, code
+def _sweep_case(job) -> int:
+    sub_cfg, sub_dir = job
+    return _run_experiment(sub_cfg["experiment"]["name"], sub_cfg, sub_dir,
+                           quiet=True)
 
 
 def exp_sweep(cfg, art: Artifacts) -> dict:
@@ -555,15 +588,8 @@ def exp_sweep(cfg, art: Artifacts) -> dict:
             sub_cfg = _with_experiment(sub_cfg, name)
         except ValueError as err:
             raise ValueError(f"sweep case {i}: {err}") from None
-        sub_dir = art.dir / f"case_{i:03d}"
-        jobs.append((sub_cfg, str(sub_dir), True))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_sweep_worker(j) for j in jobs]
-    codes = np.array([code for _, code in results])
+        jobs.append((sub_cfg, art.dir / f"case_{i:03d}"))
+    codes = np.array(_pool_map(_sweep_case, jobs, workers))
     art.write_csv("sweep.csv", ["case", "exit_code"],
                   [np.arange(len(codes)), codes])
     summary = {"cases": len(codes), "failures": int(np.sum(codes != 0))}

@@ -126,7 +126,8 @@ def test_03_speed_envelope(capsys, front_cli):
 
 def test_04_comparison_principle(capsys, kernel, f, rng):
     grid = Grid(-30.0, 30.0, 1201)
-    worst_margin = np.inf
+    # the t = 0 ordering apart: there hi = lo wherever hi_u <= lo
+    initial_margin = worst_margin = np.inf
     monotone_ok = True
     # the 100 pairs as the lanes of a few evolves, as `comparison` runs them
     for first in range(0, 100, cli.COMPARISON_BATCH):
@@ -144,11 +145,15 @@ def test_04_comparison_principle(capsys, kernel, f, rng):
         b = len(lo)
         lanes = FieldState(t=0.0, x=grid.x, u=np.stack(lo + hi),
                            u_left=np.ones(2 * b), u_right=np.zeros(2 * b))
-        for snap in evolve(lanes, kernel, f, 3.0, DT,
-                           snapshot_every=1.0).snapshots:
+        first_snap, *evolved = evolve(lanes, kernel, f, 3.0, DT,
+                                      snapshot_every=1.0).snapshots
+        initial_margin = min(initial_margin, float(
+            np.min(first_snap.u[b:] - first_snap.u[:b])))
+        for snap in evolved:
             worst_margin = min(worst_margin,
                                float(np.min(snap.u[b:] - snap.u[:b])))
             monotone_ok &= snap.is_monotone(tol=1e-10)
+    assert initial_margin >= 0.0
     ok = worst_margin >= -1e-8 and monotone_ok
     _report(capsys, 4, "comparison principle", ok,
             f"min margin {worst_margin:.2e}, monotone={monotone_ok}")

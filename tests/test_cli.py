@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import importlib.metadata
 import json
+import multiprocessing
 import os
 import pkgutil
 import subprocess
@@ -19,7 +20,7 @@ from click.testing import CliRunner
 import frontlab
 from frontlab import cli, evolve, fronts, stability
 from frontlab.cli import load_config, main
-from frontlab.evolve import TRANSIENT, Stepper
+from frontlab.evolve import TRANSIENT, EvolveError, Stepper
 from frontlab.fields import profile_interp, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.reactions import min_slice
@@ -359,6 +360,31 @@ class TestSteepnessGates:
                                             flatten_last)
         assert result.exit_code == 1, result.output
         assert "pointwise steepness bound violated" in result.output
+
+    def test_each_pair_is_held_to_its_own_spacing(self, runner, tmp_path,
+                                                  monkeypatch):
+        # t_end 40.2 leaves a last pair (40, 40.2), 0.2 apart
+        held, check = {}, cli.check_steepness_bound
+
+        def record(before, after, const, x):
+            held[before.t, after.t] = const
+            return check(before, after, const, x)
+
+        monkeypatch.setattr(cli, "check_steepness_bound", record)
+        path = _write_cfg(tmp_path, {"time": {"t_end": 40.2}})
+        result = runner.invoke(main, ["steepness", "--config", path,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        kern, f, _ = cli.build_problem(load_config(path))
+        (last, last_const), *_ = sorted(held.items(), reverse=True)
+        assert last == pytest.approx((40.0, 40.2))
+        assert last_const == pytest.approx(0.0299, abs=5e-5)
+        assert last_const == pytest.approx(cli.steepness_bound_constant(
+            kern, f.lipschitz_bound(), dt=0.2)[0], rel=1e-12)
+        whole = cli.steepness_bound_constant(kern, f.lipschitz_bound(),
+                                             dt=1.0)[0]
+        assert whole == pytest.approx(0.02178, abs=5e-6)
+        assert set(held.values()) == {whole, last_const}
 
 
 THETA = cli.DEFAULTS["reaction"]["theta"]
@@ -815,6 +841,40 @@ class TestComparisonBatches:
         assert result.exit_code == 1, result.output
         assert "comparison principle violated" in result.output
 
+    def test_bytes_do_not_depend_on_the_cpu_count(self, runner, tmp_path,
+                                                   monkeypatch):
+        # one CPU runs the 2 batches in this process, two in 2 workers
+        blobs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            run_dir = tmp_path / str(len(cpus))
+            run_dir.mkdir()
+            result, _ = self._run(runner, run_dir)
+            assert result.exit_code == 0, result.output
+            blobs.append((run_dir / "out" / "comparison.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_a_worker_breakdown_is_a_solver_failure(self, runner, tmp_path,
+                                                    monkeypatch):
+        def breakdown(*args):
+            raise EvolveError("lanes blew up")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "comparison_test", breakdown)
+        result, _ = self._run(runner, tmp_path)
+        assert result.exit_code == 3, result.output
+        assert "solver failure: lanes blew up" in result.output
+
+    def test_pool_forks_only_outside_a_worker(self, monkeypatch):
+        assert set(cli._pool_map(_pid, [0, 1], 2)).isdisjoint({os.getpid()})
+        monkeypatch.setattr(multiprocessing, "parent_process", object)
+        assert cli._pool_map(_pid, [0, 1], 2) == [os.getpid()] * 2
+
+
+def _pid(_):
+    """The pid of the process that runs it."""
+    return os.getpid()
+
 
 class TestWriteCsv:
     def test_bytes_match_per_value_formatting(self, tmp_path):
@@ -911,10 +971,11 @@ class TestManifest:
 
 class TestSweep:
     def test_runs_cases_in_subdirs(self, runner, tmp_path):
+        # 9 pairs: 2 comparison batches inside a sweep worker
         cfg = _write_cfg(tmp_path, {
             "experiment": {"workers": 2, "cases": [
                 {"experiment": {"name": "validate"}},
-                {"experiment": {"name": "comparison", "pairs": 1,
+                {"experiment": {"name": "comparison", "pairs": 9,
                                 "t_end": 1.0}},
             ]},
             "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
