@@ -6,8 +6,9 @@ Usage::
 
 Experiments: validate, wave, front, steepness, tails, stability,
 asymptotic, comparison, sweep.  Exit codes: 0 success, 1 theorem-check
-failure, 2 usage/config error, 3 solver failure (a numerical breakdown),
-4 programming error; a sweep exits with its failed cases' largest code.
+failure, 2 usage/config error (a ValueError), 3 solver failure (a
+SolverError: a computed solution broke down), 4 programming error; a sweep
+exits with its failed cases' largest code.
 """
 
 from __future__ import annotations
@@ -28,27 +29,23 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .evolve import (SNAPSHOT_EVERY, TRANSIENT, EvolveError,
-                     build_approx_front, whole_steps)
-from .fields import FieldState, Grid, smoothed_step
+from .evolve import (SNAPSHOT_EVERY, TRANSIENT, build_approx_front,
+                     whole_steps)
+from .fields import FieldState, Grid, SolverError, smoothed_step
 from .fronts import (check_steepness_bound, fit_exponential_tail,
                      interface_width, steepness, steepness_bound_constant)
 from .kernels import _check_compatible, build_kernel, positive_decay_rate
 from .reactions import make_ignition, max_slice, min_slice, validate_hypotheses
-from .stability import (INITIAL_SHAPES, StabilityError, asymptotic_initial,
-                        comparison_test, measured_c_min,
-                        run_asymptotic_experiment, run_stability_experiment,
-                        select_alpha)
-from .waves import WaveError, solve_traveling_wave
+from .stability import (INITIAL_SHAPES, asymptotic_initial, comparison_test,
+                        measured_c_min, run_asymptotic_experiment,
+                        run_stability_experiment, select_alpha)
+from .waves import solve_traveling_wave
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
-
-#: numerical breakdowns (the package rejects bad input with ValueErrors)
-SOLVER_ERRORS = (WaveError, EvolveError, StabilityError)
 
 
 class CheckFailure(Exception):
@@ -626,10 +623,10 @@ def _run_experiment(experiment: str, cfg: dict, out_dir: Path,
         art.say(f"CHECK FAILED: {err}" if err.code == EXIT_CHECK_FAILED
                 else f"FAILED: {err}")
         return err.code
-    except ValueError as err:
+    except ValueError as err:  # an argument or config value as given
         art.say(f"configuration error: {err}")
         return EXIT_CONFIG
-    except SOLVER_ERRORS as err:
+    except SolverError as err:  # a computed solution broke down
         art.say(f"solver failure: {err}")
         return EXIT_SOLVER
     except Exception:  # a programming error, neither a check nor bad input

@@ -13,16 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldState, Grid, profile_interp
+from .fields import FieldState, Grid, SolverError, profile_interp
 from .kernels import (Kernel, _check_compatible, _convolve_samples,
                       _fft_work)
-from .fronts import FrontError, locate_level
+from .fronts import locate_level
 from .reactions import STATE_HI, STATE_LO
 from .waves import TravelingWave
-
-
-class EvolveError(RuntimeError):
-    pass
 
 
 #: |u(0,0;s) - theta| accepted for the seed shift of an approximating front
@@ -153,7 +149,7 @@ class Stepper:
         u, ul, ur = y[..., 0, 1:-1], y[..., 0, 0], y[..., 0, -1]
         # the one range check, the range the cap assumes; a NaN fails it
         if not (u.min() >= STATE_LO and u.max() <= STATE_HI):
-            raise EvolveError(f"state left [{STATE_LO:g}, {STATE_HI:g}] "
+            raise SolverError(f"state left [{STATE_LO:g}, {STATE_HI:g}] "
                               f"at t={t + dt}")
         if y.ndim == 2:  # a single lane's far fields come back as floats
             ul, ur = float(ul), float(ur)
@@ -206,7 +202,7 @@ def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
 
 def _apply_window_policy(state: FieldState, lam: float):
     if np.any(state.u[..., 0] < lam) or np.any(state.u[..., -1] > lam):
-        raise EvolveError("front reached the window edge before relocation")
+        raise SolverError("front reached the window edge before relocation")
     lead = state.lane(0) if state.u.ndim > 1 else state
     pos = locate_level(lead, lam, strict=False)
     center = 0.5 * (state.x[0] + state.x[-1])
@@ -289,20 +285,20 @@ def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
         if abs(profile_interp(end)(0.0) - theta) > SEED_HIT_TOL:
             try:
                 pos = locate_level(end, theta)
-            except FrontError as err:
-                raise EvolveError(f"seed shift lost the front ({err}); seed "
+            except SolverError as err:
+                raise SolverError(f"seed shift lost the front ({err}); seed "
                                   "time too negative for this window") from err
             if prev is not None:
                 slope = (pos - prev[1]) / (y_s - prev[0])
             if slope < SEED_MIN_SLOPE:
-                raise EvolveError("seed shift no longer moves the front; "
+                raise SolverError("seed shift no longer moves the front; "
                                   "seed time too negative for this window")
             prev, y_s = (y_s, pos), y_s - pos / slope
         elif end.w is not None:
             break
         seed = seed_from_profile(grid, profile_fn, y_s, s, derivative_fn)
     else:
-        raise EvolveError(f"seed shift missed theta in {SEED_MAX_RUNS} runs")
+        raise SolverError(f"seed shift missed theta in {SEED_MAX_RUNS} runs")
 
     traj = leg
     if t_end > 0.0:

@@ -8,6 +8,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+class SolverError(RuntimeError):
+    """A computed solution broke down (exit 3); bad arguments and config
+    values raise ValueError (exit 2)."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on [x_min, x_max] with n nodes."""

@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldState, pchip_cells
+from .fields import FieldState, SolverError, pchip_cells
 from .kernels import Kernel
-
-
-class FrontError(ValueError):
-    pass
 
 
 def locate_level(field: FieldState, lam: float, strict: bool = True) -> float:
@@ -30,9 +26,9 @@ def locate_level(field: FieldState, lam: float, strict: bool = True) -> float:
     """
     u, x = field.u, field.x
     if not (field.u_left > lam > field.u_right) or u[0] <= lam or u[-1] >= lam:
-        raise FrontError(f"level {lam} not bracketed by the field")
+        raise SolverError(f"level {lam} not bracketed by the field")
     if strict and not field.is_monotone(tol=1e-8):
-        raise FrontError("field is not monotone nonincreasing")
+        raise SolverError("field is not monotone nonincreasing")
     j = int(np.argmax(u < lam))  # u[j-1] >= lam > u[j]
     # nodes j-2..j+1 give cell j-1 the slopes of the whole field's build
     lo = max(j - 2, 0)
@@ -56,7 +52,7 @@ def locate_level(field: FieldState, lam: float, strict: bool = True) -> float:
 def interface_width(field: FieldState, eps: float) -> float:
     """Diameter of the set {eps <= u <= 1-eps} for a monotone front."""
     if not (0.0 < eps < 0.5):
-        raise FrontError("eps must lie in (0, 1/2)")
+        raise ValueError("eps must lie in (0, 1/2)")
     return locate_level(field, eps) - locate_level(field, 1.0 - eps)
 
 
@@ -94,7 +90,7 @@ def fit_exponential_tail(field: FieldState, side: str,
     fitted quantity decays toward -infinity, i.e. |v| ~ A*exp(+rate*x).
     """
     if side not in ("left", "right"):
-        raise FrontError("side must be 'left' or 'right'")
+        raise ValueError("side must be 'left' or 'right'")
     v = field.u if values is None else values
     x = field.x
     mask = np.ones(x.size, dtype=bool)
@@ -105,10 +101,10 @@ def fit_exponential_tail(field: FieldState, side: str,
     mag = np.abs(v)
     mask &= (mag >= MAGNITUDE_BAND[0]) & (mag <= MAGNITUDE_BAND[1])
     if np.count_nonzero(mask) < 8:
-        raise FrontError("fewer than 8 usable points in the tail window")
+        raise SolverError("fewer than 8 usable points in the tail window")
     sgn = np.sign(v[mask])
     if np.any(sgn != sgn[0]):
-        raise FrontError("sign changes inside the tail window")
+        raise SolverError("sign changes inside the tail window")
     xs = x[mask]
     slope, intercept, r2 = fit_line(xs, np.log(mag[mask]))
     rate = -slope if side == "right" else slope
@@ -132,10 +128,10 @@ def on_interval(x: np.ndarray, v: np.ndarray, lo: float,
 def steepness(field: FieldState, center: float, half_width: float) -> float:
     """Max of u_x over [center-M, center+M]; negative for steep fronts."""
     if field.w is None:
-        raise FrontError("steepness needs the derivative co-state")
+        raise ValueError("steepness needs the derivative co-state")
     lo, hi = center - half_width, center + half_width
     if lo < field.x[0] or hi > field.x[-1]:
-        raise FrontError("steepness interval outside the window")
+        raise ValueError("steepness interval outside the window")
     return float(np.max(on_interval(field.x, field.w, lo, hi)[1]))
 
 
@@ -148,7 +144,7 @@ def steepness_bound_constant(kernel: Kernel, c_fu: float,
     """(C, N), C = inf(J^N on [-1, 1]) * exp(-(1+K) dt) * (dt/N)^N for
     the least N whose stencil reaches 1 and whose J^N is positive there."""
     if dt <= 0:
-        raise FrontError("dt must be positive")
+        raise ValueError("dt must be positive")
     h, samples = kernel.spacing, kernel.samples
     for order in range(1, ITERATION_CAP + 1):
         if order > 1:
@@ -161,7 +157,7 @@ def steepness_bound_constant(kernel: Kernel, c_fu: float,
         if inf_val > 0.0:
             return (inf_val * math.exp(-(1.0 + c_fu) * dt)
                     * (dt / order) ** order, order)
-    raise FrontError("no iteration order achieves positivity on the interval")
+    raise ValueError("no iteration order achieves positivity on the interval")
 
 
 def check_steepness_bound(w_before: FieldState, w_after: FieldState,
@@ -171,7 +167,7 @@ def check_steepness_bound(w_before: FieldState, w_after: FieldState,
     Returns (lhs, rhs); the bound holds when lhs <= rhs (+ tolerance).
     """
     if w_before.w is None or w_after.w is None:
-        raise FrontError("snapshots must carry the derivative co-state")
+        raise ValueError("snapshots must carry the derivative co-state")
     lhs = float(np.interp(x, w_after.x, w_after.w))
     xs, ws = on_interval(w_before.x, w_before.w, x - 1.0, x + 1.0)
     return lhs, const * float(np.trapezoid(ws, xs))

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldState
+from .fields import FieldState, SolverError
 
 #: hard cap on the stencil radius search (length units)
 RADIUS_CAP = 200.0
-
-
-class KernelError(ValueError):
-    pass
 
 
 def _trapezoid_weights(size: int, spacing: float) -> np.ndarray:
@@ -114,14 +110,14 @@ def _bump_density(a):
 def _family_closures(family: str, params: dict):
     own = {"gaussian": "sigma", "bump": "a"}.get(family)
     if own is None:
-        raise KernelError(f"unsupported kernel family: {family!r}")
+        raise ValueError(f"unsupported kernel family: {family!r}")
     unknown = sorted(set(params) - {own})
     if unknown:
-        raise KernelError(f"the {family} kernel takes {own!r} alone, not "
-                          f"kernel.{unknown[0]}")
+        raise ValueError(f"the {family} kernel takes {own!r} alone, not "
+                         f"kernel.{unknown[0]}")
     width = float(params.get(own, 1.0))  # sigma, or the bump's half-width
     if width <= 0:
-        raise KernelError(f"{family} kernel {own} must be positive")
+        raise ValueError(f"{family} kernel {own} must be positive")
     if family == "gaussian":
         return _gaussian_density(width) + (4.0 / width,)
     return _bump_density(width) + (20.0,)
@@ -131,16 +127,16 @@ def build_kernel(family: str, spacing: float, tail_tolerance: float,
                  **params) -> Kernel:
     """Sample a named kernel family on the smallest adequate stencil."""
     if spacing <= 0:
-        raise KernelError("spacing must be positive")
+        raise ValueError("spacing must be positive")
     if not (0.0 < tail_tolerance <= 1e-6):
-        raise KernelError("tail tolerance must lie in (0, 1e-6]")
+        raise ValueError("tail tolerance must lie in (0, 1e-6]")
     density, derivative, tail_mass, r_max = _family_closures(family, params)
 
     k = 1
     while tail_mass(k * spacing) > tail_tolerance:
         k += 1
         if k * spacing > RADIUS_CAP:
-            raise KernelError(
+            raise ValueError(
                 "tail mass not attainable within the radius cap; "
                 "kernel tail is too heavy")
     radius = k * spacing
@@ -156,8 +152,8 @@ def build_kernel(family: str, spacing: float, tail_tolerance: float,
     xs = np.linspace(-radius, radius, 20001)
     total = float(np.trapezoid(density(xs), xs))
     if not 1.0 - tail_tolerance - 1e-8 <= total <= 1.0 + 1e-8:
-        raise KernelError(f"quadrature mass {total} inconsistent with "
-                          "tail bound")
+        raise ValueError(f"quadrature mass {total} inconsistent with "
+                         "tail bound")
     mass = float(np.sum(_trapezoid_weights(samples.size, spacing) * samples))
     samples = samples / mass
     deriv = deriv / mass
@@ -238,9 +234,9 @@ def _convolve_samples(weighted: np.ndarray, u: np.ndarray,
 
 def _check_compatible(kernel: Kernel, field: FieldState) -> None:
     if not math.isclose(kernel.spacing, field.h, rel_tol=1e-10):
-        raise KernelError("field grid spacing does not match kernel spacing")
+        raise ValueError("field grid spacing does not match kernel spacing")
     if (field.x[-1] - field.x[0]) < 2.0 * kernel.stencil_radius:
-        raise KernelError("field window narrower than twice the stencil radius")
+        raise ValueError("field window narrower than twice the stencil radius")
 
 
 def convolve(kernel: Kernel, field: FieldState) -> np.ndarray:
@@ -257,7 +253,7 @@ def convolve(kernel: Kernel, field: FieldState) -> np.ndarray:
 def exponential_moment(kernel: Kernel, r: float) -> float:
     """I(r) = integral of J(x) e^{-rx}: stencil quadrature plus tail."""
     if abs(r) > kernel.r_max:
-        raise KernelError(f"|r|={abs(r)} beyond the family moment range "
+        raise ValueError(f"|r|={abs(r)} beyond the family moment range "
                           f"{kernel.r_max}")
     quad = float(np.sum(kernel.weights * kernel.samples
                         * np.exp(-r * kernel.offsets)))
@@ -282,7 +278,7 @@ def positive_decay_rate(kernel: Kernel, c_min: float) -> float:
     rate c~ = 0.5*c_bar satisfies g(c~) > 0 with margin.
     """
     if c_min <= 0:
-        raise KernelError("c_min must be positive")
+        raise ValueError("c_min must be positive")
 
     def g(c):
         return c * c_min - exponential_moment(kernel, c) + 1.0
@@ -291,12 +287,12 @@ def positive_decay_rate(kernel: Kernel, c_min: float) -> float:
     while g(lo) <= 0.0:
         lo *= 0.5
         if lo < 1e-12:
-            raise KernelError("no positive decay rate: g <= 0 near 0")
+            raise SolverError("no positive decay rate: g <= 0 near 0")
     hi = lo
     while g(hi) > 0.0:
         hi *= 2.0
         if hi > kernel.r_max:
-            raise KernelError(
+            raise SolverError(
                 "no positive root below r_max; c_min too small for the "
                 "kernel spread")
     for _ in range(200):

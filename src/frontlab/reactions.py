@@ -20,10 +20,6 @@ STATE_LO, STATE_HI = -0.05, 1.1
 N_STATES = 4001
 
 
-class ReactionError(ValueError):
-    pass
-
-
 def _dt_max(c_fu: float) -> float:
     """RK4 step cap 0.9 * 2.785 / (2 + C_fu): |J^| <= 1 puts the
     linearization's spectrum in [-2 - C_fu, C_fu], and RK4 is stable on
@@ -43,13 +39,13 @@ class IgnitionNonlinearity:
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
-            raise ReactionError("theta must lie in (0,1)")
+            raise ValueError("theta must lie in (0,1)")
         if not (self.theta < self.theta_tilde < 1.0):
-            raise ReactionError("theta_tilde must lie in (theta,1)")
+            raise ValueError("theta_tilde must lie in (theta,1)")
         if not (0.0 < self.a_lo <= self.a_hi):
-            raise ReactionError("need 0 < a_lo <= a_hi")
+            raise ValueError("need 0 < a_lo <= a_hi")
         if not self.omega_t > 0.0:
-            raise ReactionError("omega_t must be positive")
+            raise ValueError("omega_t must be positive")
 
     @property
     def period(self) -> float:

@@ -15,18 +15,11 @@ from itertools import compress
 
 import numpy as np
 
-from .fields import FieldState, Grid, profile_interp, smoothed_step
+from .fields import (FieldState, Grid, SolverError, profile_interp,
+                     smoothed_step)
 from .kernels import Kernel, exponential_moment
 from .evolve import ApproxFrontRun, evolve
 from .fronts import fit_line, locate_level
-
-
-class StabilityError(RuntimeError):
-    pass
-
-
-class InadmissibleAlpha(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +36,9 @@ class GammaFunction:
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
-            raise StabilityError("alpha must lie in (0, 2]")
+            raise ValueError("alpha must lie in (0, 2]")
         if self.M1 <= 0.0:
-            raise StabilityError("M1 must be positive")
+            raise ValueError("M1 must be positive")
 
     def __call__(self, x):
         # exact outer branches, blend in between
@@ -98,7 +91,7 @@ def assemble_parameters(theta: float, theta_tilde: float, beta_tilde: float,
                         alpha: float, M1: float, M2: float) -> StabilityParameters:
     """Combine measured constants by the stability-parameter formulas."""
     if c_steep <= 0.0:
-        raise StabilityError("degenerate steepness constant")
+        raise SolverError("degenerate steepness constant")
     A = (2.0 * c_fu + 1.0) / c_steep
     eps0 = min(0.5 * (1.0 - theta_tilde), 0.5 * theta,
                1.0 / (4.0 * A), c_min / (4.0 * A))
@@ -136,7 +129,7 @@ def find_m2(kernel: Kernel, gamma: GammaFunction, c_min: float) -> float:
     # beyond the stencil reach, the discrepancy is exactly I(alpha) - 1
     flat = abs(exponential_moment(kernel, alpha) - 1.0)
     if flat > bound:
-        raise InadmissibleAlpha(
+        raise SolverError(
             f"alpha={alpha}: far-field moment defect {flat:.3g} exceeds "
             f"alpha*c_min/4 = {bound:.3g}")
     h = kernel.spacing
@@ -148,7 +141,7 @@ def find_m2(kernel: Kernel, gamma: GammaFunction, c_min: float) -> float:
     suffix = np.maximum.accumulate(err[::-1])[::-1]
     ok = suffix <= bound
     if not np.any(ok):
-        raise InadmissibleAlpha(f"alpha={alpha}: no admissible M2 below cap")
+        raise SolverError(f"alpha={alpha}: no admissible M2 below cap")
     return float(xs[int(np.argmax(ok))])
 
 
@@ -158,7 +151,7 @@ def measure_c_steep(run: ApproxFrontRun, m2: float) -> float:
         inside = (snap.x >= x_ref - m2) & (snap.x <= x_ref + m2)
         worst = max(worst, float(np.max(snap.w[inside])))
     if not np.isfinite(worst):
-        raise StabilityError("no post-transient snapshots")
+        raise SolverError("no post-transient snapshots")
     return -worst
 
 
@@ -178,13 +171,13 @@ def select_alpha(run: ApproxFrontRun, kernel: Kernel,
     for alpha in (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125):
         try:
             m2 = find_m2(kernel, GammaFunction(alpha, m1), c_min)
-        except InadmissibleAlpha as err:
+        except SolverError as err:
             last_err = err
             continue
         return assemble_parameters(f.theta, f.theta_tilde, beta, c_fu,
                                    measure_c_steep(run, m2), c_min, alpha,
                                    m1, m2)
-    raise InadmissibleAlpha(f"no admissible alpha in scan: {last_err}")
+    raise SolverError(f"no admissible alpha in scan: {last_err}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +194,7 @@ class PerturbationEnvelope:
     def _decay(self, t):
         """e^{-omega (t - t0)}, defined only from t0 on."""
         if np.any(np.asarray(t) < self.t0 - 1e-12):
-            raise StabilityError("envelope evaluated before t0")
+            raise ValueError("envelope evaluated before t0")
         return np.exp(-self.omega * (np.asarray(t, dtype=float) - self.t0))
 
     def q(self, t):
@@ -343,7 +336,7 @@ def run_stability_experiment(ref0: FieldState, kernel: Kernel, f,
     x0 = locate_level(ref0, f.theta)
     u0 = make_perturbed_initial(ref0, params.gamma, x0, eps)
     if sandwich_margins(u0, ref0, params.gamma, x0, 0.0, 0.0, eps)[0] > 1e-12:
-        raise StabilityError("initial data violates the sandwich")
+        raise SolverError("initial data violates the sandwich")
 
     rows, edge_defect = [], 0.0
     for snap, ref in _paired_snapshots(_pair(ref0, u0), kernel, f, horizon,
@@ -390,7 +383,7 @@ def best_shift(field: FieldState, ref: FieldState,
         bracket = (center - 2.0, center + 2.0)
     a, b = bracket
     if dist(a) < dist(a + tol) and dist(b) < dist(b - tol):
-        raise StabilityError("bracket does not contain a minimum")
+        raise SolverError("bracket does not contain a minimum")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -419,7 +412,7 @@ def fit_log_decay(times: np.ndarray, dists: np.ndarray) -> tuple:
     t = np.asarray(times, dtype=float)
     sel = (d >= 3e-8) & (d <= 1e-2)
     if np.count_nonzero(sel) < 5:
-        raise StabilityError("too few points inside the decay band")
+        raise SolverError("too few points inside the decay band")
     slope, intercept, r2 = fit_line(t[sel], np.log(d[sel]))
     return float(-slope), float(math.exp(intercept)), float(r2)
 
@@ -435,7 +428,7 @@ def run_asymptotic_experiment(pair0: FieldState, kernel: Kernel, f,
         bracket = None if z_prev is None else (z_prev - 1.0, z_prev + 1.0)
         try:
             z, dval = best_shift(snap, ref, bracket=bracket)
-        except StabilityError:
+        except SolverError:
             # re-center on the level crossings of both profiles
             z, dval = best_shift(snap, ref, bracket=None)
         z_prev = z
@@ -446,7 +439,7 @@ def run_asymptotic_experiment(pair0: FieldState, kernel: Kernel, f,
     rate, r2 = None, None
     try:
         rate, _, r2 = fit_log_decay(times - t0, dists)
-    except StabilityError:
+    except SolverError:
         pass
     return AsymptoticReport(times=times, sup_distances=dists,
                             shift_series=shifts, zeta_star=float(shifts[-1]),

@@ -27,12 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldState, Grid, pchip_far_fields, smoothed_step
+from .fields import (FieldState, Grid, SolverError, pchip_far_fields,
+                     smoothed_step)
 from .kernels import Kernel, convolve, subsample_kernel
-
-
-class WaveError(RuntimeError):
-    pass
 
 
 #: Newton start speed per unit of the stencil's rms width, iteration cap
@@ -95,7 +92,7 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
         kernel, f_hom, grid, grid_2h, np.interp(x, grid_2h.x, phi), c,
         factors)
     if c <= 0:
-        raise WaveError("nonpositive wave speed")
+        raise SolverError("nonpositive wave speed")
     dphi = -(convolve(kernel, FieldState(0.0, x, phi, 1.0, 0.0))
              - phi + f_hom.eval(0.0, phi)) / c
     return TravelingWave(speed=float(c), x=x, phi=phi,
@@ -151,11 +148,11 @@ def spsolve(ab: np.ndarray, rhs: np.ndarray, piv=None) -> np.ndarray:
     overwritten by the factors, and their row interchanges into piv if
     given; then rhs solved on them.  Every factorization of the wave solve
     goes through here, under the name the benchmark times.  Raises
-    WaveError when the band is singular."""
+    SolverError when the band is singular."""
     k = (ab.shape[0] - 1) // 3
     _, ipiv, info = _flapack().dgbtrf(ab, k, k, overwrite_ab=True)
     if info != 0:
-        raise WaveError(f"banded LU failed (dgbtrf info {info})")
+        raise SolverError(f"banded LU failed (dgbtrf info {info})")
     if piv is not None:
         piv[:] = ipiv
     return _backsolve(ab, ipiv, rhs)
@@ -221,7 +218,7 @@ def _newton_polish(kernel: Kernel, f_hom, grid: Grid, phi, c,
         step_size = 0.2 / max(0.2, float(np.max(np.abs(delta))))
         phi, c = phi + step_size * delta, c + step_size * dc
         factor, last_norm = step_size < 1.0, res_norm
-    raise WaveError("Newton polish did not converge within the cap")
+    raise SolverError("Newton polish did not converge within the cap")
 
 
 def _two_grid(kernel: Kernel, f_hom, grid: Grid, grid_2h: Grid, phi, c,
@@ -244,7 +241,7 @@ def _two_grid(kernel: Kernel, f_hom, grid: Grid, grid_2h: Grid, phi, c,
             return phi, c, res_norm, cycles
         limit = limit or DIVERGED * max(res_norm, TOL)
         if not res_norm <= limit:  # before f overflows on a runaway phi
-            raise WaveError("two-grid cycles diverged")
+            raise SolverError("two-grid cycles diverged")
         rhs = np.stack([-res, _ghost_gradient(phi, h)], 1)
         y, z = (spsolve(band, rhs, piv) if cycles == 0
                 else _backsolve(band, piv, rhs)).T
@@ -253,7 +250,7 @@ def _two_grid(kernel: Kernel, f_hom, grid: Grid, grid_2h: Grid, phi, c,
         delta, dc = _coarse_correction(kernel, f_hom, x, x_2h, factors,
                                        phi, c)
         phi, c = phi + delta, c + dc
-    raise WaveError("two-grid cycles did not converge within the cap")
+    raise SolverError("two-grid cycles did not converge within the cap")
 
 
 def _coarse_correction(kernel: Kernel, f_hom, x, x_2h, factors, phi, c):

@@ -20,13 +20,12 @@ from click.testing import CliRunner
 import frontlab
 from frontlab import cli, evolve, fronts, stability
 from frontlab.cli import load_config, main
-from frontlab.evolve import TRANSIENT, EvolveError, Stepper
-from frontlab.fields import profile_interp, smoothed_step
+from frontlab.evolve import TRANSIENT, Stepper
+from frontlab.fields import SolverError, profile_interp, smoothed_step
 from frontlab.fronts import locate_level
 from frontlab.reactions import min_slice
 from frontlab.stability import (AsymptoticReport, StabilityReport,
                                 comparison_test)
-from frontlab.waves import WaveError
 from trajectory_helpers import linear_crossing
 
 
@@ -639,13 +638,37 @@ class TestExitCodes:
     def test_solver_breakdown_is_solver_failure(self, runner, tmp_path,
                                                 monkeypatch):
         def breakdown(*args, **kwargs):
-            raise WaveError("Newton polish did not converge within the cap")
+            raise SolverError("Newton polish did not converge within the cap")
 
         monkeypatch.setattr(cli, "solve_traveling_wave", breakdown)
         result = runner.invoke(main, ["wave",
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
         assert "solver failure: Newton polish" in result.output
+
+    @pytest.mark.parametrize("experiment, patch, c_min, message", [
+        # validate, wave and front all pass on these kernels: the tail fit
+        # of the solved front finds too few points in its magnitude band
+        ("tails", {"kernel": {"sigma": 0.1}}, None,
+         "fewer than 8 usable points in the tail window"),
+        ("tails", {"kernel": {"family": "bump", "a": 0.5}}, None,
+         "fewer than 8 usable points in the tail window"),
+        # a measured c_min of 1e-9 admits no alpha of the scan
+        ("stability", {}, 1e-9, "no admissible alpha in scan"),
+    ], ids=["tails_gaussian_0.1", "tails_bump_0.5", "stability_no_alpha"])
+    def test_post_solve_breakdown_is_solver_failure(
+            self, runner, tmp_path, monkeypatch, experiment, patch, c_min,
+            message):
+        if c_min is not None:
+            monkeypatch.setattr(stability, "measured_c_min",
+                                lambda run: c_min)
+        cfg = _write_cfg(tmp_path, patch)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [experiment, "--config", cfg,
+                                      "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"solver failure: {message}" in result.output
+        assert not (out / "summary.json").exists()
 
     def test_one_node_kernel_is_not_an_internal_error(self, runner,
                                                       tmp_path):
@@ -857,7 +880,7 @@ class TestComparisonBatches:
     def test_a_worker_breakdown_is_a_solver_failure(self, runner, tmp_path,
                                                     monkeypatch):
         def breakdown(*args):
-            raise EvolveError("lanes blew up")
+            raise SolverError("lanes blew up")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(cli, "comparison_test", breakdown)

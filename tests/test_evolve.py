@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from frontlab import cli
-from frontlab.evolve import (EvolveError, Stepper, _apply_window_policy,
+from frontlab.evolve import (Stepper, _apply_window_policy,
                              build_approx_front, evolve, seed_from_profile)
-from frontlab.fields import FieldState, Grid, smoothed_step
+from frontlab.fields import FieldState, Grid, SolverError, smoothed_step
 from frontlab.fronts import locate_level
-from frontlab.kernels import KernelError, _convolve_samples
+from frontlab.kernels import _convolve_samples
 from frontlab.reactions import AutonomousSlice, make_ignition
 from trajectory_helpers import at_time, linear_crossing
 
@@ -127,7 +127,7 @@ class TestStepper:
         state = smoothed_step(Grid(-20.0, 20.0, 801))
         u = state.u.copy()
         u[400] = value
-        with pytest.raises(EvolveError, match=r"left \[-0\.05, 1\.1\]"):
+        with pytest.raises(SolverError, match=r"left \[-0\.05, 1\.1\]"):
             Stepper(kernel, f).step(state.with_(u=u), DT)
 
     def test_snapshot_every_off_the_steps_rejected(self, kernel, f):
@@ -259,7 +259,7 @@ class TestSingleRK4Path:
 
     def test_grid_spacing_must_match_kernel(self, kernel, f):
         coarse = smoothed_step(Grid(-20.0, 20.0, 401))   # h = 0.1
-        with pytest.raises(KernelError):
+        with pytest.raises(ValueError):
             evolve(coarse, kernel, f, 1.0, DT)
 
 
@@ -380,7 +380,7 @@ class TestWindowPolicy:
         grid = Grid(-10.0, 10.0, 401)
         fn = tw_min.profile_fn()
         state = FieldState(t=0.0, x=grid.x, u=fn(grid.x - 11.0))
-        with pytest.raises(EvolveError):
+        with pytest.raises(SolverError):
             _apply_window_policy(state, 0.3)
 
 
@@ -511,7 +511,7 @@ class TestApproxFront:
     def test_seed_time_too_deep_for_window(self, kernel, f, tw_min):
         # the window is barely wider than the front: by t = 0 the window,
         # not the seed, places the front, and no seed shift reaches theta
-        with pytest.raises(EvolveError):
+        with pytest.raises(SolverError):
             build_approx_front(kernel, f, tw_min, Grid(-5.0, 5.0, 201),
                                s=-30.0, dt=DT)
 

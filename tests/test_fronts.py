@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontlab.fields import FieldState, Grid, pchip_far_fields
-from frontlab.fronts import (FrontError, check_steepness_bound,
-                             fit_exponential_tail, interface_width,
-                             locate_level, on_interval, steepness,
-                             steepness_bound_constant)
+from frontlab.fields import FieldState, Grid, SolverError, pchip_far_fields
+from frontlab.fronts import (check_steepness_bound, fit_exponential_tail,
+                             interface_width, locate_level, on_interval,
+                             steepness, steepness_bound_constant)
 from frontlab.kernels import build_kernel, convolve
 from theorem_helpers import lipschitz_estimate
 from trajectory_helpers import at_time
@@ -29,7 +28,7 @@ def interface_speed(field, lam, kernel, f):
     ut_c = float(np.interp(pos, field.x, u_t))
     ux_c = float(np.interp(pos, field.x, w))
     if abs(ux_c) < STEEPNESS_FLOOR:
-        raise FrontError(
+        raise SolverError(
             f"|u_x|={abs(ux_c):.3g} below the steepness floor at level {lam}")
     return -ut_c / ux_c
 
@@ -69,7 +68,7 @@ class TestLocateLevel:
     def test_unbracketed_raises(self):
         grid = Grid(-10.0, 10.0, 101)
         field = _tanh_front(grid)
-        with pytest.raises(FrontError):
+        with pytest.raises(SolverError):
             locate_level(field.with_(u_left=0.4), 0.5)
 
     def test_nonmonotone_strict_raises(self):
@@ -78,7 +77,7 @@ class TestLocateLevel:
         u = field.u.copy()
         u[120] += 0.05
         bad = field.with_(u=u)
-        with pytest.raises(FrontError):
+        with pytest.raises(SolverError):
             locate_level(bad, 0.3)
         # non-strict mode tolerates the bump
         assert np.isfinite(locate_level(bad, 0.3, strict=False))
@@ -104,7 +103,7 @@ class TestWidthAndTracks:
         grid = Grid(-10.0, 10.0, 201)
         field = _tanh_front(grid)
         for eps in (0.0, 0.5, -0.1):
-            with pytest.raises(FrontError):
+            with pytest.raises(ValueError):
                 interface_width(field, eps)
 
 
@@ -121,7 +120,7 @@ class TestInterfaceSpeed:
         grid = Grid(-10.0, 10.0, 401)
         field = _tanh_front(grid, width=2.0)
         flat = field.with_(w=np.zeros(grid.n))
-        with pytest.raises(FrontError):
+        with pytest.raises(SolverError):
             interface_speed(flat, 0.3, kernel, f)
 
 
@@ -155,21 +154,21 @@ class TestTailFit:
         grid = Grid(0.0, 40.0, 401)
         u = 1e-3 * np.sin(grid.x) * np.exp(-0.1 * grid.x)
         field = FieldState(t=0.0, x=grid.x, u=u, u_left=1e-3, u_right=0.0)
-        with pytest.raises(FrontError):
+        with pytest.raises(SolverError):
             fit_exponential_tail(field, "right", x_from=1.0)
 
     def test_too_few_points(self):
         grid = Grid(0.0, 40.0, 401)
         field = FieldState(t=0.0, x=grid.x, u=np.exp(-0.5 * grid.x),
                            u_left=1.0, u_right=0.0)
-        with pytest.raises(FrontError):
+        with pytest.raises(SolverError):
             fit_exponential_tail(field, "right", x_from=39.5)
 
     def test_bad_side(self):
         grid = Grid(0.0, 10.0, 101)
         field = FieldState(t=0.0, x=grid.x, u=np.exp(-grid.x),
                            u_left=1.0, u_right=0.0)
-        with pytest.raises(FrontError):
+        with pytest.raises(ValueError):
             fit_exponential_tail(field, "up")
 
     def test_noisy_tail_low_r2_not_accepted(self):
@@ -194,13 +193,13 @@ class TestSteepness:
 
     def test_requires_w(self):
         grid = Grid(-10.0, 10.0, 201)
-        with pytest.raises(FrontError):
+        with pytest.raises(ValueError):
             steepness(_tanh_front(grid), 0.0, 1.0)
 
     def test_interval_inside_window(self):
         grid = Grid(-10.0, 10.0, 201)
         field = _tanh_front(grid).with_(w=np.zeros(grid.n))
-        with pytest.raises(FrontError):
+        with pytest.raises(ValueError):
             steepness(field, 9.5, 1.0)
 
     def test_lipschitz_estimate(self):
@@ -278,7 +277,7 @@ class TestSteepnessBoundConstant:
         assert steepness_bound_constant(bump, c_fu=1.0, dt=0.05)[1] == 3
 
     def test_invalid_args(self, kernel):
-        with pytest.raises(FrontError):
+        with pytest.raises(ValueError):
             steepness_bound_constant(kernel, 1.0, dt=0.0)
 
     def test_flattened_front_violates_the_bound(self, kernel, f, front_run):

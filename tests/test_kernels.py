@@ -8,8 +8,8 @@ from scipy import fft, special
 
 from frontlab import kernels
 from frontlab.fields import FieldState, Grid
-from frontlab.kernels import (Kernel, KernelError, _convolve_samples,
-                              build_kernel, convolve, exponential_moment,
+from frontlab.kernels import (Kernel, _convolve_samples, build_kernel,
+                              convolve, exponential_moment,
                               positive_decay_rate)
 from kernel_helpers import direct_convolve, with_samples
 
@@ -49,13 +49,13 @@ class TestBuildKernel:
             2.0 / np.sqrt(2 * np.pi), rel=1e-3)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(KernelError):
+        with pytest.raises(ValueError):
             build_kernel("gaussian", spacing=-0.05, tail_tolerance=1e-6,
                          sigma=1.0)
-        with pytest.raises(KernelError):
+        with pytest.raises(ValueError):
             build_kernel("gaussian", spacing=0.05, tail_tolerance=1e-3,
                          sigma=1.0)
-        with pytest.raises(KernelError):
+        with pytest.raises(ValueError):
             build_kernel("sombrero", spacing=0.05, tail_tolerance=1e-6)
 
 
@@ -106,7 +106,7 @@ class TestConvolve:
 
     def test_spacing_mismatch_rejected(self, kernel):
         grid = Grid(-10.0, 10.0, 101)   # h = 0.2 != kernel spacing
-        with pytest.raises(KernelError):
+        with pytest.raises(ValueError):
             convolve(kernel, make_field(np.zeros(101), grid))
 
 
@@ -144,7 +144,7 @@ class TestPositiveDecayRate:
                 > positive_decay_rate(kernel, 0.10))
 
     def test_rejects_nonpositive_speed(self, kernel):
-        with pytest.raises(KernelError):
+        with pytest.raises(ValueError):
             positive_decay_rate(kernel, 0.0)
 
 
@@ -182,7 +182,7 @@ def test_mass_check_rejects_a_scaled_density(monkeypatch):
 
     monkeypatch.setattr(kernels, "_family_closures", doubled)
     for family, params in (("gaussian", {"sigma": 1.0}), ("bump", {"a": 1.0})):
-        with pytest.raises(KernelError, match="quadrature mass"):
+        with pytest.raises(ValueError, match="quadrature mass"):
             build_kernel(family, spacing=0.05, tail_tolerance=1e-6, **params)
 
 

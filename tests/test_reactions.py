@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontlab.reactions import (STATE_HI, STATE_LO, IgnitionNonlinearity,
-                                ReactionError, make_default_ignition,
-                                make_ignition, max_slice, min_slice,
-                                validate_hypotheses)
+                                make_default_ignition, make_ignition,
+                                max_slice, min_slice, validate_hypotheses)
 from kernel_helpers import with_samples
 
 THETA = 0.3
@@ -175,13 +174,13 @@ class TestValidateHypotheses:
 
 class TestConstruction:
     def test_invalid_thresholds_rejected(self):
-        with pytest.raises(ReactionError):
+        with pytest.raises(ValueError):
             make_ignition(theta=1.2)
-        with pytest.raises(ReactionError):
+        with pytest.raises(ValueError):
             make_ignition(theta=0.5, theta_tilde=0.4)
-        with pytest.raises(ReactionError):
+        with pytest.raises(ValueError):
             replace(make_default_ignition(), a_lo=-1.0)
-        with pytest.raises(ReactionError):   # period 2 pi / omega_t
+        with pytest.raises(ValueError):   # period 2 pi / omega_t
             make_ignition(omega_t=0.0)
 
     def test_default_is_reproducible(self):

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from frontlab import stability
 from frontlab.evolve import evolve
-from frontlab.fields import FieldState, Grid, profile_interp, smoothed_step
+from frontlab.fields import (FieldState, Grid, SolverError, profile_interp,
+                             smoothed_step)
 from frontlab.fronts import locate_level
 from frontlab.kernels import exponential_moment
-from frontlab.stability import (GammaFunction, InadmissibleAlpha,
-                                PerturbationEnvelope, StabilityError,
+from frontlab.stability import (GammaFunction, PerturbationEnvelope,
                                 assemble_parameters, best_shift,
                                 comparison_test, find_m2, fit_log_decay,
                                 gamma_convolution, make_perturbed_initial,
@@ -54,11 +54,11 @@ class TestGammaFunction:
         assert np.all((vals > 0.0) & (vals <= 1.0))
 
     def test_make_gamma_validation(self):
-        with pytest.raises(StabilityError):
+        with pytest.raises(ValueError):
             GammaFunction(0.0, 5.0)
-        with pytest.raises(StabilityError):
+        with pytest.raises(ValueError):
             GammaFunction(2.5, 5.0)
-        with pytest.raises(StabilityError):
+        with pytest.raises(ValueError):
             GammaFunction(0.1, 0.0)
 
 
@@ -90,7 +90,7 @@ class TestParameters:
             min(0.05, 0.15, 1.0 / (4 * p.A), 0.11 / (4 * p.A)), rel=1e-14)
         assert p.omega == pytest.approx(
             min(0.108, 0.25 * 0.05 * 0.11), rel=1e-14)
-        with pytest.raises(StabilityError):
+        with pytest.raises(SolverError):
             assemble_parameters(0.3, 0.9, 0.108, 1.408, 0.0, 0.11,
                                 0.05, 6.4, 7.9)
 
@@ -108,7 +108,7 @@ class TestParameters:
     def test_find_m2_rejects_fat_alpha(self, kernel):
         # I(2) - 1 for the unit Gaussian is e^2 - 1, far above the bound
         g = GammaFunction(2.0, 6.0)
-        with pytest.raises(InadmissibleAlpha):
+        with pytest.raises(SolverError):
             find_m2(kernel, g, c_min=0.11)
 
     def test_find_m2_defect_bounded(self, kernel, sparams):
@@ -151,7 +151,7 @@ class TestEnvelope:
         assert zm == 0.0 and zp == 0.0
 
     def test_before_t0_raises(self):
-        with pytest.raises(StabilityError):
+        with pytest.raises(ValueError):
             self._env().q(9.0)
 
 
@@ -219,7 +219,7 @@ class TestFitLogDecay:
 
     def test_too_few_points(self):
         ts = np.linspace(0.0, 10.0, 20)
-        with pytest.raises(StabilityError):
+        with pytest.raises(SolverError):
             fit_log_decay(ts, np.full(20, 1e-12))
 
 

@@ -11,8 +11,8 @@ import frontlab
 from frontlab import waves
 from frontlab.fields import Grid, smoothed_step
 from frontlab.kernels import build_kernel, convolve, subsample_kernel
-from frontlab.fields import FieldState
-from frontlab.waves import WaveError, solve_traveling_wave
+from frontlab.fields import FieldState, SolverError
+from frontlab.waves import solve_traveling_wave
 from frontlab.reactions import max_slice, min_slice
 
 
@@ -109,7 +109,7 @@ def test_newton_step_solves_the_bordered_system(kernel, f, wave_grid,
 
     monkeypatch.setattr(waves, "_stationary_residual", recorded)
     monkeypatch.setattr(waves, "NEWTON_CAP", 2)
-    with pytest.raises(WaveError):
+    with pytest.raises(SolverError):
         solve_traveling_wave(kernel, f_hom, wave_grid)
     coarse = Grid(-60.0, 60.0, 301)
     coarse_kernel = subsample_kernel(subsample_kernel(subsample_kernel(
@@ -221,7 +221,7 @@ class TestTwoLevelSolve:
         monkeypatch.setattr(
             waves, "_coarse_correction",
             lambda kernel, f_hom, x, *_: (np.zeros(x.size), 0.0))
-        with pytest.raises(WaveError, match="within the cap"):
+        with pytest.raises(SolverError, match="within the cap"):
             solve_traveling_wave(kernel, min_slice(f), wave_grid)
 
     def test_fine_polish_takes_two_steps(self, kernel, f, wave_grid,
@@ -283,7 +283,7 @@ class TestSpsolve:
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_singular_band_is_a_wave_error(self):
-        with pytest.raises(WaveError, match="dgbtrf info"):
+        with pytest.raises(SolverError, match="dgbtrf info"):
             waves.spsolve(np.zeros((7, 5), order="F"), np.ones(5))
 
 
@@ -325,5 +325,5 @@ class TestValidation:
 
     def test_newton_cap_reached(self, kernel, f, wave_grid, monkeypatch):
         monkeypatch.setattr(waves, "NEWTON_CAP", 1)
-        with pytest.raises(WaveError):
+        with pytest.raises(SolverError):
             solve_traveling_wave(kernel, min_slice(f), wave_grid)
