@@ -58,7 +58,7 @@ class CheckFailure(Exception):
 # configuration
 
 DEFAULTS = {
-    "kernel": {"family": "gaussian", "spacing": 0.05, "tail_tolerance": 1e-6},
+    "kernel": {"family": "gaussian", "tail_tolerance": 1e-6},
     "reaction": {"theta": 0.3, "theta_tilde": 0.9, "a_mean": 1.5,
                  "a_amp": 0.5, "omega_t": 1.0},
     "grid": {"x_min": -50.0, "x_max": 50.0, "n": 2001},
@@ -96,12 +96,13 @@ def _as_kind(where: str, value, default):
 def _deep_update(base: dict, extra: dict, path: str = "") -> dict:
     """base updated by extra, each value as the kind of the one it replaces.
     A key base does not name is an error, but in two open sections: the
-    kernel's (a family's parameter, a number, which build_kernel checks)
-    and the experiment's, empty in DEFAULTS (_with_experiment checks it)."""
+    kernel's (a family's parameter, a number, which build_kernel checks;
+    not its spacing, which the grid sets) and the experiment's, empty in
+    DEFAULTS (_with_experiment checks it)."""
     out = copy.deepcopy(base)
     for key, val in extra.items():
         where = f"{path}{key}"
-        if key not in out and path != "kernel.":
+        if key not in out and (path != "kernel." or key == "spacing"):
             raise ValueError(f"unknown config key {where!r}")
         default = out.get(key, 1.0)
         if not isinstance(default, dict):
@@ -133,11 +134,12 @@ def load_config(path: str | None) -> dict:
 
 
 def build_problem(cfg: dict):
-    """(kernel, nonlinearity, grid) from the shared config sections."""
-    kern = build_kernel(**cfg["kernel"])
-    f = make_ignition(**cfg["reaction"])
+    """(kernel, nonlinearity, grid) from the shared config sections; the
+    kernel is sampled at the grid's spacing."""
     gc = cfg["grid"]
     grid = Grid(gc["x_min"], gc["x_max"], gc["n"])
+    kern = build_kernel(spacing=grid.h, **cfg["kernel"])
+    f = make_ignition(**cfg["reaction"])
     _check_compatible(kern, grid)
     tc = cfg["time"]
     s, t_end, dt = tc["s"], tc["t_end"], tc["dt"]
@@ -147,10 +149,12 @@ def build_problem(cfg: dict):
     if t_end < s + TRANSIENT:
         raise ValueError(f"time.t_end={t_end:g} lies before time.s + "
                          f"{TRANSIENT:g}, where the front has settled")
-    # every run snapshots on whole time units: a front every
-    # SNAPSHOT_EVERY = 1, the stability pairs every 2, the comparison every 1
+    # every run snapshots on whole time units: the front and the comparison
+    # every SNAPSHOT_EVERY = 1, the stability pairs every 2; the front is
+    # normalized at t = 0, where its two legs meet
     whole_steps(SNAPSHOT_EVERY, dt, "the snapshot interval", "time.dt")
     whole_steps(t_end - s, dt, "time.t_end - time.s", "time.dt")
+    whole_steps(-s, SNAPSHOT_EVERY, "-time.s", "the snapshot interval")
     return kern, f, grid
 
 
@@ -258,23 +262,15 @@ class Artifacts:
 
 
 WIDTH_LEVEL = 0.05  # the width is the diameter of {0.05 <= u <= 0.95}
-#: the wave of each slice, by the kernel and reaction sections it reads
-_WAVES = {}
 
 
 def _wave(cfg, slice_fn):
-    """The wave of slice_fn(f) (min_slice or max_slice) on [-60, 60],
-    solved once per kernel and reaction."""
-    key = (json.dumps([cfg["kernel"], cfg["reaction"]], sort_keys=True),
-           slice_fn)
-    if key not in _WAVES:
-        kern, f, _ = build_problem(cfg)
-        grid = Grid(-60.0, 60.0, round(120.0 / kern.spacing) + 1)
-        wave = solve_traveling_wave(kern, slice_fn(f), grid)
-        for arr in (wave.x, wave.phi, wave.dphi):  # shared by every caller
-            arr.flags.writeable = False
-        _WAVES[key] = wave
-    return _WAVES[key]
+    """The wave of slice_fn(f) (min_slice or max_slice) on [-60, 60], solved
+    at each call: the front memo, which keeps its min wave, is the one
+    per-process cache."""
+    kern, f, _ = build_problem(cfg)
+    grid = Grid(-60.0, 60.0, round(120.0 / kern.spacing) + 1)
+    return solve_traveling_wave(kern, slice_fn(f), grid)
 
 
 def _front_run(cfg):
@@ -288,8 +284,6 @@ def _front_memo(problem: str):
     cfg = json.loads(problem)
     kern, f, grid = build_problem(cfg)
     tc = cfg["time"]
-    # the run is normalized at t = 0, where its two legs meet
-    whole_steps(-tc["s"], SNAPSHOT_EVERY, "-time.s", "the snapshot interval")
     wave = _wave(cfg, min_slice)
     run = build_approx_front(kern, f, wave, grid, tc["s"], tc["dt"],
                              tc["t_end"])
@@ -299,7 +293,8 @@ def _front_memo(problem: str):
                          f"{grid.x_max:g}] by time.t_end={tc['t_end']:g}")
     for snap in run.snapshots:  # shared by every caller of the memo
         snap.u.flags.writeable = snap.w.flags.writeable = False
-    run.track.flags.writeable = run.speeds.flags.writeable = False
+    for arr in (wave.x, wave.phi, wave.dphi, run.track, run.speeds):
+        arr.flags.writeable = False
     return wave, run
 
 

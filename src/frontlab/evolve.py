@@ -171,25 +171,23 @@ def whole_steps(span: float, dt: float, name: str = "snapshot_every",
 def evolve(state: FieldState, kernel: Kernel, f, t_end: float, dt: float,
            track_front: bool = False,
            snapshot_every: float | None = None) -> Trajectory:
-    """Integrate to t_end > state.t with snapshots every snapshot_every.
-
-    With track_front=True the window follows lane 0's theta crossing.
-    """
+    """Integrate to t_end > state.t in steps of exactly dt, with snapshots
+    every snapshot_every (both spans whole numbers of dt); with
+    track_front=True the window follows lane 0's theta crossing."""
     if not t_end > state.t:
         raise ValueError(f"t_end={t_end} does not lie after t={state.t}")
     stepper = Stepper(kernel, f)
-    n_steps = max(1, int(round((t_end - state.t) / dt)))
-    dt_eff = (t_end - state.t) / n_steps
+    n_steps = whole_steps(t_end - state.t, dt, "t_end - t")
     snap_stride = (n_steps if snapshot_every is None
-                   else whole_steps(snapshot_every, dt_eff))
-    check_stride = max(1, int(round(1.0 / dt_eff)))
+                   else whole_steps(snapshot_every, dt))
+    check_stride = max(1, int(round(1.0 / dt)))
 
     snapshots = [state]
     relocations = []
     t_start = state.t
     for i in range(1, n_steps + 1):
         # stamp each step from the start time: summed steps drift off t_end
-        state = stepper.step(state, dt_eff).with_(t=t_start + i * dt_eff)
+        state = stepper.step(state, dt).with_(t=t_start + i * dt)
         if track_front and (i % check_stride == 0 or i == n_steps):
             state, moved = _apply_window_policy(state, f.theta)
             if moved:

@@ -18,7 +18,7 @@ import numpy as np
 from .fields import (FieldState, Grid, SolverError, profile_interp,
                      smoothed_step)
 from .kernels import Kernel, exponential_moment
-from .evolve import ApproxFrontRun, evolve
+from .evolve import SNAPSHOT_EVERY, ApproxFrontRun, evolve
 from .fronts import fit_line, locate_level
 
 
@@ -255,11 +255,10 @@ def asymptotic_initial(ref0: FieldState, theta: float,
 
 def _paired_snapshots(pair0: FieldState, kernel: Kernel, f, horizon: float,
                       dt: float):
-    """Evolve the pair (reference, solution) over the horizon, rounded to
-    whole steps, on one window steered by the reference's theta crossing;
-    (solution, reference) at every CADENCE."""
-    t_end = pair0.t + round(horizon / dt) * dt
-    traj = evolve(pair0, kernel, f, t_end, dt, track_front=True,
+    """Evolve the pair (reference, solution) over the horizon, a whole
+    number of steps dt, on one window steered by the reference's theta
+    crossing; (solution, reference) at every CADENCE."""
+    traj = evolve(pair0, kernel, f, pair0.t + horizon, dt, track_front=True,
                   snapshot_every=CADENCE)
     return [(snap.lane(1), snap.lane(0)) for snap in traj.snapshots]
 
@@ -449,20 +448,17 @@ def run_asymptotic_experiment(pair0: FieldState, kernel: Kernel, f,
 # ---------------------------------------------------------------------------
 # comparison principle
 
-#: time between the snapshots whose margins comparison_test takes
-COMPARISON_CADENCE = 1.0
-
 
 def comparison_test(u0: FieldState, v0: FieldState, kernel: Kernel, f,
                     t_end: float, dt: float):
     """Evolve ordered pairs as the lanes of one evolve; per pair the least
-    margin min(v - u) over snapshots COMPARISON_CADENCE apart: a float for
+    margin min(v - u) over snapshots SNAPSHOT_EVERY apart: a float for
     one lane, an array for B lanes (u of shape (B, n), far fields (B,))."""
     if (np.any(u0.u > v0.u) or np.any(u0.u_left > v0.u_left)
             or np.any(u0.u_right > v0.u_right)):
         raise ValueError("initial data not ordered")
     traj = evolve(_pair(u0, v0), kernel, f, t_end, dt,
-                  snapshot_every=COMPARISON_CADENCE)
+                  snapshot_every=SNAPSHOT_EVERY)
     b = len(traj.snapshots[0].u) // 2
     margins = np.min([np.min(snap.u[b:] - snap.u[:b], axis=-1)
                       for snap in traj.snapshots], axis=0)

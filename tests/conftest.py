@@ -1,8 +1,10 @@
 """Shared fixtures: the default problem, solved waves, and front runs.
 
-The heavy fixtures are session scoped so the acceptance tests and unit tests
-share one computation.  Both waves and the front come from the CLI's
-per-process memos, which the acceptance tests' CLI runs read too.
+The kernel and the nonlinearity are the CLI's default problem, the kernel
+sampled at the default grid's spacing.  The heavy fixtures are session
+scoped so the acceptance tests and unit tests share one computation.  The
+min wave and the front come from the CLI's per-process front memo, which
+the acceptance tests' CLI runs read too; the max wave is solved once here.
 """
 
 import numpy as np
@@ -12,11 +14,11 @@ from hypothesis import settings
 from frontlab import cli
 from frontlab.evolve import evolve
 from frontlab.fields import Grid
-from frontlab.kernels import build_kernel
-from frontlab.reactions import make_default_ignition, max_slice
+from frontlab.reactions import max_slice
 from frontlab.stability import select_alpha
 from trajectory_helpers import at_time
 
+#: the tests' time step
 DT = 0.05
 
 # --hypothesis-profile=ci: a failing draw prints its @reproduce_failure line;
@@ -26,13 +28,12 @@ settings.register_profile("ci", print_blob=True)
 
 @pytest.fixture(scope="session")
 def kernel():
-    return build_kernel("gaussian", spacing=DT, tail_tolerance=1e-6,
-                        sigma=1.0)
+    return cli.build_problem(cli.load_config(None))[0]
 
 
 @pytest.fixture(scope="session")
 def f():
-    return make_default_ignition()
+    return cli.build_problem(cli.load_config(None))[1]
 
 
 @pytest.fixture(scope="session")

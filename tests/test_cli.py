@@ -96,6 +96,10 @@ class TestSchema:
         pytest.param("validate", {"kernel": {"family": "bump",
                                              "sigma": 2.0}},
                      "kernel.sigma", id="bump_sigma"),
+        # the grid sets the kernel's spacing: the open kernel section takes
+        # a family's parameter, not a spacing of its own
+        pytest.param("front", {"kernel": {"spacing": 0.05}},
+                     "kernel.spacing", id="stale_spacing"),
         pytest.param("validate", {"outputt": {"dir": "x"}}, "outputt",
                      id="outputt"),
         pytest.param("sweep", {"experiment": {"workers": 1, "cases": [
@@ -109,7 +113,6 @@ class TestSchema:
         def solve(*args, **kwargs):
             raise AssertionError("solved before the config was checked")
 
-        monkeypatch.setattr(cli, "_WAVES", {})  # no memoized wave to reuse
         for name in ("solve_traveling_wave", "build_approx_front",
                      "comparison_test"):
             monkeypatch.setattr(cli, name, solve)
@@ -157,7 +160,6 @@ class TestFrontMemo:
 
         monkeypatch.setattr(cli, "build_approx_front", counted)
         monkeypatch.setattr(cli, "solve_traveling_wave", counted_solve)
-        monkeypatch.setattr(cli, "_WAVES", {})
         cli._front_memo.cache_clear()
         wave, run = cli._front_run(cfg)
         assert not wave.phi.flags.writeable
@@ -167,27 +169,31 @@ class TestFrontMemo:
             assert cli._run_experiment(name, cfg, tmp_path / name,
                                        quiet=True) == 0
         assert len(builds) == 1
+        assert len(solves) == 2   # the min and the max wave, once each
         for snap, (u, w) in zip(run.snapshots, before):
             assert np.array_equal(snap.u, u) and np.array_equal(snap.w, w)
 
+        # the other order of the benchmark's diagnostics cases: tails then
+        # front build one more front and solve two more waves
         cli._front_memo.cache_clear()
         assert cli._run_experiment("tails", cfg, tmp_path / "fresh",
                                    quiet=True) == 0
         assert len(builds) == 2
-        assert len(solves) == 2   # the min and the max wave, once each
+        assert len(solves) == 3   # the fresh front solves its min wave again
         for name in ("tails.csv", "summary.json"):
             assert ((tmp_path / "tails" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes())
+        assert cli._run_experiment("front", cfg, tmp_path / "front_after",
+                                   quiet=True) == 0
+        assert (len(builds), len(solves)) == (2, 4)
 
 
-    def test_wave_window_rounds_its_node_count(self, monkeypatch):
+    def test_wave_window_rounds_its_node_count(self):
         # 120 / (100 / 1190) is 1427.9999999999998 in floating point; the
         # wave window needs 1429 nodes at the kernel's spacing, not 1428
         cfg = load_config(None)
-        cfg["kernel"]["spacing"] = 0.08403361344537816
         cfg["grid"]["n"] = 1191
-        cli.build_problem(cfg)
-        monkeypatch.setattr(cli, "_WAVES", {})
+        assert cli.build_problem(cfg)[0].spacing == 0.08403361344537816
         wave = cli._wave(cfg, min_slice)
         assert wave.x.size == 1429
         assert wave.residual_norm <= 1e-8
@@ -263,9 +269,9 @@ class TestDefaultStep:
 
 
 def _grid_unconverged_gates(tmp_path):
-    """The `front` gates that move when the default grid spacing (kernel
-    spacing 0.05, 2001 nodes) halves on the same window; the h/2 front is
-    the one that TestSteepnessGrid reads through the memo.
+    """The `front` gates that move when the default grid spacing (0.05,
+    2001 nodes, which sets the kernel's) halves on the same window; the h/2
+    front is the one that TestSteepnessGrid reads through the memo.
 
     Both runs are measured against the coarse run's speed envelope.  The
     envelope is 0.98 c*(f_min) and 1.02 c*(f_max) from the wave solves,
@@ -273,10 +279,8 @@ def _grid_unconverged_gates(tmp_path):
     halving (1.2e-4 of the speed_max margin): that is the waves' grid
     convergence, not the front's.
     """
-    coarse = _front_summary(tmp_path / "h", ("kernel", "spacing", 0.05),
-                            ("grid", "n", 2001))
-    fine = _front_summary(tmp_path / "half_h", ("kernel", "spacing", 0.025),
-                          ("grid", "n", 4001))
+    coarse = _front_summary(tmp_path / "h", ("grid", "n", 2001))
+    fine = _front_summary(tmp_path / "half_h", ("grid", "n", 4001))
     envelope = (coarse["envelope_lo"], coarse["envelope_hi"])
     return _moved_gates(_margins(coarse), _margins(fine, envelope))
 
@@ -295,11 +299,10 @@ class TestGridHalving:
         assert {"speed_min", "speed_max"} <= unconverged.keys()
 
 
-def _steepness_summary(out_dir, spacing, n):
+def _steepness_summary(out_dir, n):
     """`steepness` summary at the default config on the default window,
-    with the given kernel spacing and node count."""
+    with the given node count, which sets the kernel's spacing."""
     cfg = load_config(None)
-    cfg["kernel"]["spacing"] = spacing
     cfg["grid"]["n"] = n
     assert cli._run_experiment("steepness", cfg, out_dir, quiet=True) == 0
     return json.loads((out_dir / "summary.json").read_text())
@@ -307,8 +310,8 @@ def _steepness_summary(out_dir, spacing, n):
 
 class TestSteepnessGrid:
     def test_halving_h_moves_no_steepness_gate(self, tmp_path):
-        coarse = _steepness_summary(tmp_path / "h", 0.05, 2001)
-        fine = _steepness_summary(tmp_path / "half_h", 0.025, 4001)
+        coarse = _steepness_summary(tmp_path / "h", 2001)
+        fine = _steepness_summary(tmp_path / "half_h", 4001)
         # the infimum over exactly [-1, 1] is J(1) on either grid
         assert fine["bound_constant"] == pytest.approx(
             coarse["bound_constant"], rel=1e-6)
@@ -535,7 +538,6 @@ class TestExitCodes:
             raise AssertionError("solved before the time section was "
                                  "checked")
 
-        monkeypatch.setattr(cli, "_WAVES", {})  # no memoized wave to reuse
         monkeypatch.setattr(cli, "solve_traveling_wave", solve)
         monkeypatch.setattr(cli, "build_approx_front", solve)
         cfg = _write_cfg(tmp_path, {
@@ -743,14 +745,6 @@ class TestExitCodes:
         assert result.exit_code == 1, result.output
         assert "speed ordering" in json.loads(
             (out / "summary.json").read_text())["failure"]
-
-    def test_grid_spacing_mismatch_is_config_error(self, runner, tmp_path):
-        # n = 1001 on [-50, 50] gives h = 0.1 against kernel spacing 0.05
-        cfg = _write_cfg(tmp_path, {"grid": {"n": 1001}})
-        result = runner.invoke(main, ["front", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
-        assert "spacing" in result.output
 
     @pytest.mark.parametrize("t_end", [0.0, -3.0])
     def test_comparison_not_forward_in_time_is_config_error(self, runner,

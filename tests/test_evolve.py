@@ -138,6 +138,12 @@ class TestStepper:
         times = evolve(state, kernel, f, 3.0, 0.03, snapshot_every=0.99).times
         assert times == pytest.approx([0.0, 0.99, 1.98, 2.97, 3.0])
 
+    def test_span_off_the_steps_rejected(self, kernel, f):
+        # 1.0 / 0.3 is not whole: rounding would run 3 steps of 1/3
+        state = smoothed_step(Grid(-20.0, 20.0, 801))
+        with pytest.raises(ValueError, match="not a whole multiple of dt"):
+            evolve(state, kernel, f, 1.0, 0.3)
+
     def test_rk4_time_accuracy(self, kernel, f):
         # halving dt should shrink the defect by ~16 (4th order)
         grid = Grid(-20.0, 20.0, 801)
