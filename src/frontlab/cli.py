@@ -13,8 +13,10 @@ exits with its failed cases' largest code.
 
 from __future__ import annotations
 
+import atexit
 import copy
 import functools
+import gc
 import glob
 import hashlib
 import json
@@ -40,6 +42,10 @@ from .stability import (INITIAL_SHAPES, asymptotic_initial, comparison_test,
                         measured_c_min, run_asymptotic_experiment,
                         run_stability_experiment, select_alpha)
 from .waves import solve_traveling_wave
+
+# the process frees its memory at exit, so the collector need not walk it
+# first: the interpreter's final collections skip frozen objects
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -126,8 +132,9 @@ def load_config(path: str | None) -> dict:
     """DEFAULTS updated by the YAML mapping at path, if any."""
     loaded = {}
     if path is not None:
-        with open(path) as fh:
-            loaded = yaml.safe_load(fh) or {}
+        with open(path) as fh:  # libyaml's parser where PyYAML has it
+            loaded = yaml.load(fh, getattr(yaml, "CSafeLoader",
+                                           yaml.SafeLoader)) or {}
         if not isinstance(loaded, dict):
             raise ValueError("config root must be a mapping")
     return _deep_update(DEFAULTS, loaded)
@@ -136,8 +143,8 @@ def load_config(path: str | None) -> dict:
 def build_problem(cfg: dict):
     """(kernel, nonlinearity, grid) from the shared config sections; the
     kernel is sampled at the grid's spacing."""
-    gc = cfg["grid"]
-    grid = Grid(gc["x_min"], gc["x_max"], gc["n"])
+    gcfg = cfg["grid"]
+    grid = Grid(gcfg["x_min"], gcfg["x_max"], gcfg["n"])
     kern = build_kernel(spacing=grid.h, **cfg["kernel"])
     f = make_ignition(**cfg["reaction"])
     _check_compatible(kern, grid)
@@ -367,8 +374,10 @@ def exp_front(cfg, art: Artifacts) -> dict:
     return summary
 
 
-#: steepness reads the snapshots from time.s + STEEP_FROM on
+#: steepness reads the snapshots from time.s + STEEP_FROM on, each on the
+#: front's position X +- STEEP_HALF_WIDTH kernel widths
 STEEP_FROM = 5.0
+STEEP_HALF_WIDTH = 5.0
 
 
 def exp_steepness(cfg, art: Artifacts) -> dict:
@@ -376,7 +385,8 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     _, run = _front_run(cfg)
     snaps, ts, xs = run.snapshots, run.times, run.track
     late = [j for j, t in enumerate(ts) if t >= cfg["time"]["s"] + STEEP_FROM]
-    ss = np.array([steepness(snaps[j], xs[j], 5.0) for j in late])
+    half_width = STEEP_HALF_WIDTH * kern.width
+    ss = np.array([steepness(snaps[j], xs[j], half_width) for j in late])
     art.write_csv("steepness.csv", ["t", "sup_w"], [ts[late], ss])
     art.plot("steepness.png", ts[late], {"sup_w": ss}, "t",
              "sup w near front")

@@ -19,6 +19,9 @@ from .fields import FieldState, SolverError
 #: hard cap on the stencil radius search (length units)
 RADIUS_CAP = 200.0
 
+#: each family's own width parameter, 1.0 when the config leaves it out
+WIDTH_PARAM = {"gaussian": "sigma", "bump": "a"}
+
 
 def _trapezoid_weights(size: int, spacing: float) -> np.ndarray:
     w = np.full(size, spacing)
@@ -38,6 +41,11 @@ class Kernel:
     samples: np.ndarray
     derivative_samples: np.ndarray
     r_max: float
+
+    @property
+    def width(self) -> float:
+        """The family's own length: sigma, or the bump's half-width a."""
+        return float(self.params.get(WIDTH_PARAM[self.family], 1.0))
 
     @property
     def half_points(self) -> int:
@@ -108,7 +116,7 @@ def _bump_density(a):
 
 
 def _family_closures(family: str, params: dict):
-    own = {"gaussian": "sigma", "bump": "a"}.get(family)
+    own = WIDTH_PARAM.get(family)
     if own is None:
         raise ValueError(f"unsupported kernel family: {family!r}")
     unknown = sorted(set(params) - {own})
@@ -262,8 +270,7 @@ def exponential_moment(kernel: Kernel, r: float) -> float:
 
 def _moment_tail(kernel: Kernel, r: float) -> float:
     if kernel.family == "gaussian":
-        sigma = float(kernel.params.get("sigma", 1.0))
-        R = kernel.stencil_radius
+        sigma, R = kernel.width, kernel.stencil_radius
         bulk = math.exp(0.5 * (sigma * r) ** 2)
         right = 0.5 * math.erfc((R + sigma**2 * r) / sigma / math.sqrt(2.0))
         left = 0.5 * math.erfc((R - sigma**2 * r) / sigma / math.sqrt(2.0))

@@ -388,6 +388,25 @@ class TestSteepnessGates:
         assert whole == pytest.approx(0.02178, abs=5e-6)
         assert set(held.values()) == {whole, last_const}
 
+    def test_window_follows_the_kernel_width(self, runner, tmp_path,
+                                             monkeypatch):
+        # at sigma 0.1, w on X +- 5 is at rounding level (-1.2e-16) at its
+        # largest; on X +- 5 sigma it reads the front
+        half_widths, steepness = set(), cli.steepness
+
+        def record(field, center, half_width):
+            half_widths.add(half_width)
+            return steepness(field, center, half_width)
+
+        monkeypatch.setattr(cli, "steepness", record)
+        out = tmp_path / "out"
+        path = _write_cfg(tmp_path, {"kernel": {"sigma": 0.1}})
+        result = runner.invoke(main, ["steepness", "--config", path,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert list(half_widths) == [pytest.approx(0.5)]
+        assert json.loads((out / "summary.json").read_text())["alpha_m"] > 0
+
 
 THETA = cli.DEFAULTS["reaction"]["theta"]
 
@@ -1156,3 +1175,30 @@ print(np.array_equal(x, scipy.linalg.solve_banded((2, 2), band, np.ones(8)))
 @pytest.mark.parametrize("order", ["solve_first", "import_first"])
 def test_wave_solve_and_scipy_linalg_load_in_either_order(order):
     assert _fresh_python(_SOLVE_AND_IMPORT, order) == "True"
+
+
+#: registered before frontlab.cli registers its own exit handler, so it
+#: runs after that one
+_FREEZE_PROBE = """
+import atexit, gc
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+import frontlab.cli
+"""
+
+
+def test_cli_freezes_the_heap_at_exit():
+    # the interpreter's final collections skip frozen objects
+    assert _fresh_python(_FREEZE_PROBE) == "True"
+
+
+def test_artifacts_are_whole_after_the_process_ends(tmp_path):
+    # every file is written and closed before exit, so skipping the final
+    # collections loses no byte
+    out = tmp_path / "out"
+    _fresh_python("import runpy; runpy.run_module('frontlab.cli', "
+                  "run_name='__main__')", "validate", "--out", str(out),
+                  "--quiet")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "summary.json" in manifest["files"]
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
