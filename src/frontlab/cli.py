@@ -60,6 +60,20 @@ class CheckFailure(Exception):
     code = EXIT_CHECK_FAILED
 
 
+def _check(summary: dict, gates) -> None:
+    """Write each gate's <key>_bound and <key>_margin into summary; raise
+    CheckFailure(message) at the first gate that fails.  A gate is (summary
+    key of its value, sense ">", ">=" or "<=", bound, message); it passes
+    when its margin, how far the value clears the bound, is > 0 for ">" and
+    >= 0 otherwise, which a NaN never is."""
+    for key, sense, bound, message in gates:
+        value = summary[key]
+        margin = bound - value if sense == "<=" else value - bound
+        summary[f"{key}_bound"], summary[f"{key}_margin"] = bound, margin
+        if not (margin > 0 if sense == ">" else margin >= 0):
+            raise CheckFailure(message)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -271,17 +285,16 @@ class Artifacts:
 WIDTH_LEVEL = 0.05  # the width is the diameter of {0.05 <= u <= 0.95}
 
 
-def _wave(cfg, slice_fn):
-    """The wave of slice_fn(f) (min_slice or max_slice) on [-60, 60], solved
-    at each call: the front memo, which keeps its min wave, is the one
-    per-process cache."""
-    kern, f, _ = build_problem(cfg)
+def _wave(kern, g):
+    """The wave of the slice g (min_slice(f) or max_slice(f)) on [-60, 60],
+    solved at each call: the front memo, which keeps its min wave, is the
+    one per-process cache."""
     grid = Grid(-60.0, 60.0, round(120.0 / kern.spacing) + 1)
-    return solve_traveling_wave(kern, slice_fn(f), grid)
+    return solve_traveling_wave(kern, g, grid)
 
 
 def _front_run(cfg):
-    """(min wave, front with the u_x co-state), built once per problem."""
+    """(kernel, f, min wave, front with its u_x co-state), once per problem."""
     problem = {key: cfg[key] for key in ("kernel", "reaction", "grid", "time")}
     return _front_memo(json.dumps(problem, sort_keys=True))
 
@@ -291,7 +304,7 @@ def _front_memo(problem: str):
     cfg = json.loads(problem)
     kern, f, grid = build_problem(cfg)
     tc = cfg["time"]
-    wave = _wave(cfg, min_slice)
+    wave = _wave(kern, min_slice(f))
     run = build_approx_front(kern, f, wave, grid, tc["s"], tc["dt"],
                              tc["t_end"])
     u = run.snapshots[-1].u  # the front moves right in a fixed window
@@ -300,9 +313,10 @@ def _front_memo(problem: str):
                          f"{grid.x_max:g}] by time.t_end={tc['t_end']:g}")
     for snap in run.snapshots:  # shared by every caller of the memo
         snap.u.flags.writeable = snap.w.flags.writeable = False
-    for arr in (wave.x, wave.phi, wave.dphi, run.track, run.speeds):
+    for arr in (kern.samples, kern.derivative_samples, wave.x, wave.phi,
+                wave.dphi, run.track, run.speeds):
         arr.flags.writeable = False
-    return wave, run
+    return kern, f, wave, run
 
 
 def exp_validate(cfg, art: Artifacts) -> dict:
@@ -315,9 +329,8 @@ def exp_validate(cfg, art: Artifacts) -> dict:
     summary = {f"h_{k}": int(v) for k, v in rows}
     summary.update(c_fu=report.c_fu, beta_tilde=report.beta_tilde,
                    dt_max=f.dt_max(), all_pass=int(report.all_pass))
-    if not report.all_pass:
-        raise CheckFailure("hypothesis violations: "
-                           + "; ".join(report.violation_lines()))
+    _check(summary, [("all_pass", ">", 0, "hypothesis violations: "
+                      + "; ".join(report.violation_lines()))])
     return summary
 
 
@@ -340,14 +353,14 @@ def exp_wave(cfg, art: Artifacts) -> dict:
         # ripples on the node pairs at the left window edge
         summary[f"monotone_defect_{tag}"] = float(
             np.max(np.diff(tw.phi), initial=0.0))
-    if tw_hi.speed <= tw_lo.speed:
-        raise CheckFailure("speed ordering c*(f_max) > c*(f_min) failed")
+    _check(summary, [("c_star_max", ">", tw_lo.speed,
+                      "speed ordering c*(f_max) > c*(f_min) failed")])
     return summary
 
 
 def exp_front(cfg, art: Artifacts) -> dict:
-    wave_lo, run = _front_run(cfg)
-    wave_hi = _wave(cfg, max_slice)
+    kern, f, wave_lo, run = _front_run(cfg)
+    wave_hi = _wave(kern, max_slice(f))
     ts, xs, speeds = run.times, run.track, run.speeds
     widths = np.array([interface_width(s, WIDTH_LEVEL)
                        for s in run.snapshots])
@@ -365,12 +378,11 @@ def exp_front(cfg, art: Artifacts) -> dict:
                "width_max": float(settled[-1]),
                "width_median": float(np.mean(middle))}
     envelope = f"the envelope [{lo:.4f}, {hi:.4f}]"
-    if summary["speed_min"] < lo:
-        raise CheckFailure(f"interface speed fell below {envelope}")
-    if summary["speed_max"] > hi:
-        raise CheckFailure(f"interface speed rose above {envelope}")
-    if summary["width_max"] > 2.0 * summary["width_median"]:
-        raise CheckFailure("interface width is not uniformly bounded")
+    _check(summary, [
+        ("speed_min", ">=", lo, f"interface speed fell below {envelope}"),
+        ("speed_max", "<=", hi, f"interface speed rose above {envelope}"),
+        ("width_max", "<=", 2.0 * summary["width_median"],
+         "interface width is not uniformly bounded")])
     return summary
 
 
@@ -381,8 +393,7 @@ STEEP_HALF_WIDTH = 5.0
 
 
 def exp_steepness(cfg, art: Artifacts) -> dict:
-    kern, f, _ = build_problem(cfg)
-    _, run = _front_run(cfg)
+    kern, f, _, run = _front_run(cfg)
     snaps, ts, xs = run.snapshots, run.times, run.track
     late = [j for j, t in enumerate(ts) if t >= cfg["time"]["s"] + STEEP_FROM]
     half_width = STEEP_HALF_WIDTH * kern.width
@@ -390,7 +401,6 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     art.write_csv("steepness.csv", ["t", "sup_w"], [ts[late], ss])
     art.plot("steepness.png", ts[late], {"sup_w": ss}, "t",
              "sup w near front")
-    alpha_m = -float(np.max(ss))
     # each pair is held to the constant of its own spacing: a fractional
     # time.t_end leaves a last pair closer than SNAPSHOT_EVERY
     gaps = np.diff(ts[late]).tolist()
@@ -403,19 +413,18 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
             lhs, rhs = check_steepness_bound(snaps[j], snaps[j + 1],
                                              consts[gap], x)
             margins.append(rhs - lhs)
-    worst = float(np.min(margins))
-    summary = {"alpha_m": alpha_m, "bound_constant": min(consts.values()),
-               "bound_margin_min": worst}
-    if alpha_m <= 0:
-        raise CheckFailure("front is not uniformly steep (alpha_m <= 0)")
-    if worst < -1e-8:
-        raise CheckFailure("pointwise steepness bound violated")
+    summary = {"alpha_m": -float(np.max(ss)),
+               "bound_constant": min(consts.values()),
+               "bound_margin_min": float(np.min(margins))}
+    _check(summary, [
+        ("alpha_m", ">", 0.0, "front is not uniformly steep (alpha_m <= 0)"),
+        ("bound_margin_min", ">=", -1e-8,
+         "pointwise steepness bound violated")])
     return summary
 
 
 def exp_tails(cfg, art: Artifacts) -> dict:
-    kern, _, _ = build_problem(cfg)
-    _, run = _front_run(cfg)
+    kern, _, _, run = _front_run(cfg)
     snap = run.snapshots[-1]
     x_ref = run.track[-1]
     right = fit_exponential_tail(snap, "right", x_from=x_ref + 8.0,
@@ -429,17 +438,16 @@ def exp_tails(cfg, art: Artifacts) -> dict:
     summary = {"right_rate": right.rate, "left_rate": left.rate,
                "right_r2": right.r_squared, "left_r2": left.r_squared,
                "target_rate": target}
-    if right.rate < 0.9 * target:
-        raise CheckFailure("right tail decays slower than the kernel bound")
-    if left.rate <= 0:
-        raise CheckFailure("left tail of the derivative does not decay")
+    _check(summary, [
+        ("right_rate", ">=", 0.9 * target,
+         "right tail decays slower than the kernel bound"),
+        ("left_rate", ">", 0.0, "left tail of the derivative does not decay")])
     return summary
 
 
 def exp_stability(cfg, art: Artifacts) -> dict:
-    kern, f, _ = build_problem(cfg)
+    kern, f, _, run = _front_run(cfg)
     dt = cfg["time"]["dt"]
-    _, run = _front_run(cfg)
     params = select_alpha(run, kern, f)
     horizon = round(5.0 / params.omega / dt) * dt
     ref0 = run.snapshots[-1].with_(w=None)  # t0 is time.t_end
@@ -463,11 +471,11 @@ def exp_stability(cfg, art: Artifacts) -> dict:
                    drift_at_3_over_omega=float(
                        params.A * eps / params.omega * (1.0 - np.exp(-3.0))),
                    edge_defect=report.edge_defect)
-    if report.worst_violation > 1e-6:
-        raise CheckFailure("sandwich violated beyond the discretization "
-                           f"budget: {report.worst_violation:.3e}")
-    if summary["distance_at_3_over_omega"] > 0.06 * eps:
-        raise CheckFailure("envelope distance at 3/omega exceeds 0.06*eps")
+    _check(summary, [
+        ("worst_violation", "<=", 1e-6, "sandwich violated beyond the "
+         f"discretization budget: {report.worst_violation:.3e}"),
+        ("distance_at_3_over_omega", "<=", 0.06 * eps,
+         "envelope distance at 3/omega exceeds 0.06*eps")])
     return summary
 
 
@@ -475,9 +483,8 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
     shape = cfg["experiment"]["initial"]
     if shape not in INITIAL_SHAPES:
         raise ValueError(f"unknown initial shape {shape!r}")
-    kern, f, _ = build_problem(cfg)
+    kern, f, _, run = _front_run(cfg)
     dt = cfg["time"]["dt"]
-    _, run = _front_run(cfg)
     ref0 = run.snapshots[-1].with_(w=None)  # t0 is time.t_end
     pair0 = asymptotic_initial(ref0, f.theta, shape)
     report = run_asymptotic_experiment(pair0, kern, f, horizon=400.0, dt=dt)
@@ -486,17 +493,17 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
     art.plot("asymptotic.png", report.times,
              {"d(t)": report.sup_distances + 1e-30}, "t", "d(t)", logy=True)
     last = report.shift_series[-5:]
+    no_fit = report.fitted_rate is None  # a NaN rate fails its gate
     summary = {"initial": shape, "zeta_star": report.zeta_star,
                "zeta_star_spread": float(np.max(last) - np.min(last)),
-               "rate": report.fitted_rate, "r_squared": report.r_squared,
+               "rate": np.nan if no_fit else report.fitted_rate,
+               "r_squared": report.r_squared,
                "final_distance": float(report.sup_distances[-1])}
-    if report.fitted_rate is None or report.fitted_rate <= 0:
-        raise CheckFailure("best-shift distance does not decay")
-    if report.r_squared < 0.98:
-        raise CheckFailure("decay is not log-linear (R^2 < 0.98)")
-    if summary["zeta_star_spread"] > 1e-2:
-        raise CheckFailure("best shift has not settled (spread of the "
-                           "last 5 shifts > 1e-2)")
+    _check(summary, [
+        ("rate", ">", 0.0, "best-shift distance does not decay"),
+        ("r_squared", ">=", 0.98, "decay is not log-linear (R^2 < 0.98)"),
+        ("zeta_star_spread", "<=", 1e-2, "best shift has not settled "
+         "(spread of the last 5 shifts > 1e-2)")])
     return summary
 
 
@@ -562,9 +569,8 @@ def exp_comparison(cfg, art: Artifacts) -> dict:
     art.write_csv("comparison.csv", ["pair", "min_margin"],
                   [np.arange(n_pairs), margins])
     summary = {"pairs": n_pairs, "min_margin": float(np.min(margins))}
-    if summary["min_margin"] < -1e-8:
-        raise CheckFailure("comparison principle violated: ordered data "
-                           "crossed")
+    _check(summary, [("min_margin", ">=", -1e-8, "comparison principle "
+                      "violated: ordered data crossed")])
     return summary
 
 

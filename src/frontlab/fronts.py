@@ -59,8 +59,6 @@ def interface_width(field: FieldState, eps: float) -> float:
 @dataclass
 class TailFit:
     rate: float
-    amplitude: float
-    window: tuple
     r_squared: float
 
 
@@ -105,13 +103,9 @@ def fit_exponential_tail(field: FieldState, side: str,
     sgn = np.sign(v[mask])
     if np.any(sgn != sgn[0]):
         raise SolverError("sign changes inside the tail window")
-    xs = x[mask]
-    slope, intercept, r2 = fit_line(xs, np.log(mag[mask]))
+    slope, _, r2 = fit_line(x[mask], np.log(mag[mask]))
     rate = -slope if side == "right" else slope
-    return TailFit(rate=float(rate),
-                   amplitude=float(math.exp(intercept)),
-                   window=(float(xs[0]), float(xs[-1])),
-                   r_squared=float(r2))
+    return TailFit(rate=float(rate), r_squared=float(r2))
 
 
 def on_interval(x: np.ndarray, v: np.ndarray, lo: float,

@@ -43,19 +43,20 @@ def wave_grid():
 
 @pytest.fixture(scope="session")
 def tw_min():
-    return cli._front_run(cli.load_config(None))[0]
+    return cli._front_run(cli.load_config(None))[2]
 
 
 @pytest.fixture(scope="session")
 def tw_max():
-    return cli._wave(cli.load_config(None), max_slice)
+    kern, f, _ = cli.build_problem(cli.load_config(None))
+    return cli._wave(kern, max_slice(f))
 
 
 @pytest.fixture(scope="session")
 def front_run():
     """Heterogeneous approximating front of the default config: seeded at
     s=-30, run to t=60, with the spatial-derivative co-state at cadence 1."""
-    return cli._front_run(cli.load_config(None))[1]
+    return cli._front_run(cli.load_config(None))[3]
 
 
 @pytest.fixture(scope="session")

@@ -149,6 +149,7 @@ class TestFrontMemo:
         cfg["time"].update(s=-10.0, t_end=20.0)
         build, builds = cli.build_approx_front, []
         solve, solves = cli.solve_traveling_wave, []
+        build_kernel, kernels = cli.build_kernel, []
 
         def counted(*args, **kwargs):
             builds.append(1)
@@ -158,10 +159,17 @@ class TestFrontMemo:
             solves.append(1)
             return solve(*args, **kwargs)
 
+        def counted_kernel(*args, **kwargs):
+            kernels.append(1)
+            return build_kernel(*args, **kwargs)
+
         monkeypatch.setattr(cli, "build_approx_front", counted)
         monkeypatch.setattr(cli, "solve_traveling_wave", counted_solve)
+        monkeypatch.setattr(cli, "build_kernel", counted_kernel)
         cli._front_memo.cache_clear()
-        wave, run = cli._front_run(cfg)
+        kern, _, wave, run = cli._front_run(cfg)
+        assert not (kern.samples.flags.writeable
+                    or kern.derivative_samples.flags.writeable)
         assert not wave.phi.flags.writeable
         assert not (run.track.flags.writeable or run.speeds.flags.writeable)
         before = [(s.u.copy(), s.w.copy()) for s in run.snapshots]
@@ -170,11 +178,12 @@ class TestFrontMemo:
                                        quiet=True) == 0
         assert len(builds) == 1
         assert len(solves) == 2   # the min and the max wave, once each
+        assert len(kernels) == 1  # one kernel per problem
         for snap, (u, w) in zip(run.snapshots, before):
             assert np.array_equal(snap.u, u) and np.array_equal(snap.w, w)
 
         # the other order of the benchmark's diagnostics cases: tails then
-        # front build one more front and solve two more waves
+        # front build one more kernel and front and solve two more waves
         cli._front_memo.cache_clear()
         assert cli._run_experiment("tails", cfg, tmp_path / "fresh",
                                    quiet=True) == 0
@@ -185,7 +194,7 @@ class TestFrontMemo:
                     == (tmp_path / "fresh" / name).read_bytes())
         assert cli._run_experiment("front", cfg, tmp_path / "front_after",
                                    quiet=True) == 0
-        assert (len(builds), len(solves)) == (2, 4)
+        assert (len(builds), len(solves), len(kernels)) == (2, 4, 2)
 
 
     def test_wave_window_rounds_its_node_count(self):
@@ -193,8 +202,9 @@ class TestFrontMemo:
         # wave window needs 1429 nodes at the kernel's spacing, not 1428
         cfg = load_config(None)
         cfg["grid"]["n"] = 1191
-        assert cli.build_problem(cfg)[0].spacing == 0.08403361344537816
-        wave = cli._wave(cfg, min_slice)
+        kern, f, _ = cli.build_problem(cfg)
+        assert kern.spacing == 0.08403361344537816
+        wave = cli._wave(kern, min_slice(f))
         assert wave.x.size == 1429
         assert wave.residual_norm <= 1e-8
 
@@ -324,11 +334,12 @@ def _serve_edited_front(monkeypatch, edit):
     """Serve the CLI the memoized default front with its snapshots passed
     through edit(snapshots, s)."""
     cfg = load_config(None)
-    wave, run = cli._front_run(cfg)
+    kern, f, wave, run = cli._front_run(cfg)
     snaps = edit(run.snapshots, cfg["time"]["s"])
     edited = replace(run, trajectory=replace(run.trajectory,
                                              snapshots=snaps))
-    monkeypatch.setattr(cli, "_front_run", lambda cfg: (wave, edited))
+    monkeypatch.setattr(cli, "_front_run",
+                        lambda cfg: (kern, f, wave, edited))
 
 
 def _steepness_of_edited_front(runner, tmp_path, monkeypatch, edit):
@@ -451,11 +462,24 @@ def _crafted_decay(rate, r_squared, spread):
     return run
 
 
+def _crafted_sandwich(worst_violation):
+    """A stand-in for the stability run: a one-row report whose sandwich
+    is violated by worst_violation, beside a 2.4e-5 edge defect."""
+    def run(ref0, *args, **kwargs):
+        one = np.array([0.0])
+        return StabilityReport(
+            times=one + ref0.t, envelope_distance=one, q_values=one,
+            zeta_minus=one, zeta_plus=one,
+            violation_count=int(worst_violation > 0),
+            worst_violation=worst_violation, edge_defect=2.4e-5,
+            interior_worst_violation=worst_violation)
+    return run
+
+
 #: a sabotage per gate that no other test trips: (experiment, patch, the
 #: gate's message), where patch(monkeypatch) edits the memoized default
-#: front or stands in for the asymptotic run, so no row evolves anew.
-#: distance_at_3_over_omega has none: it reads 0.0 at the defaults, where
-#: the shifted band has drifted about 19 units by then
+#: front or stands in for the asymptotic run, so no row evolves anew.  A
+#: row named <gate>_nan trips its gate with a NaN value
 GATE_SABOTAGES = {
     "speed_min": ("front", lambda mp: _serve_edited_front(
         mp, _shifted(-0.1)), "interface speed fell below the envelope"),
@@ -472,6 +496,10 @@ GATE_SABOTAGES = {
         "left tail of the derivative does not decay"),
     "rate": ("asymptotic", lambda mp: mp.setattr(
         cli, "run_asymptotic_experiment", _crafted_decay(None, None, 0.0)),
+        "best-shift distance does not decay"),
+    "rate_nan": ("asymptotic", lambda mp: mp.setattr(
+        cli, "run_asymptotic_experiment",
+        _crafted_decay(np.nan, np.nan, 0.0)),
         "best-shift distance does not decay"),
     "r_squared": ("asymptotic", lambda mp: mp.setattr(
         cli, "run_asymptotic_experiment", _crafted_decay(0.01, 0.5, 0.0)),
@@ -491,6 +519,77 @@ def test_every_gate_can_fail(tmp_path, monkeypatch, gate):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert code == 1 and summary["passed"] == 0
     assert summary["failure"].startswith(message), summary["failure"]
+
+
+#: the test that trips each gate with no GATE_SABOTAGES row
+GATE_TESTS = {
+    "all_pass": "TestExitCodes::test_failed_hypothesis_is_check_failure",
+    "c_star_max": "TestExitCodes::test_equal_slices_fail_speed_ordering",
+    "alpha_m": "TestSteepnessGates::test_flat_front_is_not_uniformly_steep",
+    "bound_margin_min":
+        "TestSteepnessGates::test_flattened_last_snapshot_violates_the_bound",
+    "worst_violation":
+        "TestStabilityGate::test_sandwich_budget_ignores_the_edge_defect",
+    "min_margin": "TestComparisonBatches::test_crossed_pairs_fail_the_gate",
+}
+
+#: why a gate has neither a row nor a test: it cannot fail at the defaults
+GATE_VACUOUS = {
+    "distance_at_3_over_omega": "reads exactly 0.0 at the defaults: by "
+                                "3/omega the shifted band has drifted about "
+                                "19 units",
+}
+
+
+def test_every_gate_is_accounted_for(tmp_path, monkeypatch):
+    # the gates that one passing default run of each gated experiment
+    # registers, with the memoized front and passing stand-ins for the
+    # stability and asymptotic runs
+    registered, check = {}, cli._check
+
+    def record(summary, gates):
+        registered.update((key, experiment) for key, *_ in gates)
+        check(summary, gates)
+
+    monkeypatch.setattr(cli, "_check", record)
+    monkeypatch.setattr(cli, "run_stability_experiment",
+                        _crafted_sandwich(0.0))
+    monkeypatch.setattr(cli, "run_asymptotic_experiment",
+                        _crafted_decay(0.01, 0.999, 0.0))
+    for experiment in sorted(cli.EXPERIMENTS.keys() - {"sweep"}):
+        out = tmp_path / experiment
+        assert cli._run_experiment(experiment, load_config(None), out,
+                                   quiet=True) == 0, experiment
+        summary = json.loads((out / "summary.json").read_text())
+        for key in (k for k, e in registered.items() if e == experiment):
+            assert {f"{key}_bound", f"{key}_margin"} <= summary.keys(), key
+    sabotaged = {row.removesuffix("_nan") for row in GATE_SABOTAGES}
+    accounted = sabotaged | GATE_TESTS.keys() | GATE_VACUOUS.keys()
+    assert registered.keys() - accounted == set(), "gates nothing trips"
+    assert accounted - registered.keys() == set(), "entries of no gate"
+    for name in GATE_TESTS.values():
+        cls, test = name.split("::")
+        assert callable(getattr(globals().get(cls), test, None)), name
+
+
+class TestCheck:
+    @pytest.mark.parametrize("sense", [">", ">=", "<="])
+    def test_a_nan_fails_every_sense(self, sense):
+        summary = {"value": np.nan}
+        with pytest.raises(cli.CheckFailure, match="^value gate$"):
+            cli._check(summary, [("value", sense, 0.0, "value gate")])
+        assert summary["value_bound"] == 0.0
+        assert np.isnan(summary["value_margin"])
+
+    def test_margins_are_recorded_up_to_the_first_failure(self):
+        # a value on its bound passes ">=" (and "<="), and fails ">"
+        summary = {"a": 2.0, "b": 3.0, "c": 0.0, "d": 9.0}
+        with pytest.raises(cli.CheckFailure, match="^c$"):
+            cli._check(summary, [("a", ">=", 2.0, "a"), ("b", "<=", 4.0, "b"),
+                                 ("c", ">", 0.0, "c"), ("d", "<=", 0.0, "d")])
+        assert summary == {"a": 2.0, "b": 3.0, "c": 0.0, "d": 9.0,
+                           "a_bound": 2.0, "a_margin": 0.0, "b_bound": 4.0,
+                           "b_margin": 1.0, "c_bound": 0.0, "c_margin": 0.0}
 
 
 class TestExitCodes:
@@ -817,15 +916,8 @@ class TestStabilityGate:
                                                      monkeypatch):
         # a 5e-6 violation fails the flat 1e-6 budget, though it lies well
         # inside the 2.4e-5 edge defect that is reported beside it
-        def violated(ref0, *args, **kwargs):
-            one = np.array([0.0])
-            return StabilityReport(
-                times=one + ref0.t, envelope_distance=one, q_values=one,
-                zeta_minus=one, zeta_plus=one, violation_count=1,
-                worst_violation=5e-6, edge_defect=2.4e-5,
-                interior_worst_violation=5e-6)
-
-        monkeypatch.setattr(cli, "run_stability_experiment", violated)
+        monkeypatch.setattr(cli, "run_stability_experiment",
+                            _crafted_sandwich(5e-6))
         code = cli._run_experiment("stability", load_config(None),
                                    tmp_path, quiet=True)
         assert code == 1
