@@ -13,6 +13,7 @@ exits with its failed cases' largest code.
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import copy
 import functools
@@ -26,7 +27,6 @@ import time
 import traceback
 from pathlib import Path
 
-import click
 import numpy as np
 import yaml
 
@@ -61,13 +61,15 @@ class CheckFailure(Exception):
 
 
 def _check(summary: dict, gates) -> None:
-    """Write each gate's <key>_bound and <key>_margin into summary; raise
-    CheckFailure(message) at the first gate that fails.  A gate is (summary
-    key of its value, sense ">", ">=" or "<=", bound, message); it passes
-    when its margin, how far the value clears the bound, is > 0 for ">" and
-    >= 0 otherwise, which a NaN never is."""
+    """Write each gate's <key>_bound and <key>_margin into summary, and its
+    key to the list summary["gates"]; raise CheckFailure(message) at the
+    first gate that fails.  A gate is (summary key of its value, sense ">",
+    ">=" or "<=", bound, message); it passes when its margin, how far the
+    value clears the bound, is > 0 for ">" and >= 0 otherwise, which a NaN
+    never is."""
     for key, sense, bound, message in gates:
         value = summary[key]
+        summary.setdefault("gates", []).append(key)
         margin = bound - value if sense == "<=" else value - bound
         summary[f"{key}_bound"], summary[f"{key}_margin"] = bound, margin
         if not (margin > 0 if sense == ">" else margin >= 0):
@@ -156,12 +158,16 @@ def load_config(path: str | None) -> dict:
 
 def build_problem(cfg: dict):
     """(kernel, nonlinearity, grid) from the shared config sections; the
-    kernel is sampled at the grid's spacing."""
+    kernel is sampled at the grid's spacing, which must resolve the kernel's
+    own width."""
     gcfg = cfg["grid"]
     grid = Grid(gcfg["x_min"], gcfg["x_max"], gcfg["n"])
     kern = build_kernel(spacing=grid.h, **cfg["kernel"])
     f = make_ignition(**cfg["reaction"])
     _check_compatible(kern, grid)
+    if grid.h > kern.width * (1.0 + 1e-9):
+        raise ValueError(f"grid spacing {grid.h:g} exceeds the kernel's "
+                         f"width {kern.width:g}")
     tc = cfg["time"]
     s, t_end, dt = tc["s"], tc["t_end"], tc["dt"]
     if not 0.0 < dt <= f.dt_max() + 1e-12:
@@ -199,7 +205,7 @@ def _dist_version(name: str) -> str:
 def _versions() -> dict:
     """The library versions of every manifest, read once per process."""
     return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "scipy": _dist_version("scipy"), "click": _dist_version("click"),
+            "scipy": _dist_version("scipy"), "pyyaml": yaml.__version__,
             "frontlab": __version__}
 
 
@@ -216,7 +222,7 @@ class Artifacts:
 
     def say(self, msg: str) -> None:
         if not self.quiet:
-            click.echo(msg)
+            print(msg)
 
     def _register(self, path: Path) -> None:
         self.files.append(path.name)
@@ -320,7 +326,7 @@ def _front_memo(problem: str):
 
 
 def exp_validate(cfg, art: Artifacts) -> dict:
-    kern, f, _ = build_problem(cfg)
+    kern, f, grid = build_problem(cfg)
     report = validate_hypotheses(kern, f)
     art.say(report.to_text())
     rows = sorted(report.verdicts.items())
@@ -328,7 +334,8 @@ def exp_validate(cfg, art: Artifacts) -> dict:
                   [np.array([0])] + [np.array([int(v)]) for _, v in rows])
     summary = {f"h_{k}": int(v) for k, v in rows}
     summary.update(c_fu=report.c_fu, beta_tilde=report.beta_tilde,
-                   dt_max=f.dt_max(), all_pass=int(report.all_pass))
+                   dt_max=f.dt_max(), h_over_width=grid.h / kern.width,
+                   all_pass=int(report.all_pass))
     _check(summary, [("all_pass", ">", 0, "hypothesis violations: "
                       + "; ".join(report.violation_lines()))])
     return summary
@@ -650,28 +657,27 @@ def _run_experiment(experiment: str, cfg: dict, out_dir: Path,
     return EXIT_OK
 
 
-@click.command()
-@click.argument("experiment",
-                type=click.Choice(sorted(EXPERIMENTS)))
-@click.option("--config", "config_path", type=click.Path(exists=False),
-              default=None, help="YAML configuration file.")
-@click.option("--out", "out_dir", type=click.Path(), default=None,
-              help="Output directory (overrides config).")
-@click.option("--seed", type=int, default=None,
-              help="Random seed (overrides config).")
-@click.option("--quiet", is_flag=True, default=False)
-def main(experiment, config_path, out_dir, seed, quiet):
+def main(argv=None):
     """Run one named front-propagation experiment."""
+    parser = argparse.ArgumentParser(prog="frontlab", allow_abbrev=False,
+                                     description=main.__doc__)
+    parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    parser.add_argument("--config", help="YAML configuration file.")
+    parser.add_argument("--out", help="Output directory (overrides config).")
+    parser.add_argument("--seed", type=int,
+                        help="Random seed (overrides config).")
+    parser.add_argument("--quiet", action="store_true")
+    args = parser.parse_args(argv)  # a usage error exits 2
     try:
-        cfg = load_config(config_path)
-        if seed is not None:
-            cfg["seed"] = seed
-        cfg["experiment"]["name"] = experiment
-        target = Path(out_dir) if out_dir else Path(cfg["output"]["dir"])
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        cfg["experiment"]["name"] = args.experiment
+        target = Path(args.out or cfg["output"]["dir"])
     except (OSError, yaml.YAMLError, ValueError) as err:
-        click.echo(f"configuration error: {err}", err=True)
+        print(f"configuration error: {err}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
-    sys.exit(_run_experiment(experiment, cfg, target, quiet))
+    sys.exit(_run_experiment(args.experiment, cfg, target, args.quiet))
 
 
 if __name__ == "__main__":

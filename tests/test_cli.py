@@ -1,7 +1,9 @@
+import contextlib
 import functools
 import hashlib
 import importlib
 import importlib.metadata
+import io
 import json
 import multiprocessing
 import os
@@ -15,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 import frontlab
 from frontlab import cli, evolve, fronts, stability
@@ -29,9 +30,33 @@ from frontlab.stability import (AsymptoticReport, StabilityReport,
 from trajectory_helpers import linear_crossing
 
 
+class _Runner:
+    """click.testing.CliRunner's shape: invoke(main, args) runs main in
+    this process and returns its exit_code, its output (stdout and stderr
+    merged, as click 8.2+ does) and its stderr alone."""
+
+    def invoke(self, main, args):
+        output, stderr = io.StringIO(), io.StringIO()
+
+        class Merged(io.TextIOBase):  # stderr, written to output as well
+            def write(self, text):
+                output.write(text)
+                return stderr.write(text)
+
+        code = 0
+        with contextlib.redirect_stdout(output), \
+                contextlib.redirect_stderr(Merged()):
+            try:
+                main(args)
+            except SystemExit as exit_:
+                code = exit_.code
+        return types.SimpleNamespace(exit_code=code, output=output.getvalue(),
+                                     stderr=stderr.getvalue())
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return _Runner()
 
 
 def _write_cfg(tmp_path, payload, name="cfg.yaml"):
@@ -561,8 +586,11 @@ def test_every_gate_is_accounted_for(tmp_path, monkeypatch):
         assert cli._run_experiment(experiment, load_config(None), out,
                                    quiet=True) == 0, experiment
         summary = json.loads((out / "summary.json").read_text())
-        for key in (k for k, e in registered.items() if e == experiment):
-            assert {f"{key}_bound", f"{key}_margin"} <= summary.keys(), key
+        keys = [k for k, e in registered.items() if e == experiment]
+        assert summary["gates"] == keys, experiment
+        # the list, not a suffix, finds them: comparison gates min_margin
+        assert set(keys) == {k for k in summary if {
+            f"{k}_bound", f"{k}_margin"} <= summary.keys()}
     sabotaged = {row.removesuffix("_nan") for row in GATE_SABOTAGES}
     accounted = sabotaged | GATE_TESTS.keys() | GATE_VACUOUS.keys()
     assert registered.keys() - accounted == set(), "gates nothing trips"
@@ -589,7 +617,8 @@ class TestCheck:
                                  ("c", ">", 0.0, "c"), ("d", "<=", 0.0, "d")])
         assert summary == {"a": 2.0, "b": 3.0, "c": 0.0, "d": 9.0,
                            "a_bound": 2.0, "a_margin": 0.0, "b_bound": 4.0,
-                           "b_margin": 1.0, "c_bound": 0.0, "c_margin": 0.0}
+                           "b_margin": 1.0, "c_bound": 0.0, "c_margin": 0.0,
+                           "gates": ["a", "b", "c"]}
 
 
 class TestExitCodes:
@@ -599,6 +628,7 @@ class TestExitCodes:
         assert result.exit_code == 0, result.output
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] == 1
+        assert summary["h_over_width"] == 0.05  # the defaults' grid, sigma 1
         assert (out / "hypotheses.csv").exists()
         assert (out / "manifest.json").exists()
 
@@ -610,6 +640,39 @@ class TestExitCodes:
     def test_unknown_experiment_is_usage_error(self, runner):
         result = runner.invoke(main, ["frobnicate"])
         assert result.exit_code == 2
+        assert "invalid choice: 'frobnicate'" in result.output
+
+    @pytest.mark.parametrize("args, named", [
+        ([], "the following arguments are required: experiment"),
+        (["validate", "--seed", "abc"], "invalid int value: 'abc'"),
+    ], ids=["no_experiment", "seed_abc"])
+    def test_usage_error_names_the_value(self, runner, args, named):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+
+    def test_help_exits_0(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0, result.output
+        assert "{asymptotic,comparison," in result.output
+        assert "Random seed (overrides config)." in result.output
+
+    @pytest.mark.parametrize("experiment", ["validate", "comparison"])
+    @pytest.mark.parametrize("n", [3, 11])  # h = 50 and h = 10 against sigma 1
+    def test_grid_coarser_than_the_kernel_is_config_error(
+            self, runner, tmp_path, monkeypatch, experiment, n):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved on a grid coarser than the kernel")
+
+        monkeypatch.setattr(cli, "comparison_test", solve)
+        cfg = _write_cfg(tmp_path, {"grid": {"n": n}})
+        out = tmp_path / "out"
+        result = runner.invoke(main, [experiment, "--config", cfg,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert (f"grid spacing {100 / (n - 1):g} exceeds the kernel's "
+                "width 1") in result.output
+        assert not (out / "summary.json").exists()
 
     def test_unstable_dt_is_config_error(self, runner, tmp_path):
         # the RK4 cap is 0.7355 at the defaults
@@ -1064,14 +1127,15 @@ class TestManifest:
         assert "summary.json" in manifest["files"]
         assert manifest["versions"]["python"]
         assert set(manifest["versions"]) == {"python", "numpy", "scipy",
-                                             "click", "frontlab"}
+                                             "pyyaml", "frontlab"}
+        assert manifest["versions"]["pyyaml"] == yaml.__version__
         assert manifest["versions"]["frontlab"] == frontlab.__version__
 
 
     def test_versions_match_importlib_metadata(self, tmp_path, monkeypatch):
         # read off the dist-info directory names on sys.path
-        for name in ("scipy", "click"):
-            assert cli._dist_version(name) == importlib.metadata.version(name)
+        assert (cli._dist_version("scipy")
+                == importlib.metadata.version("scipy"))
         # with no dist-info directory there, importlib.metadata answers
         monkeypatch.setattr(sys, "path", [str(tmp_path)])
         monkeypatch.setattr(importlib.metadata, "version",
@@ -1225,6 +1289,14 @@ def test_scipy_loads_only_for_the_wave_solve(tmp_path, experiment):
                               "scipy.special", "scipy.fft"}
     else:
         assert modules == set()
+
+
+@pytest.mark.parametrize("experiment", [None, "wave"])
+def test_the_cli_never_loads_click(tmp_path, experiment):
+    args = [] if experiment is None else [
+        experiment, "--out", str(tmp_path / "out"), "--quiet"]
+    assert not {m for m in _loaded_modules(*args)
+                if m.split(".")[0] == "click"}
 
 
 def test_front_leaves_out_numpy_ma(tmp_path):
