@@ -93,7 +93,7 @@ DEFAULTS = {
 #: each experiment's keys besides ``name``, with their defaults
 EXPERIMENT_KEYS = {
     "asymptotic": {"initial": "mollified_step"},
-    "comparison": {"pairs": 100, "t_end": 3.0},
+    "comparison": {"pairs": 100},
     "sweep": {"cases": [], "workers": 2},
 }
 
@@ -178,9 +178,10 @@ def build_problem(cfg: dict):
                          f"{TRANSIENT:g}, where the front has settled")
     # every run snapshots on whole time units: the front and the comparison
     # every SNAPSHOT_EVERY = 1, the stability pairs every 2; the front is
-    # normalized at t = 0, where its two legs meet
+    # normalized at t = 0, where its two legs meet, and ends on a snapshot
     whole_steps(SNAPSHOT_EVERY, dt, "the snapshot interval", "time.dt")
-    whole_steps(t_end - s, dt, "time.t_end - time.s", "time.dt")
+    whole_steps(t_end - s, SNAPSHOT_EVERY, "time.t_end - time.s",
+                "the snapshot interval")
     whole_steps(-s, SNAPSHOT_EVERY, "-time.s", "the snapshot interval")
     return kern, f, grid
 
@@ -408,20 +409,15 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     art.write_csv("steepness.csv", ["t", "sup_w"], [ts[late], ss])
     art.plot("steepness.png", ts[late], {"sup_w": ss}, "t",
              "sup w near front")
-    # each pair is held to the constant of its own spacing: a fractional
-    # time.t_end leaves a last pair closer than SNAPSHOT_EVERY
-    gaps = np.diff(ts[late]).tolist()
-    consts = {gap: steepness_bound_constant(kern, f.lipschitz_bound(),
-                                            dt=gap)[0] for gap in set(gaps)}
+    const = steepness_bound_constant(kern, f.lipschitz_bound(),
+                                     dt=SNAPSHOT_EVERY)[0]
     margins = []
-    for j, gap in zip(late, gaps):  # the last snapshot has no successor
+    for j in late[:-1]:  # the last snapshot has no successor
         for delta in (-2.0, 0.0, 2.0):
             x = xs[j + 1] + delta
-            lhs, rhs = check_steepness_bound(snaps[j], snaps[j + 1],
-                                             consts[gap], x)
+            lhs, rhs = check_steepness_bound(snaps[j], snaps[j + 1], const, x)
             margins.append(rhs - lhs)
-    summary = {"alpha_m": -float(np.max(ss)),
-               "bound_constant": min(consts.values()),
+    summary = {"alpha_m": -float(np.max(ss)), "bound_constant": const,
                "bound_margin_min": float(np.min(margins))}
     _check(summary, [
         ("alpha_m", ">", 0.0, "front is not uniformly steep (alpha_m <= 0)"),
@@ -430,13 +426,17 @@ def exp_steepness(cfg, art: Artifacts) -> dict:
     return summary
 
 
+#: tails fits w beyond the front's position X +- TAIL_OFFSET kernel widths
+TAIL_OFFSET = 8.0
+
+
 def exp_tails(cfg, art: Artifacts) -> dict:
     kern, _, _, run = _front_run(cfg)
     snap = run.snapshots[-1]
-    x_ref = run.track[-1]
-    right = fit_exponential_tail(snap, "right", x_from=x_ref + 8.0,
+    offset = TAIL_OFFSET * kern.width
+    right = fit_exponential_tail(snap, "right", x_from=run.track[-1] + offset,
                                  values=snap.w)
-    left = fit_exponential_tail(snap, "left", x_to=x_ref - 8.0,
+    left = fit_exponential_tail(snap, "left", x_to=run.track[-1] - offset,
                                 values=snap.w)
     target = positive_decay_rate(kern, measured_c_min(run))
     art.write_csv("tails.csv", ["x", "u", "w"], [snap.x, snap.u, snap.w])
@@ -501,7 +501,7 @@ def exp_asymptotic(cfg, art: Artifacts) -> dict:
              {"d(t)": report.sup_distances + 1e-30}, "t", "d(t)", logy=True)
     last = report.shift_series[-5:]
     no_fit = report.fitted_rate is None  # a NaN rate fails its gate
-    summary = {"initial": shape, "zeta_star": report.zeta_star,
+    summary = {"initial": shape, "zeta_star": float(report.shift_series[-1]),
                "zeta_star_spread": float(np.max(last) - np.min(last)),
                "rate": np.nan if no_fit else report.fitted_rate,
                "r_squared": report.r_squared,
@@ -535,9 +535,11 @@ def _pool_map(fn, items: list, workers: int) -> list:
 
 #: ordered pairs per evolve (16 lanes), for fewer and larger array calls
 COMPARISON_BATCH = 8
+#: each pair runs from t = 0 over whole snapshot intervals, so whole steps
+COMPARISON_T_END = 3.0
 
 
-def _comparison_batch(problem, t_end, dt, draws):
+def _comparison_batch(problem, dt, draws):
     """The margins of one batch of pairs, each drawn as (center, width,
     amplitude, bump position): the lower lane a smoothed step, the upper
     one that step plus a Gaussian bump, clipped to [0, 1]."""
@@ -550,19 +552,14 @@ def _comparison_batch(problem, t_end, dt, draws):
     lanes = FieldState(t=0.0, x=grid.x, u=np.stack(lo),
                        u_left=np.ones(len(lo)), u_right=np.zeros(len(lo)))
     return comparison_test(lanes, lanes.with_(u=np.stack(hi)), kern, f,
-                           t_end, dt)
+                           COMPARISON_T_END, dt)
 
 
 def exp_comparison(cfg, art: Artifacts) -> dict:
     problem = build_problem(cfg)
-    n_pairs, t_end = cfg["experiment"]["pairs"], cfg["experiment"]["t_end"]
-    dt = cfg["time"]["dt"]
+    n_pairs, dt = cfg["experiment"]["pairs"], cfg["time"]["dt"]
     if n_pairs < 1:
         raise ValueError(f"experiment.pairs={n_pairs} must be at least 1")
-    if t_end <= 0.0:  # the pairs start at t = 0
-        raise ValueError(f"experiment.t_end={t_end:g} does not lie after "
-                         "t=0")
-    whole_steps(t_end, dt, "experiment.t_end", "time.dt")
     rng = np.random.default_rng(cfg["seed"])
     draws = [(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 4.0),
               rng.uniform(0.0, 0.3), rng.uniform(-10.0, 10.0))
@@ -571,7 +568,7 @@ def exp_comparison(cfg, art: Artifacts) -> dict:
                for first in range(0, n_pairs, COMPARISON_BATCH)]
     # a worker per CPU this process may run on
     margins = np.concatenate(_pool_map(
-        functools.partial(_comparison_batch, problem, t_end, dt), batches,
+        functools.partial(_comparison_batch, problem, dt), batches,
         len(os.sched_getaffinity(0))))
     art.write_csv("comparison.csv", ["pair", "min_margin"],
                   [np.arange(n_pairs), margins])

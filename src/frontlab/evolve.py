@@ -27,8 +27,10 @@ SEED_HIT_TOL = 2.5e-7
 #: the seed, not the window, still places the front
 SEED_MAX_RUNS = 10
 SEED_MIN_SLOPE = 0.1
-#: time after the seed time s from which an approximating front has settled
+#: an approximating front has settled from max(s + TRANSIENT, SETTLED_FROM)
+#: on: TRANSIENT after its seed time s, and never before SETTLED_FROM
 TRANSIENT = 20.0
+SETTLED_FROM = -10.0
 #: time between the snapshots of an approximating front
 SNAPSHOT_EVERY = 1.0
 
@@ -61,8 +63,6 @@ def _shift_lanes(a: np.ndarray, m: int, fill) -> np.ndarray:
 def _shift_window(state: FieldState, m: int) -> FieldState:
     """Relocate the window by m grid steps (m > 0 moves it rightward); each
     lane moves by m and fills from its own far field."""
-    if m == 0:
-        return state
     far = np.asarray(state.u_right if m > 0 else state.u_left)[..., None]
     w = None if state.w is None else _shift_lanes(state.w, m, 0.0)
     return state.with_(x=state.x + m * state.h,
@@ -221,7 +221,8 @@ class ApproxFrontRun:
 
     Built once per run: the snapshot times, the level crossing of each
     snapshot, its central-difference speeds and the mask of the settled
-    (post-transient) snapshots, t >= s + TRANSIENT.
+    (post-transient) snapshots, t >= max(s + TRANSIENT, SETTLED_FROM): a
+    fixed span for every seed time s <= SETTLED_FROM - TRANSIENT.
     """
 
     s: float
@@ -238,7 +239,7 @@ class ApproxFrontRun:
         self.track = np.array([locate_level(snap, self.level)
                                for snap in self.snapshots])
         self.speeds = np.gradient(self.track, self.times)
-        self.settled = self.times >= self.s + TRANSIENT
+        self.settled = self.times >= max(self.s + TRANSIENT, SETTLED_FROM)
 
     @property
     def snapshots(self):
@@ -253,9 +254,8 @@ def seed_from_profile(grid: Grid, profile_fn, shift: float, t: float,
 
 
 def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
-                       s: float, dt: float, t_end: float = 0.0,
-                       snapshot_every: float = SNAPSHOT_EVERY
-                       ) -> ApproxFrontRun:
+                       s: float, dt: float,
+                       t_end: float = 0.0) -> ApproxFrontRun:
     """Seed the wave profile at time s < 0 so that the front satisfies
     u(0,0;s) = theta, and run it on to t_end >= 0.
 
@@ -269,7 +269,7 @@ def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
     evolves u alone; every later run on [s, 0] is a first leg of the front
     run, with the u_x co-state and the snapshots, and the leg that hits
     goes on to t_end.  t = 0 must be a snapshot time: -s a whole number of
-    snapshot_every.
+    SNAPSHOT_EVERY.
     """
     if not s < 0.0 <= t_end:
         raise ValueError("need seed time s < 0 <= t_end")
@@ -278,7 +278,7 @@ def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
     y_s, prev, slope = 0.0, None, 1.0
     seed = seed_from_profile(grid, profile_fn, y_s, s)
     for _ in range(SEED_MAX_RUNS):
-        leg = evolve(seed, kernel, f, 0.0, dt, snapshot_every=snapshot_every)
+        leg = evolve(seed, kernel, f, 0.0, dt, snapshot_every=SNAPSHOT_EVERY)
         end = leg.snapshots[-1]
         if abs(profile_interp(end)(0.0) - theta) > SEED_HIT_TOL:
             try:
@@ -300,6 +300,7 @@ def build_approx_front(kernel: Kernel, f, wave: TravelingWave, grid: Grid,
 
     traj = leg
     if t_end > 0.0:
-        rest = evolve(end, kernel, f, t_end, dt, snapshot_every=snapshot_every)
+        rest = evolve(end, kernel, f, t_end, dt,
+                      snapshot_every=SNAPSHOT_EVERY)
         traj = Trajectory(snapshots=leg.snapshots + rest.snapshots[1:])
     return ApproxFrontRun(s=s, y_s=y_s, level=theta, trajectory=traj)

@@ -53,7 +53,6 @@ class TravelingWave:
     phi: np.ndarray
     dphi: np.ndarray
     residual_norm: float
-    theta: float
     iterations: int          # two-grid cycles on the grid itself
     coarse_iterations: int   # Newton steps on every coarser level
 
@@ -95,9 +94,8 @@ def solve_traveling_wave(kernel: Kernel, f_hom, grid: Grid) -> TravelingWave:
         raise SolverError("nonpositive wave speed")
     dphi = -(convolve(kernel, FieldState(0.0, x, phi, 1.0, 0.0))
              - phi + f_hom.eval(0.0, phi)) / c
-    return TravelingWave(speed=float(c), x=x, phi=phi,
-                         dphi=dphi, residual_norm=residual_norm,
-                         theta=f_hom.theta, iterations=iterations,
+    return TravelingWave(speed=float(c), x=x, phi=phi, dphi=dphi,
+                         residual_norm=residual_norm, iterations=iterations,
                          coarse_iterations=coarse_iterations)
 
 

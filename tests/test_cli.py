@@ -401,7 +401,8 @@ class TestSteepnessGates:
 
     def test_each_pair_is_held_to_its_own_spacing(self, runner, tmp_path,
                                                   monkeypatch):
-        # t_end 40.2 leaves a last pair (40, 40.2), 0.2 apart
+        # time.t_end - time.s is a whole number, so every pair is
+        # SNAPSHOT_EVERY = 1 apart and held to C(1)
         held, check = {}, cli.check_steepness_bound
 
         def record(before, after, const, x):
@@ -409,20 +410,16 @@ class TestSteepnessGates:
             return check(before, after, const, x)
 
         monkeypatch.setattr(cli, "check_steepness_bound", record)
-        path = _write_cfg(tmp_path, {"time": {"t_end": 40.2}})
-        result = runner.invoke(main, ["steepness", "--config", path,
+        result = runner.invoke(main, ["steepness",
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
-        kern, f, _ = cli.build_problem(load_config(path))
-        (last, last_const), *_ = sorted(held.items(), reverse=True)
-        assert last == pytest.approx((40.0, 40.2))
-        assert last_const == pytest.approx(0.0299, abs=5e-5)
-        assert last_const == pytest.approx(cli.steepness_bound_constant(
-            kern, f.lipschitz_bound(), dt=0.2)[0], rel=1e-12)
+        kern, f, _ = cli.build_problem(load_config(None))
         whole = cli.steepness_bound_constant(kern, f.lipschitz_bound(),
                                              dt=1.0)[0]
         assert whole == pytest.approx(0.02178, abs=5e-6)
-        assert set(held.values()) == {whole, last_const}
+        assert set(held.values()) == {whole}
+        assert [after - before for before, after in held] == pytest.approx(
+            [1.0] * 85)  # the pairs from t = s + 5 = -25 to t_end = 60
 
     def test_window_follows_the_kernel_width(self, runner, tmp_path,
                                              monkeypatch):
@@ -442,6 +439,36 @@ class TestSteepnessGates:
         assert result.exit_code == 0, result.output
         assert list(half_widths) == [pytest.approx(0.5)]
         assert json.loads((out / "summary.json").read_text())["alpha_m"] > 0
+
+
+class TestTails:
+    def test_offsets_follow_the_kernel_width(self, runner, tmp_path):
+        # at sigma 0.1 the fit window X +- 8 held fewer than 8 points of the
+        # magnitude band; from X +- 8 sigma the rate is 1/sigma the default's
+        rates = {}
+        for sigma in (1.0, 0.1):
+            out = tmp_path / str(sigma)
+            path = _write_cfg(tmp_path, {"kernel": {"sigma": sigma}})
+            result = runner.invoke(main, ["tails", "--config", path,
+                                          "--out", str(out), "--quiet"])
+            assert result.exit_code == 0, result.output
+            summary = json.loads((out / "summary.json").read_text())
+            rates[sigma] = sigma * summary["right_rate"]
+        assert rates[0.1] == pytest.approx(rates[1.0], rel=1e-3)
+
+
+class TestFrontSummary:
+    def test_deep_seed_reads_the_fixed_span(self, tmp_path):
+        # at s = -60 the settled snapshots are those at t >= -10, as at the
+        # default s = -30, not those at t >= s + TRANSIENT = -40
+        out = tmp_path / "deep"
+        summary = _front_summary(out, ("time", "s", -60.0))
+        t, _, speed, width = np.loadtxt(out / "front_track.csv",
+                                        delimiter=",", skiprows=1).T
+        span = t >= -10.0
+        assert t[0] == -60.0 and span.sum() == 71
+        assert summary["speed_max"] == np.max(speed[span])
+        assert summary["width_max"] == np.max(width[span])
 
 
 THETA = cli.DEFAULTS["reaction"]["theta"]
@@ -482,8 +509,8 @@ def _crafted_decay(rate, r_squared, spread):
     def run(pair0, *args, **kwargs):
         return AsymptoticReport(
             times=pair0.t + np.arange(5.0), sup_distances=np.full(5, 1e-3),
-            shift_series=np.linspace(0.0, spread, 5), zeta_star=spread,
-            fitted_rate=rate, r_squared=r_squared)
+            shift_series=np.linspace(0.0, spread, 5), fitted_rate=rate,
+            r_squared=r_squared)
     return run
 
 
@@ -694,7 +721,12 @@ class TestExitCodes:
         ("steepness", {"dt": 0.03},
          "the snapshot interval=1 is not a whole multiple of time.dt=0.03"),
         ("front", {"s": -10.01, "t_end": 20.0},
-         "time.t_end - time.s=30.01 is not a whole multiple of time.dt=0.2"),
+         "time.t_end - time.s=30.01 is not a whole multiple of the snapshot "
+         "interval=1"),
+        # the run ends on a snapshot, so every steepness pair is 1 apart
+        ("steepness", {"t_end": 40.2},
+         "time.t_end - time.s=70.2 is not a whole multiple of the snapshot "
+         "interval=1"),
         ("front", {"s": -10.0, "t_end": 5.0},
          "time.t_end=5 lies before time.s + 20"),
         # the front is normalized at t = 0, which must be a snapshot time
@@ -710,9 +742,9 @@ class TestExitCodes:
         # settled run, t_end >= s + 20, gives at least 16 of them
         ("steepness", {"s": -20.0, "t_end": -1.0},
          "time.t_end=-1 lies before time.s + 20"),
-    ], ids=["off_cadence", "off_step_run", "short_run", "off_cadence_seed",
-            "stability_off_step_pairs", "asymptotic_off_step_pairs",
-            "steepness_one_late_snapshot"])
+    ], ids=["off_cadence", "off_step_run", "fractional_run", "short_run",
+            "off_cadence_seed", "stability_off_step_pairs",
+            "asymptotic_off_step_pairs", "steepness_one_late_snapshot"])
     def test_time_section_is_checked_before_any_solve(
             self, runner, tmp_path, monkeypatch, experiment, time, message):
         def solve(*args, **kwargs):
@@ -791,8 +823,7 @@ class TestExitCodes:
         assert "is not an integer" in result.output
 
     def test_integral_float_is_an_integer(self, runner, tmp_path):
-        cfg = _write_cfg(tmp_path, {"experiment": {"pairs": 2.0,
-                                                   "t_end": 1.0}})
+        cfg = _write_cfg(tmp_path, {"experiment": {"pairs": 2.0}})
         out = tmp_path / "out"
         result = runner.invoke(main, ["comparison", "--config", cfg,
                                       "--out", str(out)])
@@ -830,21 +861,22 @@ class TestExitCodes:
         assert "solver failure: Newton polish" in result.output
 
     @pytest.mark.parametrize("experiment, patch, c_min, message", [
-        # validate, wave and front all pass on these kernels: the tail fit
-        # of the solved front finds too few points in its magnitude band
-        ("tails", {"kernel": {"sigma": 0.1}}, None,
-         "fewer than 8 usable points in the tail window"),
-        ("tails", {"kernel": {"family": "bump", "a": 0.5}}, None,
-         "fewer than 8 usable points in the tail window"),
-        # a measured c_min of 1e-9 admits no alpha of the scan
+        # a measured c_min of 1e-9 gives the kernel's bound on the tail rate
+        # no positive root, and admits no alpha of the stability scan
+        ("tails", {}, 1e-9, "no positive decay rate"),
         ("stability", {}, 1e-9, "no admissible alpha in scan"),
-    ], ids=["tails_gaussian_0.1", "tails_bump_0.5", "stability_no_alpha"])
+        # in a window of 10 the seed's tails are cut, so a shifted seed no
+        # longer moves the front
+        ("front", {"grid": {"x_min": -5.0, "x_max": 5.0, "n": 201}}, None,
+         "seed shift no longer moves the front"),
+    ], ids=["tails_no_decay_rate", "stability_no_alpha", "front_tight_window"])
     def test_post_solve_breakdown_is_solver_failure(
             self, runner, tmp_path, monkeypatch, experiment, patch, c_min,
             message):
         if c_min is not None:
-            monkeypatch.setattr(stability, "measured_c_min",
-                                lambda run: c_min)
+            for module in (cli, stability):
+                monkeypatch.setattr(module, "measured_c_min",
+                                    lambda run: c_min)
         cfg = _write_cfg(tmp_path, patch)
         out = tmp_path / "out"
         result = runner.invoke(main, [experiment, "--config", cfg,
@@ -927,25 +959,16 @@ class TestExitCodes:
         assert "speed ordering" in json.loads(
             (out / "summary.json").read_text())["failure"]
 
-    @pytest.mark.parametrize("t_end", [0.0, -3.0])
-    def test_comparison_not_forward_in_time_is_config_error(self, runner,
-                                                            tmp_path, t_end):
-        cfg = _write_cfg(tmp_path, {
-            "experiment": {"pairs": 1, "t_end": t_end},
-            "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
-        result = runner.invoke(main, ["comparison", "--config", cfg,
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2, result.output
-        assert "does not lie after" in result.output
-
     @pytest.mark.parametrize("patch, message", [
         ({"experiment": {"pairs": 0}},
          "experiment.pairs=0 must be at least 1"),
+        # every pair runs to cli.COMPARISON_T_END: a t_end of its own, on
+        # the steps or off them, is a stale key
         ({"experiment": {"t_end": 3.01}},
-         "experiment.t_end=3.01 is not a whole multiple of time.dt=0.2"),
-        # t_end is a whole number of steps, the comparison's snapshots one
-        # time unit apart are not
-        ({"experiment": {"pairs": 2, "t_end": 3.0}, "time": {"dt": 0.03}},
+         "unknown config key 'experiment.t_end'"),
+        # the comparison's snapshots, one time unit apart, are no whole
+        # number of steps
+        ({"experiment": {"pairs": 2}, "time": {"dt": 0.03}},
          "snapshot interval=1 is not a whole multiple of time.dt=0.03"),
     ], ids=["no_pairs", "off_step_t_end", "off_step_snapshots"])
     def test_comparison_keys_are_checked_before_any_pair(
@@ -962,7 +985,7 @@ class TestExitCodes:
 
     def test_small_comparison_ok(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {
-            "experiment": {"pairs": 3, "t_end": 1.0},
+            "experiment": {"pairs": 3},
             "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
         out = tmp_path / "out"
         result = runner.invoke(main, ["comparison", "--config", cfg,
@@ -989,7 +1012,7 @@ class TestStabilityGate:
 
 
 class TestComparisonBatches:
-    CONFIG = {"experiment": {"pairs": 11, "t_end": 1.0},
+    CONFIG = {"experiment": {"pairs": 11},
               "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}}
 
     def _run(self, runner, tmp_path):
@@ -1015,9 +1038,9 @@ class TestComparisonBatches:
             bump = rng.uniform(0.0, 0.3) * np.exp(
                 -((grid.x - rng.uniform(-10.0, 10.0)) / 4.0) ** 2)
             hi = lo.with_(u=np.clip(lo.u + bump, 0.0, 1.0))
-            margin = comparison_test(lo, hi, kern, f,
-                                     cfg["experiment"]["t_end"],
-                                     cfg["time"]["dt"])
+            (margin,) = comparison_test(lo, hi, kern, f,
+                                        cli.COMPARISON_T_END,
+                                        cfg["time"]["dt"])
             rows.append("%d,%.17g\n" % (i, margin))
         assert ((tmp_path / "out" / "comparison.csv").read_text()
                 == "".join(rows))
@@ -1085,7 +1108,7 @@ class TestWriteCsv:
 class TestDeterminism:
     def test_csv_bytes_reproducible(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {
-            "experiment": {"pairs": 2, "t_end": 1.0},
+            "experiment": {"pairs": 2},
             "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
         blobs = []
         for sub in ("a", "b"):
@@ -1099,7 +1122,7 @@ class TestDeterminism:
 
     def test_seed_recorded_in_manifest(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, {
-            "experiment": {"pairs": 2, "t_end": 1.0},
+            "experiment": {"pairs": 2},
             "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
         hashes = []
         for seed in ("7", "8"):
@@ -1167,8 +1190,7 @@ class TestSweep:
         cfg = _write_cfg(tmp_path, {
             "experiment": {"workers": 2, "cases": [
                 {"experiment": {"name": "validate"}},
-                {"experiment": {"name": "comparison", "pairs": 9,
-                                "t_end": 1.0}},
+                {"experiment": {"name": "comparison", "pairs": 9}},
             ]},
             "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}})
         out = tmp_path / "out"
@@ -1276,7 +1298,7 @@ def test_scipy_loads_only_for_the_wave_solve(tmp_path, experiment):
     args = []
     if experiment is not None:
         cfg = _write_cfg(tmp_path, {
-            "experiment": {"pairs": 3, "t_end": 1.0},
+            "experiment": {"pairs": 3},
             "grid": {"x_min": -30.0, "x_max": 30.0, "n": 1201}}
             if experiment == "comparison" else {})
         args = [experiment, "--config", cfg, "--out", str(tmp_path / "out"),

@@ -424,8 +424,7 @@ class TestApproxFront:
         """A deeper seed time gives the same front near the interface at
         t = 0 (the s -> -infinity limit is practically attained)."""
         grid = Grid(-50.0, 50.0, 2001)
-        run40 = build_approx_front(kernel, f, tw_min, grid, s=-40.0, dt=DT,
-                                   t_end=0.0, snapshot_every=10.0)
+        run40 = build_approx_front(kernel, f, tw_min, grid, s=-40.0, dt=DT)
         a = at_time(front_run.trajectory, 0.0)
         b = at_time(run40.trajectory, 0.0)
         near = np.abs(a.x) <= 20.0
