@@ -171,34 +171,8 @@ def max_slice(f: IgnitionNonlinearity) -> AutonomousSlice:
 @dataclass
 class HypothesisReport:
     verdicts: dict
-    c_fu: float
-    sup_ft: float
-    sup_fuu: float
-    beta_tilde: float
-    deriv_abs_integral: float
-    violations: list
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.verdicts.values())
-
-    def violation_lines(self) -> list[str]:
-        return [f"{name} at {where}: {what}"
-                for name, where, what in self.violations]
-
-    def to_text(self) -> str:
-        lines = []
-        for name, ok in sorted(self.verdicts.items()):
-            lines.append(f"{name}: {'pass' if ok else 'FAIL'}")
-        lines.append(f"C_fu: {self.c_fu:.12g}")
-        lines.append(f"sup_ft: {self.sup_ft:.12g}")
-        lines.append(f"sup_fuu: {self.sup_fuu:.12g}")
-        lines.append(f"beta_tilde: {self.beta_tilde:.12g}")
-        lines.append(f"int_abs_J_prime: {self.deriv_abs_integral:.12g}")
-        if self.violations:
-            lines.append("violations:")
-            lines.extend("  " + v for v in self.violation_lines())
-        return "\n".join(lines)
+    violations: list  # "<name> at <sample>: <value> breaks <bound>"
+    constants: dict  # summary name -> value
 
 
 def validate_hypotheses(kernel, f: IgnitionNonlinearity) -> HypothesisReport:
@@ -244,14 +218,14 @@ def validate_hypotheses(kernel, f: IgnitionNonlinearity) -> HypothesisReport:
     verdicts, violations = {}, []
     for name, (bad, values, bound) in checks.items():
         verdicts[name] = not bad.any()
-        if bad.any():
+        if not verdicts[name]:
             i = np.unravel_index(np.argmax(bad), bad.shape)
             axes, label = places[bad.ndim]
-            violations.append((name,
-                               label.format(*(a[k] for a, k in zip(axes, i))),
-                               f"{values[i]:.12g} breaks {bound}"))
-    return HypothesisReport(
-        verdicts=verdicts, c_fu=f.lipschitz_bound(),
-        sup_ft=float(np.max(np.abs(ft))), sup_fuu=float(np.max(np.abs(fuu))),
-        beta_tilde=beta, deriv_abs_integral=kernel.derivative_abs_integral(),
-        violations=violations)
+            where = label.format(*(a[k] for a, k in zip(axes, i)))
+            violations.append(f"{name} at {where}: {values[i]:.12g} breaks "
+                              f"{bound}")
+    return HypothesisReport(verdicts, violations, {
+        "c_fu": f.lipschitz_bound(), "beta_tilde": beta,
+        "sup_ft": float(np.max(np.abs(ft))),
+        "sup_fuu": float(np.max(np.abs(fuu))),
+        "int_abs_J_prime": kernel.derivative_abs_integral()})

@@ -528,10 +528,18 @@ def _crafted_sandwich(worst_violation):
     return run
 
 
+def _short_asymptotic(*args, **kwargs):
+    """The asymptotic run cut to a horizon of 10: too few of its distances
+    fall inside the fitted band, so it fits no rate."""
+    return stability.run_asymptotic_experiment(*args,
+                                               **{**kwargs, "horizon": 10.0})
+
+
 #: a sabotage per gate that no other test trips: (experiment, patch, the
 #: gate's message), where patch(monkeypatch) edits the memoized default
-#: front or stands in for the asymptotic run, so no row evolves anew.  A
-#: row named <gate>_nan trips its gate with a NaN value
+#: front, stands in for the asymptotic run or cuts it short, so no row
+#: evolves longer than a few steps anew.  A row named <gate>_nan trips its
+#: gate with a NaN value
 GATE_SABOTAGES = {
     "speed_min": ("front", lambda mp: _serve_edited_front(
         mp, _shifted(-0.1)), "interface speed fell below the envelope"),
@@ -547,7 +555,7 @@ GATE_SABOTAGES = {
         mp, _grown_tail("left")),
         "left tail of the derivative does not decay"),
     "rate": ("asymptotic", lambda mp: mp.setattr(
-        cli, "run_asymptotic_experiment", _crafted_decay(None, None, 0.0)),
+        cli, "run_asymptotic_experiment", _short_asymptotic),
         "best-shift distance does not decay"),
     "rate_nan": ("asymptotic", lambda mp: mp.setattr(
         cli, "run_asymptotic_experiment",
@@ -656,8 +664,25 @@ class TestExitCodes:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] == 1
         assert summary["h_over_width"] == 0.05  # the defaults' grid, sigma 1
-        assert (out / "hypotheses.csv").exists()
         assert (out / "manifest.json").exists()
+        assert result.output == f"validate: ok ({out})\n"  # no report text
+
+    def test_validate_reports_through_its_summary_alone(self, tmp_path):
+        assert cli._run_experiment("validate", load_config(None), tmp_path,
+                                   quiet=True) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "summary.json"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert {"sup_ft", "sup_fuu", "int_abs_J_prime", "c_fu",
+                "beta_tilde"} <= summary.keys()
+        verdicts = {k for k in summary if k.startswith("h_")} - {
+            "h_over_width"}
+        assert verdicts == {"h_H1_symmetry", "h_H1_nonnegative",
+                            "h_H1_unit_mass", "h_H2_zero_below_theta",
+                            "h_H2_zero_at_one", "h_H2_envelope",
+                            "h_H2_negative_above_one", "h_H3_bounded_fuu",
+                            "h_H4_decay_slope", "h_H4_zero_below_zero"}
+        assert all(summary[k] == 1 for k in verdicts)
 
     def test_missing_config_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--config",
@@ -742,9 +767,21 @@ class TestExitCodes:
         # settled run, t_end >= s + 20, gives at least 16 of them
         ("steepness", {"s": -20.0, "t_end": -1.0},
          "time.t_end=-1 lies before time.s + 20"),
+        # the front is normalized at t = 0, so every run reaches it, even
+        # one that solves no front
+        ("validate", {"s": -30.0, "t_end": -5.0},
+         "time.t_end=-5 lies before t = 0"),
+        ("wave", {"s": -30.0, "t_end": -5.0},
+         "time.t_end=-5 lies before t = 0"),
+        ("comparison", {"s": -30.0, "t_end": -5.0},
+         "time.t_end=-5 lies before t = 0"),
+        ("front", {"s": -30.0, "t_end": -5.0},
+         "time.t_end=-5 lies before t = 0"),
     ], ids=["off_cadence", "off_step_run", "fractional_run", "short_run",
             "off_cadence_seed", "stability_off_step_pairs",
-            "asymptotic_off_step_pairs", "steepness_one_late_snapshot"])
+            "asymptotic_off_step_pairs", "steepness_one_late_snapshot",
+            "validate_before_t0", "wave_before_t0", "comparison_before_t0",
+            "front_before_t0"])
     def test_time_section_is_checked_before_any_solve(
             self, runner, tmp_path, monkeypatch, experiment, time, message):
         def solve(*args, **kwargs):
@@ -1207,6 +1244,20 @@ class TestSweep:
         result = runner.invoke(main, ["sweep",
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_are_checked_before_any_runs(self, runner, tmp_path,
+                                                 workers):
+        cfg = _write_cfg(tmp_path, {"experiment": {
+            "workers": workers,
+            "cases": [{"experiment": {"name": "validate"}}]}})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--config", cfg,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert (f"experiment.workers={workers} must be at least 1"
+                in result.output)
+        assert not (out / "case_000").exists()
 
     @pytest.mark.parametrize("cases, message", [
         ([{"experiment": {"name": "validate"}},
